@@ -1,8 +1,8 @@
 //! Machine-readable pipeline benchmark runner and CI perf-regression gate.
 //!
 //! Benchmarks the end-to-end pipeline under every execution strategy —
-//! sequential monolithic, parallel monolithic, streaming at chunk size 1,
-//! streaming with auto chunking, streaming over the text transport, and
+//! monolithic, streaming at chunk size 1, streaming with auto chunking,
+//! streaming over the text transport, and
 //! streaming over an on-disk corpus through both disk-backed sources
 //! (`corpus_file`, `corpus_mmap`; the corpus is built once outside the
 //! timed region, so these measure pure analysis with simulation and
@@ -358,7 +358,6 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
     let corpus_mmap = ssfa::MmapSource::open(&corpus_dir.0).expect("bench corpus maps");
 
     let p_mono = base.clone();
-    let p_par = base.clone();
     let p_chunk1 = base.clone().chunk_systems(1);
     let p_auto = base.clone().chunk_auto();
     let p_corpus_file = base.clone().chunk_auto();
@@ -375,14 +374,6 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
             false,
             Box::new(move || {
                 std::hint::black_box(p_mono.run_monolithic().unwrap());
-                mono_counters
-            }),
-        ),
-        (
-            "monolithic_parallel",
-            false,
-            Box::new(move || {
-                std::hint::black_box(p_par.run_monolithic_parallel().unwrap());
                 mono_counters
             }),
         ),
@@ -784,7 +775,6 @@ mod tests {
     fn sample_results(auto_wall: f64, auto_peak: u64) -> Vec<BenchResult> {
         vec![
             result("monolithic", 20.0, 1_000_000),
-            result("monolithic_parallel", 15.0, 1_000_000),
             result("streaming_chunk1", 30.0, 20_000),
             result("streaming_auto", auto_wall, auto_peak),
             result("streaming_auto_text", 24.0, 23_000),
@@ -836,8 +826,8 @@ mod tests {
             21.0
         );
         assert_eq!(
-            baseline_number(&json, "monolithic_parallel", "wall_ms").unwrap(),
-            15.0
+            baseline_number(&json, "monolithic", "wall_ms").unwrap(),
+            20.0
         );
         assert_eq!(
             baseline_number(&json, "streaming_auto_text", "peak_bytes").unwrap(),

@@ -18,7 +18,6 @@ use ssfa_model::{
 
 use crate::corpus::{LogBook, LogError};
 use crate::event::LogLine;
-use crate::intern::HostInterner;
 use crate::view::{EventRef, LogLineRef};
 
 /// How the classifier treats bad lines.
@@ -316,93 +315,6 @@ pub fn classify_with(
     let mut classifier = Classifier::with_strictness(strictness);
     classifier.feed_book(book)?;
     classifier.finish_with_health()
-}
-
-/// [`classify`] fanned out over `threads` worker threads — the parallel
-/// oracle for the monolithic path.
-///
-/// Classifier state is keyed entirely by emitting host (configuration
-/// maps, open-disk tracking, per-host record streams), so the corpus is
-/// bucketed by host — *not* split at arbitrary line offsets, which would
-/// tear a system's `cfg.*` records away from its later events — and the
-/// buckets are grouped into contiguous, line-balanced groups, one
-/// classifier per group. Within a bucket the monolithic corpus preserves
-/// each host's shard-order line sequence (the chronological sort is
-/// stable), so every group classifies exactly what that host's shards
-/// would have produced, and merging the per-group partials is bit-identical
-/// to [`classify`] of the whole book.
-///
-/// # Errors
-///
-/// As for [`classify`]; when several groups fail, the error from the
-/// earliest group (in first-host-appearance order) wins.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn classify_parallel(book: &LogBook, threads: usize) -> Result<AnalysisInput, LogError> {
-    assert!(threads > 0, "need at least one classify thread");
-    if threads == 1 || book.len() < 2 {
-        return classify(book);
-    }
-
-    // Bucket line indices by host, in first-appearance order. The
-    // interner answers the per-line host lookup from a dense table (plus
-    // a last-host cache — shard-ordered corpora emit long same-host
-    // runs) instead of hashing every `SystemId`.
-    let mut interner = HostInterner::new();
-    let mut buckets: Vec<Vec<&LogLine>> = Vec::new();
-    for line in book {
-        let idx = interner.intern(line.host) as usize;
-        if idx == buckets.len() {
-            buckets.push(Vec::new());
-        }
-        buckets[idx].push(line);
-    }
-
-    // Contiguous groups of buckets, balanced by line count.
-    let per_group = book.len().div_ceil(threads);
-    let mut groups: Vec<Vec<&Vec<&LogLine>>> = Vec::new();
-    let mut current: Vec<&Vec<&LogLine>> = Vec::new();
-    let mut lines = 0usize;
-    for bucket in &buckets {
-        current.push(bucket);
-        lines += bucket.len();
-        if lines >= per_group {
-            groups.push(std::mem::take(&mut current));
-            lines = 0;
-        }
-    }
-    if !current.is_empty() {
-        groups.push(current);
-    }
-
-    let results: Vec<Result<AnalysisInput, LogError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = groups
-            .iter()
-            .map(|group| {
-                scope.spawn(move || {
-                    let mut classifier = Classifier::new();
-                    for bucket in group {
-                        for line in *bucket {
-                            classifier.feed_line(line)?;
-                        }
-                    }
-                    classifier.finish()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("classify worker panicked"))
-            .collect()
-    });
-
-    let mut partials = Vec::with_capacity(results.len());
-    for result in results {
-        partials.push(result?);
-    }
-    Ok(AnalysisInput::merge(partials))
 }
 
 /// An incremental classifier: the state machine behind [`classify`],
@@ -942,6 +854,32 @@ mod tests {
         assert_eq!(input.failures[0].raid_group, RaidGroupId(3));
         assert_eq!(input.failures[0].fc_loop, LoopId(5));
         assert_eq!(input.failures[1].failure_type, FailureType::Performance);
+    }
+
+    /// Merging is independent of partial order even when install times
+    /// tie across partials: canonical order breaks the tie by disk.
+    #[test]
+    fn merge_breaks_install_time_ties_by_disk() {
+        let partial = |disk: u64| AnalysisInput {
+            lifetimes: vec![DiskLifetime {
+                disk: DiskInstanceId(disk),
+                model: DiskModelId::new('D', 2),
+                slot: SlotAddr {
+                    shelf: ShelfId(10),
+                    bay: 0,
+                },
+                system: SystemId(disk as u32),
+                raid_group: RaidGroupId(3),
+                installed_at: SimTime::from_secs(1_000),
+                removed_at: SimTime::study_end(),
+                removed_by_failure: false,
+            }],
+            ..AnalysisInput::default()
+        };
+        let forward = AnalysisInput::merge([partial(7), partial(2)]);
+        let backward = AnalysisInput::merge([partial(2), partial(7)]);
+        assert_eq!(forward, backward);
+        assert_eq!(forward.lifetimes[0].disk, DiskInstanceId(2));
     }
 
     #[test]

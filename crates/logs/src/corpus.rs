@@ -172,7 +172,7 @@ impl LogBook {
     /// Renders the whole corpus as text, one line per event. Lines are
     /// pushed straight into the output buffer via
     /// [`LogLine::render_into`] — no per-line allocation and no `fmt`
-    /// machinery (the `Display` impl stays the pinned oracle).
+    /// machinery.
     pub fn to_text(&self) -> String {
         let mut out = String::with_capacity(self.lines.len() * 128);
         for line in &self.lines {
@@ -210,15 +210,20 @@ impl LogBook {
         Ok(book)
     }
 
-    /// Writes the corpus to a writer. Accepts `&mut` writers as well, per
-    /// the usual `io::Write` blanket impl.
+    /// Writes the corpus to a writer, one [`LogLine::render_into`] line
+    /// at a time. Accepts `&mut` writers as well, per the usual
+    /// `io::Write` blanket impl.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the writer.
     pub fn write_to<W: Write>(&self, mut w: W) -> Result<(), LogError> {
+        let mut buf = String::new();
         for line in &self.lines {
-            writeln!(w, "{line}")?;
+            buf.clear();
+            line.render_into(&mut buf);
+            buf.push('\n');
+            w.write_all(buf.as_bytes())?;
         }
         Ok(())
     }

@@ -1,20 +1,11 @@
-//! Interned identifiers for the parse/classify hot path.
+//! The interned subsystem-tag table for the parse/classify hot path.
 //!
-//! Two small tables keep the per-line work allocation-free and
-//! comparison-cheap:
-//!
-//! - [`TagId`]: the closed set of subsystem tags that can appear inside
-//!   `[tag:severity]`. The borrowed parser resolves the tag text to a
-//!   `TagId` once; every later decision (severity check, event-layout
-//!   dispatch) is an integer compare instead of a string compare.
-//! - [`HostInterner`]: maps [`SystemId`]s to dense `u32` bucket indices in
-//!   first-appearance order. [`crate::classify_parallel`] buckets every
-//!   line by emitting host; the interner answers that lookup from a flat
-//!   vector (hosts are dense fleet indices) instead of hashing each id,
-//!   with a one-entry cache for the run-of-same-host pattern shard-ordered
-//!   corpora exhibit.
-
-use ssfa_model::SystemId;
+//! [`TagId`] is the closed set of subsystem tags that can appear inside
+//! `[tag:severity]`. The parser resolves the tag text to a `TagId` once;
+//! every later decision (severity check, event-layout dispatch) is an
+//! integer compare instead of a string compare. It is also the crate's
+//! one tag table: [`crate::LogEvent::tag`] and
+//! [`crate::LogEvent::severity`] read their answers from here.
 
 use crate::event::Severity;
 
@@ -85,7 +76,7 @@ pub const ALL_TAGS: [TagId; 18] = [
 
 impl TagId {
     /// Resolves tag text to its interned id. Returns `None` for unknown
-    /// tags — exactly the lines [`crate::LogLine::parse`] rejects.
+    /// tags, which [`crate::LogLine::parse`] rejects.
     pub fn lookup(tag: &str) -> Option<TagId> {
         Some(match tag {
             "fci.device.timeout" => TagId::FciDeviceTimeout,
@@ -134,8 +125,7 @@ impl TagId {
         }
     }
 
-    /// The fixed severity every line carrying this tag renders with —
-    /// agrees with [`crate::LogEvent::severity`] variant for variant
+    /// The fixed severity every line carrying this tag renders with
     /// (severity is a function of the tag alone).
     pub fn severity(self) -> Severity {
         match self {
@@ -154,79 +144,9 @@ impl TagId {
     }
 }
 
-/// Hosts with ids below this are interned through the flat dense table;
-/// anything larger (possible only in hand-crafted or corrupt corpora —
-/// fleet ids are dense) falls back to the ordered map so a hostile id
-/// cannot force a multi-gigabyte table.
-const DENSE_HOST_CAP: usize = 1 << 20;
-
-/// Sentinel for "host not yet interned" in the dense table.
-const UNASSIGNED: u32 = u32::MAX;
-
-/// Dense `SystemId -> u32` interner assigning bucket indices in
-/// first-appearance order — the hashed `HashMap<SystemId, usize>` lookup
-/// [`crate::classify_parallel`] used to pay per line, replaced by a
-/// vector index plus a one-entry last-host cache.
-#[derive(Debug, Default)]
-pub struct HostInterner {
-    dense: Vec<u32>,
-    sparse: std::collections::BTreeMap<u32, u32>,
-    len: u32,
-    last: Option<(u32, u32)>,
-}
-
-impl HostInterner {
-    /// An empty interner.
-    pub fn new() -> HostInterner {
-        HostInterner::default()
-    }
-
-    /// Number of distinct hosts interned so far.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether no host has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Returns `host`'s dense index, assigning the next free one
-    /// (`self.len() - 1` after the call) on first appearance.
-    pub fn intern(&mut self, host: SystemId) -> u32 {
-        if let Some((last_host, last_id)) = self.last {
-            if last_host == host.0 {
-                return last_id;
-            }
-        }
-        let id = if (host.0 as usize) < DENSE_HOST_CAP {
-            let slot = host.0 as usize;
-            if slot >= self.dense.len() {
-                self.dense.resize(slot + 1, UNASSIGNED);
-            }
-            if self.dense[slot] == UNASSIGNED {
-                self.dense[slot] = self.len;
-                self.len += 1;
-            }
-            self.dense[slot]
-        } else {
-            let next = self.len;
-            let id = *self.sparse.entry(host.0).or_insert(next);
-            if id == next {
-                self.len += 1;
-            }
-            id
-        };
-        self.last = Some((host.0, id));
-        id
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{LogEvent, LogLine};
-    use ssfa_model::{DeviceAddr, SimTime};
 
     #[test]
     fn tag_strings_round_trip_through_the_intern_table() {
@@ -235,83 +155,5 @@ mod tests {
         }
         assert_eq!(TagId::lookup("raid.config.filesystem.disk.unknown"), None);
         assert_eq!(TagId::lookup(""), None);
-    }
-
-    #[test]
-    fn tag_severity_agrees_with_the_owned_event_severity() {
-        // One representative owned event per tag; the interned severity
-        // must match what the renderer would emit.
-        let d = DeviceAddr::new(8, 24);
-        let s = || "3EL00000042A".to_owned();
-        let events = [
-            LogEvent::FciDeviceTimeout { device: d },
-            LogEvent::FciAdapterReset { adapter: 8 },
-            LogEvent::ScsiCmdAborted { device: d },
-            LogEvent::ScsiSelectionTimeout { device: d },
-            LogEvent::ScsiNoMorePaths { device: d },
-            LogEvent::ScsiPathFailover { device: d },
-            LogEvent::DiskMediumError {
-                device: d,
-                sector: 7,
-            },
-            LogEvent::ScsiProtocolViolation { device: d },
-            LogEvent::ScsiSlowResponse {
-                device: d,
-                latency_ms: 9,
-            },
-            LogEvent::RaidDiskMissing {
-                device: d,
-                serial: s(),
-            },
-            LogEvent::RaidDiskFailed {
-                device: d,
-                serial: s(),
-            },
-            LogEvent::RaidProtocolError {
-                device: d,
-                serial: s(),
-            },
-            LogEvent::RaidDiskSlow {
-                device: d,
-                serial: s(),
-            },
-        ];
-        for event in events {
-            let tag = TagId::lookup(event.tag()).expect("every rendered tag interns");
-            assert_eq!(tag.severity(), event.severity(), "{}", event.tag());
-        }
-        // And the cfg records (all Info) via a rendered line round trip.
-        let line = LogLine::new(
-            SystemId(3),
-            SimTime::from_secs(1000),
-            LogEvent::CfgDiskRemove {
-                serial: s(),
-                reason: "failed".to_owned(),
-            },
-        );
-        let tag = TagId::lookup(line.event.tag()).unwrap();
-        assert_eq!(tag.severity(), Severity::Info);
-    }
-
-    #[test]
-    fn interner_assigns_dense_ids_in_first_appearance_order() {
-        let mut interner = HostInterner::new();
-        assert!(interner.is_empty());
-        assert_eq!(interner.intern(SystemId(7)), 0);
-        assert_eq!(interner.intern(SystemId(7)), 0); // cached
-        assert_eq!(interner.intern(SystemId(2)), 1);
-        assert_eq!(interner.intern(SystemId(7)), 0); // back via dense table
-        assert_eq!(interner.intern(SystemId(2)), 1);
-        assert_eq!(interner.len(), 2);
-    }
-
-    #[test]
-    fn interner_survives_hostile_host_ids_without_a_huge_table() {
-        let mut interner = HostInterner::new();
-        assert_eq!(interner.intern(SystemId(u32::MAX - 1)), 0);
-        assert_eq!(interner.intern(SystemId(0)), 1);
-        assert_eq!(interner.intern(SystemId(u32::MAX - 1)), 0);
-        assert_eq!(interner.len(), 2);
-        assert!(interner.dense.len() <= 1);
     }
 }

@@ -61,8 +61,8 @@ pub use checkpoint::{
     EpochEntry,
 };
 pub use classify::{
-    classify, classify_parallel, classify_with, AnalysisInput, Classifier, DiskLifetime,
-    ShardHealth, Strictness, Topology,
+    classify, classify_with, AnalysisInput, Classifier, DiskLifetime, ShardHealth, Strictness,
+    Topology,
 };
 pub use corpus::{LogBook, LogError};
 pub use event::{LogEvent, LogLine, Severity};
@@ -74,12 +74,9 @@ pub use frame::{
     checksum64, decode_frame, decode_frame_text, encode_frame, Checksum, FrameError, FrameHeader,
     FRAME_MAGIC, FRAME_VERSION, HEADER_LEN,
 };
-pub use intern::{HostInterner, TagId};
+pub use intern::TagId;
 pub use render::{render_support_log, render_support_log_noisy, NoiseParams};
-pub use shard::{
-    render_chunk_log, render_system_log, write_chunk, write_shard, ChunkPlan, ShardPlan,
-    DEFAULT_CHUNK_TARGET_BYTES,
-};
+pub use shard::{render_system_log, ChunkPlan, ShardPlan, DEFAULT_CHUNK_TARGET_BYTES};
 pub use store::{
     CorpusError, CorpusReader, CorpusSummary, CorpusWriter, Manifest, ShardEntry,
     DEFAULT_SEGMENT_SHARDS, MANIFEST_NAME,

@@ -5,8 +5,8 @@
 //! shape and the same remedy: each system's log is its own file. This
 //! module reproduces that layout — a [`ShardPlan`] splits a run's ground
 //! truth by owning system, [`render_system_log`] renders any single
-//! system's shard independently, and [`write_shard`] streams it to any
-//! writer without intermediate buffering beyond one line.
+//! system's shard independently, and a [`ChunkPlan`] batches contiguous
+//! shards into work units.
 //!
 //! Two properties make shards safe to process concurrently:
 //!
@@ -25,7 +25,6 @@
 //! rendered alone or as part of the full corpus.
 
 use std::collections::HashMap;
-use std::io::Write;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,7 +35,7 @@ use ssfa_sim::rng::derive;
 use ssfa_sim::{RemovalReason, SimOutput};
 
 use crate::cascade::{expand, CascadeInput, CascadeStyle};
-use crate::corpus::{LogBook, LogError};
+use crate::corpus::LogBook;
 use crate::event::{LogEvent, LogLine};
 use crate::render::NoiseParams;
 
@@ -426,76 +425,10 @@ pub fn render_system_log(
     book
 }
 
-/// Streams one shard as text to `w`, line by line — the shard-file writer
-/// for spooling a corpus to disk without holding it in memory.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-#[allow(clippy::too_many_arguments)]
-pub fn write_shard<W: Write>(
-    fleet: &Fleet,
-    output: &SimOutput,
-    plan: &ShardPlan,
-    shard: usize,
-    style: CascadeStyle,
-    noise: NoiseParams,
-    noise_seed: u64,
-    w: W,
-) -> Result<(), LogError> {
-    render_system_log(fleet, output, plan, shard, style, noise, noise_seed).write_to(w)
-}
-
-/// Renders one chunk's log: the chronological merge of the chunk's shards
-/// — the chunk-file analogue of [`render_system_log`]. The concatenation
-/// of every chunk of a [`ChunkPlan`], re-sorted chronologically, is the
-/// monolithic corpus, exactly as with per-system shards.
-///
-/// # Panics
-///
-/// Panics if `shards` reaches beyond the plan.
-pub fn render_chunk_log(
-    fleet: &Fleet,
-    output: &SimOutput,
-    plan: &ShardPlan,
-    shards: std::ops::Range<usize>,
-    style: CascadeStyle,
-    noise: NoiseParams,
-    noise_seed: u64,
-) -> LogBook {
-    let mut book = LogBook::new();
-    for shard in shards {
-        book.extend_lines(render_system_log(
-            fleet, output, plan, shard, style, noise, noise_seed,
-        ));
-    }
-    book.sort_chronological();
-    book
-}
-
-/// Streams one chunk as text to `w` — the chunk-file writer.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-#[allow(clippy::too_many_arguments)]
-pub fn write_chunk<W: Write>(
-    fleet: &Fleet,
-    output: &SimOutput,
-    plan: &ShardPlan,
-    shards: std::ops::Range<usize>,
-    style: CascadeStyle,
-    noise: NoiseParams,
-    noise_seed: u64,
-    w: W,
-) -> Result<(), LogError> {
-    render_chunk_log(fleet, output, plan, shards, style, noise, noise_seed).write_to(w)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::{classify, Classifier};
+    use crate::classify::classify;
     use crate::render::{render_support_log_noisy, NoiseParams};
     use ssfa_model::FleetConfig;
     use ssfa_sim::Simulator;
@@ -707,74 +640,5 @@ mod tests {
                 "chunk {range:?} estimated {est} bytes vs target {target}"
             );
         }
-    }
-
-    #[test]
-    fn chunk_logs_merge_to_the_monolithic_corpus() {
-        let (fleet, out) = small_run();
-        let plan = ShardPlan::new(&fleet, &out);
-        let noise = NoiseParams::realistic();
-        let mono = render_support_log_noisy(&fleet, &out, CascadeStyle::Full, noise, 5);
-        let chunks = ChunkPlan::fixed(&plan, 7);
-        let mut concat = LogBook::new();
-        for range in chunks.iter() {
-            let piece = render_chunk_log(&fleet, &out, &plan, range, CascadeStyle::Full, noise, 5);
-            concat.extend_lines(piece);
-        }
-        concat.sort_chronological();
-        assert_eq!(concat, mono);
-    }
-
-    #[test]
-    fn write_chunk_round_trips_through_streaming_classifier() {
-        let (fleet, out) = small_run();
-        let plan = ShardPlan::new(&fleet, &out);
-        let chunks = ChunkPlan::auto(&plan, &fleet, CascadeStyle::RaidOnly, 8 * 1024);
-        let mut classifier = Classifier::new();
-        for range in chunks.iter() {
-            let mut buf = Vec::new();
-            write_chunk(
-                &fleet,
-                &out,
-                &plan,
-                range,
-                CascadeStyle::RaidOnly,
-                NoiseParams::none(),
-                0,
-                &mut buf,
-            )
-            .unwrap();
-            classifier.feed_reader(buf.as_slice()).unwrap();
-        }
-        let streamed = classifier.finish().unwrap();
-        let mono =
-            render_support_log_noisy(&fleet, &out, CascadeStyle::RaidOnly, NoiseParams::none(), 0);
-        assert_eq!(streamed, classify(&mono).unwrap());
-    }
-
-    #[test]
-    fn write_shard_round_trips_through_streaming_classifier() {
-        let (fleet, out) = small_run();
-        let plan = ShardPlan::new(&fleet, &out);
-        let mut classifier = Classifier::new();
-        for shard in 0..plan.shard_count() {
-            let mut buf = Vec::new();
-            write_shard(
-                &fleet,
-                &out,
-                &plan,
-                shard,
-                CascadeStyle::RaidOnly,
-                NoiseParams::none(),
-                0,
-                &mut buf,
-            )
-            .unwrap();
-            classifier.feed_reader(buf.as_slice()).unwrap();
-        }
-        let streamed = classifier.finish().unwrap();
-        let mono =
-            render_support_log_noisy(&fleet, &out, CascadeStyle::RaidOnly, NoiseParams::none(), 0);
-        assert_eq!(streamed, classify(&mono).unwrap());
     }
 }

@@ -9,12 +9,12 @@
 //! only the handful of state-changing records (installs, topology) ever
 //! reach owned storage.
 //!
-//! Equivalence with the owned parser is load-bearing and proven three
-//! ways: [`LogLineRef::from_owned`] lets the owned feed path delegate to
-//! the view path (equal by construction), `to_owned` round-trips are
-//! unit-tested against [`LogLine::parse`](crate::LogLine::parse) here,
-//! and `crates/logs/tests/parser_equivalence.rs` fuzzes both parsers
-//! over well-formed, malformed, truncated, and UTF-8-boundary inputs.
+//! This is the crate's only line parser: [`LogLine::parse`] is
+//! `LogLineRef::parse(..).map(to_owned)`, and [`LogLineRef::from_owned`]
+//! lets the owned feed path reuse the view classifier. Each byte-level
+//! fast path below bails to a general counterpart (DESIGN §13); the test
+//! module holds the render round-trip property and, per fast path, the
+//! property that it returns `None` or exactly the general answer.
 
 use ssfa_model::{
     DeviceAddr, DiskModelId, LayoutPolicy, LoopId, PathConfig, RaidGroupId, RaidType, ShelfId,
@@ -37,10 +37,9 @@ pub enum SlotsRef<'a> {
 }
 
 impl<'a> SlotsRef<'a> {
-    /// Validates and wraps a rendered member list. Applies exactly the
-    /// owned parser's grammar: comma-separated `shelf:bay` pairs, every
-    /// pair must split on `:` with a `u32` shelf and `u8` bay — so an
-    /// empty list (or any bad pair) rejects, as it does there.
+    /// Validates and wraps a rendered member list: comma-separated
+    /// `shelf:bay` pairs, every pair must split on `:` with a `u32` shelf
+    /// and `u8` bay — so an empty list (or any bad pair) rejects.
     fn parse(text: &'a str) -> Option<SlotsRef<'a>> {
         // Byte-level restatement of the grammar above. `,` and `:` are
         // ASCII so byte splits land on the same boundaries as str splits,
@@ -241,11 +240,11 @@ pub enum EventRef<'a> {
 /// Positional fast path for the renderer's canonical `k=v` message
 /// layout: the given keys in exactly this order, single-space separated,
 /// no other whitespace anywhere, no trailing tokens. `None` means "not
-/// canonical", at which point the caller falls back to [`kv_scan`] — so
-/// this only ever accepts messages where both readings agree, and the
+/// canonical", at which point [`kv_scan`] falls back to the byte scan —
+/// so this only ever accepts messages where both readings agree, and the
 /// last value being space-free means trailing duplicates (which last-wins
 /// scanning would resolve differently) always take the fallback.
-// lint: fast-path(kv_scan)
+// lint: fast-path(kv_scan_ascii)
 fn canonical_kv<'a, const N: usize>(msg: &'a str, keys: [&str; N]) -> Option<[Option<&'a str>; N]> {
     if msg
         .bytes()
@@ -271,23 +270,28 @@ fn canonical_kv<'a, const N: usize>(msg: &'a str, keys: [&str; N]) -> Option<[Op
     Some(out)
 }
 
-/// Last-wins scan for `key=value` whitespace-separated tokens.
-///
-/// Equivalent to the owned parser's `HashMap` collect for any fixed key
-/// set: collecting into a map lets later duplicates overwrite earlier
-/// ones, so per key the map holds the *last* occurrence — which is what
-/// this scan keeps — and unknown keys are ignored by both.
+/// Last-wins scan for `key=value` whitespace-separated tokens: per key,
+/// the value of its *last* occurrence; unknown keys and tokens without
+/// `=` are ignored.
 fn kv_scan<'a, const N: usize>(msg: &'a str, keys: [&str; N]) -> [Option<&'a str>; N] {
-    if let Some(out) = canonical_kv(msg, keys) {
-        return out;
-    }
+    canonical_kv(msg, keys)
+        .or_else(|| kv_scan_ascii(msg, keys))
+        .unwrap_or_else(|| kv_scan_unicode(msg, keys))
+}
+
+/// Byte-level [`kv_scan`] for pure-ASCII messages; `None` for anything
+/// else. On ASCII input the `ascii_space` set is exactly the sub-0x80
+/// slice of `char::is_whitespace`, so token boundaries match
+/// `split_whitespace` and the first `=` within a token matches
+/// `split_once('=')`.
+// lint: fast-path(kv_scan_unicode)
+fn kv_scan_ascii<'a, const N: usize>(
+    msg: &'a str,
+    keys: [&str; N],
+) -> Option<[Option<&'a str>; N]> {
     if !msg.is_ascii() {
-        return kv_scan_unicode(msg, keys);
+        return None;
     }
-    // Byte-level tokenizer; for pure-ASCII input the `ascii_space` set is
-    // exactly the sub-0x80 slice of `char::is_whitespace`, so token
-    // boundaries match `split_whitespace` and the first `=` within a token
-    // matches `split_once('=')`.
     let bytes = msg.as_bytes();
     let mut out = [None; N];
     let mut i = 0;
@@ -314,12 +318,10 @@ fn kv_scan<'a, const N: usize>(msg: &'a str, keys: [&str; N]) -> [Option<&'a str
             }
         }
     }
-    out
+    Some(out)
 }
 
-/// Fallback for messages containing non-ASCII bytes, where whitespace
-/// splitting must honor Unicode whitespace exactly as the owned parser's
-/// `split_whitespace` does.
+/// The general [`kv_scan`]: Unicode-aware `split_whitespace` tokens.
 fn kv_scan_unicode<'a, const N: usize>(msg: &'a str, keys: [&str; N]) -> [Option<&'a str>; N] {
     let mut out = [None; N];
     for token in msg.split_whitespace() {
@@ -348,9 +350,9 @@ fn ascii_space(c: u8) -> bool {
 /// far the most common line in a rendered corpus, so this is the hottest
 /// arm of [`EventRef::parse`]. Any deviation — exotic whitespace, signs,
 /// overflow, trailing tokens — returns `None` and the caller re-reads the
-/// message through [`kv_scan`], so this path only ever accepts inputs
-/// where both readings agree.
-// lint: fast-path(kv_scan)
+/// message through [`parse_disk_install`], so this path only ever accepts
+/// inputs where both readings agree.
+// lint: fast-path(parse_disk_install)
 fn parse_disk_install_fast(msg: &str) -> Option<EventRef<'_>> {
     let b = msg.as_bytes();
     let rest = b.strip_prefix(b"serial=")?;
@@ -390,6 +392,21 @@ fn parse_disk_install_fast(msg: &str) -> Option<EventRef<'_>> {
             bay,
         },
         device: DeviceAddr::new(adapter, target),
+    })
+}
+
+/// The general `cfg.disk.install` message parser, over [`kv_scan`].
+fn parse_disk_install(msg: &str) -> Option<EventRef<'_>> {
+    let [serial, model, shelf, bay, device] =
+        kv_scan(msg, ["serial", "model", "shelf", "bay", "device"]);
+    Some(EventRef::CfgDiskInstall {
+        serial: serial?,
+        model: DiskModelId::parse(model?)?,
+        slot: SlotAddr {
+            shelf: ShelfId(shelf?.parse().ok()?),
+            bay: bay?.parse().ok()?,
+        },
+        device: device?.parse().ok()?,
     })
 }
 
@@ -482,7 +499,7 @@ fn device_and_serial(msg: &str) -> Option<(DeviceAddr, &str)> {
 
 impl<'a> EventRef<'a> {
     /// Parses a message into a borrowed event, given the interned tag.
-    /// Accepts and rejects exactly the inputs [`LogEvent::parse`] does.
+    /// Returns `None` when the message does not match the tag's layout.
     pub fn parse(tag: TagId, message: &'a str) -> Option<EventRef<'a>> {
         match tag {
             TagId::FciDeviceTimeout => {
@@ -589,20 +606,7 @@ impl<'a> EventRef<'a> {
                 })
             }
             TagId::CfgDiskInstall => {
-                if let Some(ev) = parse_disk_install_fast(message) {
-                    return Some(ev);
-                }
-                let [serial, model, shelf, bay, device] =
-                    kv_scan(message, ["serial", "model", "shelf", "bay", "device"]);
-                Some(EventRef::CfgDiskInstall {
-                    serial: serial?,
-                    model: DiskModelId::parse(model?)?,
-                    slot: SlotAddr {
-                        shelf: ShelfId(shelf?.parse().ok()?),
-                        bay: bay?.parse().ok()?,
-                    },
-                    device: device?.parse().ok()?,
-                })
+                parse_disk_install_fast(message).or_else(|| parse_disk_install(message))
             }
             TagId::CfgDiskRemove => {
                 let [serial, reason] = kv_scan(message, ["serial", "reason"]);
@@ -843,14 +847,15 @@ pub struct LogLineRef<'a> {
 impl<'a> LogLineRef<'a> {
     /// Parses one rendered line without allocating.
     ///
-    /// Accepts and rejects exactly the inputs [`LogLine::parse`] does —
-    /// including the severity cross-check (severity is a function of the
-    /// tag, so the interned [`TagId::severity`] stands in for the owned
-    /// parser's post-parse `event.severity()` comparison).
+    /// Returns `None` for malformed lines, including a severity that
+    /// disagrees with the tag's fixed [`TagId::severity`].
     pub fn parse(line: &'a str) -> Option<LogLineRef<'a>> {
-        if let Some(view) = Self::parse_canonical(line) {
-            return Some(view);
-        }
+        Self::parse_canonical(line).or_else(|| Self::parse_general(line))
+    }
+
+    /// The general line parser: whitespace-tolerant token splitting, the
+    /// reference every fast path in [`LogLineRef::parse`] bails to.
+    fn parse_general(line: &'a str) -> Option<LogLineRef<'a>> {
         let line = line.trim_end();
         let (host_tok, rest) = line.split_once(' ')?;
         let host = SystemId(host_tok.strip_prefix("sys-")?.parse().ok()?);
@@ -880,9 +885,9 @@ impl<'a> LogLineRef<'a> {
     /// `sys-D Www Mmm dd HH:MM:SS TZm yyyy [tag:sev]: msg` with single
     /// separators and nothing trailing. Any deviation — extra spaces,
     /// trailing whitespace, a non-ASCII byte anywhere it would change
-    /// tokenization — returns `None` so the general path above (the
-    /// proven equivalent of the owned parser) makes the call.
-    // lint: fast-path(LogLineRef::parse)
+    /// tokenization — returns `None` so the general path above makes the
+    /// call.
+    // lint: fast-path(LogLineRef::parse_general)
     fn parse_canonical(line: &'a str) -> Option<LogLineRef<'a>> {
         let b = line.as_bytes();
         // `trim_end` must be an identity: last byte ASCII and non-space.
@@ -949,11 +954,12 @@ impl<'a> LogLineRef<'a> {
 
     /// Borrows a view from an owned line.
     pub fn from_owned(line: &'a LogLine) -> LogLineRef<'a> {
+        let event = EventRef::from_owned(&line.event);
         LogLineRef {
             host: line.host,
             at: line.at,
-            tag: TagId::lookup(line.event.tag()).expect("owned tags always intern"),
-            event: EventRef::from_owned(&line.event),
+            tag: event.tag(),
+            event,
         }
     }
 }
@@ -961,9 +967,99 @@ impl<'a> LogLineRef<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::LogEvent;
-    use ssfa_model::DiskInstanceId;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use ssfa_model::{CivilDateTime, DiskInstanceId};
 
+    /// Generated events of all 18 variants: `kind` picks the variant and
+    /// the remaining draws fill its fields across their full ranges.
+    fn arb_event() -> impl Strategy<Value = LogEvent> {
+        (
+            0usize..18,
+            (0u8..=255, 0u8..=255, 0u8..=255),
+            0u64..36u64.pow(8),
+            (0u64..u64::MAX, 0u32..u32::MAX, 0u32..u32::MAX),
+            (0usize..4, 0usize..6, b'A'..=b'Z', 1u8..=255),
+            vec((0u32..u32::MAX, 0u8..=255), 1..5),
+        )
+            .prop_map(
+                |(
+                    kind,
+                    (adapter, target, small),
+                    n,
+                    (big, mid, id),
+                    (class, pick, family, cap),
+                    slots,
+                )| {
+                    let device = DeviceAddr::new(adapter, target);
+                    let serial = DiskInstanceId(n).serial();
+                    let model = DiskModelId::new(family as char, cap);
+                    match kind {
+                        0 => LogEvent::FciDeviceTimeout { device },
+                        1 => LogEvent::FciAdapterReset { adapter },
+                        2 => LogEvent::ScsiCmdAborted { device },
+                        3 => LogEvent::ScsiSelectionTimeout { device },
+                        4 => LogEvent::ScsiNoMorePaths { device },
+                        5 => LogEvent::ScsiPathFailover { device },
+                        6 => LogEvent::DiskMediumError {
+                            device,
+                            sector: big,
+                        },
+                        7 => LogEvent::ScsiProtocolViolation { device },
+                        8 => LogEvent::ScsiSlowResponse {
+                            device,
+                            latency_ms: mid,
+                        },
+                        9 => LogEvent::RaidDiskMissing { device, serial },
+                        10 => LogEvent::RaidDiskFailed { device, serial },
+                        11 => LogEvent::RaidProtocolError { device, serial },
+                        12 => LogEvent::RaidDiskSlow { device, serial },
+                        13 => LogEvent::CfgSystem {
+                            class: SystemClass::ALL[class],
+                            disk_model: model,
+                            shelf_model: ShelfModel::ALL[pick % 3],
+                            paths: PathConfig::ALL[pick % 2],
+                            layout: [LayoutPolicy::SpanShelves, LayoutPolicy::SameShelf][pick / 3],
+                        },
+                        14 => LogEvent::CfgShelf {
+                            shelf: ShelfId(id),
+                            model: ShelfModel::ALL[pick % 3],
+                            fc_loop: LoopId(mid),
+                            adapter,
+                            position: target,
+                            bays: small,
+                        },
+                        15 => LogEvent::CfgRaidGroup {
+                            rg: RaidGroupId(id),
+                            raid_type: RaidType::ALL[pick % 2],
+                            slots: slots
+                                .into_iter()
+                                .map(|(shelf, bay)| SlotAddr {
+                                    shelf: ShelfId(shelf),
+                                    bay,
+                                })
+                                .collect(),
+                        },
+                        16 => LogEvent::CfgDiskInstall {
+                            serial,
+                            model,
+                            slot: SlotAddr {
+                                shelf: ShelfId(id),
+                                bay: small,
+                            },
+                            device,
+                        },
+                        _ => LogEvent::CfgDiskRemove {
+                            serial,
+                            reason: ["failed", "study_end"][pick % 2].to_owned(),
+                        },
+                    }
+                },
+            )
+    }
+
+    /// One rendered line per variant — the seeds the mutation generators
+    /// below edit.
     fn sample_lines() -> Vec<String> {
         let d = DeviceAddr::new(8, 24);
         let serial = DiskInstanceId(31337).serial();
@@ -1050,18 +1146,186 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn borrowed_parse_matches_owned_parse_on_every_event_kind() {
-        for text in sample_lines() {
-            let owned = LogLine::parse(&text).expect("owned parser accepts rendered lines");
-            let view = LogLineRef::parse(&text).expect("borrowed parser accepts rendered lines");
-            assert_eq!(view.to_owned(), owned, "mismatch for: {text}");
-            assert_eq!(view.tag.as_str(), owned.event.tag());
+    /// The bail property on one input: every `// lint: fast-path` fn in
+    /// this module returns `None` or exactly its general counterpart's
+    /// answer. The message-level pairs run on the text after `]: ` (or the
+    /// whole input when there is none) under every key set the parser
+    /// scans with.
+    fn assert_fast_paths_agree(line: &str) -> Result<(), TestCaseError> {
+        if let Some(fast) = LogLineRef::parse_canonical(line) {
+            let general = LogLineRef::parse_general(line).map(|v| v.to_owned());
+            prop_assert_eq!(
+                Some(fast.to_owned()),
+                general,
+                "parse_canonical on {:?}",
+                line
+            );
+        }
+        let msg = line.split_once("]: ").map_or(line, |(_, msg)| msg);
+        if let Some(fast) = parse_disk_install_fast(msg) {
+            let general = parse_disk_install(msg).map(|e| e.to_owned());
+            prop_assert_eq!(
+                Some(fast.to_owned()),
+                general,
+                "disk install fast path on {:?}",
+                msg
+            );
+        }
+        kv_paths_agree(
+            msg,
+            ["class", "disk_model", "shelf_model", "paths", "layout"],
+        )?;
+        kv_paths_agree(
+            msg,
+            ["shelf", "model", "loop", "adapter", "position", "bays"],
+        )?;
+        kv_paths_agree(msg, ["rg", "type", "slots"])?;
+        kv_paths_agree(msg, ["serial", "model", "shelf", "bay", "device"])?;
+        kv_paths_agree(msg, ["serial", "reason"])
+    }
+
+    /// `canonical_kv` against the byte scan, and the byte scan against
+    /// the Unicode token scan.
+    fn kv_paths_agree<const N: usize>(msg: &str, keys: [&str; N]) -> Result<(), TestCaseError> {
+        let bytes = kv_scan_ascii(msg, keys);
+        if let Some(fast) = bytes {
+            prop_assert_eq!(fast, kv_scan_unicode(msg, keys), "byte scan on {:?}", msg);
+        }
+        if let Some(fast) = canonical_kv(msg, keys) {
+            prop_assert_eq!(Some(fast), bytes, "canonical_kv on {:?}", msg);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Render then parse is the identity, for every variant.
+        #[test]
+        fn every_rendered_line_parses_back_to_itself(
+            host in 0u32..u32::MAX,
+            secs in 0u64..400_000_000,
+            event in arb_event(),
+        ) {
+            let line = LogLine::new(SystemId(host), SimTime::from_secs(secs), event);
+            let text = line.to_string();
+            prop_assert_eq!(LogLine::parse(&text), Some(line), "round trip of {:?}", text);
+            assert_fast_paths_agree(&text)?;
+        }
+
+        /// Arbitrary unicode soup.
+        #[test]
+        fn arbitrary_input_takes_the_general_verdict(line in ".{0,200}") {
+            assert_fast_paths_agree(&line)?;
+        }
+
+        /// Near-miss lines with the right skeleton but fuzzed fields.
+        #[test]
+        fn near_miss_lines_take_the_general_verdict(
+            host in "[0-9+ ]{0,12}",
+            ts in "[A-Za-z0-9 :+\\[\\]]{0,40}",
+            tag in "[a-z.:]{0,24}",
+            sev in "[a-z:]{0,10}",
+            payload in "[a-z0-9=. \\-]{0,80}",
+        ) {
+            assert_fast_paths_agree(&format!("sys-{host} {ts} [{tag}:{sev}]: {payload}"))?;
+        }
+
+        /// Trailing whitespace and extra interior spaces keep the line
+        /// valid for the general path but break fixed offsets.
+        #[test]
+        fn padded_lines_take_the_general_verdict(extra_ws in 0usize..4, trailing in "[ \t]{0,3}") {
+            for line in sample_lines() {
+                prop_assert!(LogLine::parse(&line).is_some(), "rendered line must parse: {}", line);
+                assert_fast_paths_agree(&line)?;
+                assert_fast_paths_agree(&format!("{line}{trailing}"))?;
+                assert_fast_paths_agree(&line.replacen(' ', &" ".repeat(1 + extra_ws), 3))?;
+            }
+        }
+
+        /// Single-character deletion at every position: shifts every
+        /// fixed offset.
+        #[test]
+        fn single_character_deletion_takes_the_general_verdict(idx in 0usize..200) {
+            for line in sample_lines() {
+                if idx < line.len() && line.is_char_boundary(idx) && line.is_char_boundary(idx + 1) {
+                    assert_fast_paths_agree(&format!("{}{}", &line[..idx], &line[idx + 1..]))?;
+                }
+            }
+        }
+
+        /// Truncation at every char boundary, mid-message and
+        /// mid-timestamp included.
+        #[test]
+        fn prefix_truncation_takes_the_general_verdict(idx in 0usize..200) {
+            for line in sample_lines() {
+                if idx < line.len() && line.is_char_boundary(idx) {
+                    assert_fast_paths_agree(&line[..idx])?;
+                }
+            }
+        }
+
+        /// Single-character substitution with the characters that gate
+        /// fast-path branches: signs, separators, brackets, NUL, a
+        /// non-ASCII char, and Unicode whitespace.
+        #[test]
+        fn single_character_substitution_takes_the_general_verdict(
+            idx in 0usize..200,
+            pick in 0usize..12,
+        ) {
+            let repl = ['+', '-', ' ', ':', '[', ']', '=', '0', '\u{0}', '\u{e9}', '\u{a0}', '\u{2028}'][pick];
+            for line in sample_lines() {
+                if idx < line.len() && line.is_char_boundary(idx) && line.is_char_boundary(idx + 1) {
+                    assert_fast_paths_agree(&format!("{}{repl}{}", &line[..idx], &line[idx + 1..]))?;
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `cfg.disk.install` payloads: signed numerals (std `parse`
+        /// accepts a leading `+`), zero and overflowed fields, duplicate
+        /// keys, reordered keys, junk tails, and non-ASCII whitespace.
+        /// Half the cases keep a plain family letter and the plain layout,
+        /// and at most one field is signed, so the fused decoder runs to
+        /// completion often enough to be tested.
+        #[test]
+        fn disk_install_payloads_take_the_general_verdict(
+            serial in "[A-Z0-9+]{0,12}",
+            family in "[A-Za-z+]{0,2}",
+            plain_family in 0u8..2,
+            cap in 0u64..400,
+            cap_edge in 0usize..4,
+            shelf in 0u64..80_000,
+            bay in 0u64..300,
+            adapter in 0u64..300,
+            target in 0u64..300,
+            signed in 0u8..8,
+            variant in 0u8..10,
+        ) {
+            let family = if plain_family == 0 { family } else { "H".to_owned() };
+            let cap = [0, 255, 256, cap][cap_edge];
+            let p = |field: u8| if field == signed { "+" } else { "" };
+            let base = format!(
+                "serial={serial} model={family}-{}{cap} shelf={}{shelf} bay={}{bay} device={}{adapter}.{}{target}",
+                p(0), p(1), p(2), p(3), p(4),
+            );
+            let msg = match variant {
+                0 => format!("{base} shelf=9"),
+                1 => format!("{base} trailing junk"),
+                2 => format!("bay={bay} {base}"),
+                3 => base.replace(' ', "  "),
+                4 => format!("{base}\u{a0}"),
+                _ => base,
+            };
+            assert_fast_paths_agree(&format!(
+                "sys-17 Thu Jul 13 12:22:23 PDT 2006 [cfg.disk.install:info]: {msg}"
+            ))?;
         }
     }
 
     #[test]
-    fn borrowed_parse_rejects_what_the_owned_parser_rejects() {
+    fn malformed_lines_are_rejected() {
         let cases = [
             "",
             "garbage line",
@@ -1078,27 +1342,84 @@ mod tests {
              rg=55 type=RAID6 slots=1:0,borked",
             // Empty member list.
             "sys-1 Sun Jul 23 05:43:36 PDT 2006 [cfg.raidgroup:info]: rg=55 type=RAID6 slots=",
+            // Multi-colon tag: severity splits off the last colon, leaving
+            // an unknown tag.
+            "sys-1 Sun Jul 23 05:43:36 PDT 2006 [cfg.disk.remove:info:info]: \
+             serial=3ELAAAAAAAA reason=failed",
+            // `[` inside the weekday token: the bracket search lands in the
+            // timestamp.
+            "sys-1 S[n Jul 23 05:43:36 PDT 2006 [cfg.disk.remove:info]: \
+             serial=3ELAAAAAAAA reason=failed",
         ];
         for text in cases {
-            assert!(LogLine::parse(text).is_none(), "owned accepted: {text:?}");
-            assert!(
-                LogLineRef::parse(text).is_none(),
-                "borrowed accepted: {text:?}"
-            );
+            assert!(LogLine::parse(text).is_none(), "accepted: {text:?}");
         }
     }
 
+    /// Inputs the canonical fast paths bail on, pinned to the general
+    /// parser's verdict.
     #[test]
-    fn duplicate_kv_tokens_are_last_wins_in_both_parsers() {
-        let text = "sys-1 Sun Jul 23 05:43:36 PDT 2006 [cfg.disk.remove:info]: \
-                    serial=3ELAAAAAAAA reason=study_end reason=failed";
-        let owned = LogLine::parse(text).unwrap();
-        let view = LogLineRef::parse(text).unwrap();
-        assert_eq!(view.to_owned(), owned);
-        match view.event {
-            EventRef::CfgDiskRemove { reason, .. } => assert_eq!(reason, "failed"),
-            _ => panic!("wrong variant"),
+    fn fast_path_seams_take_the_general_verdict() {
+        let at = CivilDateTime {
+            year: 2006,
+            month: 7,
+            day: 23,
+            hour: 5,
+            minute: 43,
+            second: 36,
+            weekday: 0,
         }
+        .to_sim_time()
+        .unwrap();
+        let remove = |host: u32, reason: &str| {
+            Some(LogLine::new(
+                SystemId(host),
+                at,
+                LogEvent::CfgDiskRemove {
+                    serial: "3ELAAAAAAAA".to_owned(),
+                    reason: reason.to_owned(),
+                },
+            ))
+        };
+        let cases = [
+            // `+`-signed numerals: std `parse` accepts them.
+            (
+                "sys-+7 Sun Jul 23 05:43:36 PDT 2006 [cfg.disk.remove:info]: \
+                 serial=3ELAAAAAAAA reason=failed",
+                remove(7, "failed"),
+            ),
+            // Duplicate keys: the last occurrence wins.
+            (
+                "sys-1 Sun Jul 23 05:43:36 PDT 2006 [cfg.disk.remove:info]: \
+                 serial=3ELAAAAAAAA reason=study_end reason=failed",
+                remove(1, "failed"),
+            ),
+            // Non-ASCII whitespace separates tokens and trims off the end.
+            (
+                "sys-1 Sun Jul 23 05:43:36 PDT 2006 [cfg.disk.remove:info]: \
+                 serial=3ELAAAAAAAA\u{2028}reason=study_end\u{a0}",
+                remove(1, "study_end"),
+            ),
+        ];
+        for (text, expected) in cases {
+            assert_eq!(LogLine::parse(text), expected, "{text:?}");
+        }
+        // Signed numerals in the fused `cfg.disk.install` decoder: it bails
+        // and the kv parser accepts.
+        let signed = "serial=3ELAAAAAAAA model=B-2 shelf=+3 bay=7 device=8.+24";
+        assert!(parse_disk_install_fast(signed).is_none());
+        assert_eq!(
+            parse_disk_install(signed).map(|event| event.to_owned()),
+            Some(LogEvent::CfgDiskInstall {
+                serial: "3ELAAAAAAAA".to_owned(),
+                model: DiskModelId::new('B', 2),
+                slot: SlotAddr {
+                    shelf: ShelfId(3),
+                    bay: 7,
+                },
+                device: DeviceAddr::new(8, 24),
+            })
+        );
     }
 
     #[test]
@@ -1106,6 +1427,7 @@ mod tests {
         for text in sample_lines() {
             let owned = LogLine::parse(&text).unwrap();
             let view = LogLineRef::from_owned(&owned);
+            assert_eq!(view.tag.as_str(), owned.event.tag());
             assert_eq!(view.to_owned(), owned);
         }
     }

@@ -306,9 +306,13 @@ type LogFields = (i32, u8, u8, u8, u8, u8);
 /// first, token-by-token fallback for anything else.
 // lint: zero-alloc
 fn parse_log_fields(s: &str) -> Option<LogFields> {
-    if let Some(fields) = parse_canonical_fields(s) {
-        return Some(fields);
-    }
+    parse_canonical_fields(s).or_else(|| parse_token_fields(s))
+}
+
+/// The general timestamp parser: whitespace-separated tokens, the day
+/// optionally space-padded.
+// lint: zero-alloc
+fn parse_token_fields(s: &str) -> Option<LogFields> {
     let mut parts = s.split_whitespace();
     let _weekday = parts.next()?;
     let month_name = parts.next()?;
@@ -330,7 +334,7 @@ fn parse_log_fields(s: &str) -> Option<LogFields> {
 /// Fast path for the renderer's canonical layout; `None` means "not
 /// canonical, let the general parser decide", never "invalid".
 // lint: zero-alloc
-// lint: fast-path(parse_log_fields)
+// lint: fast-path(parse_token_fields)
 fn parse_canonical_fields(s: &str) -> Option<LogFields> {
     let b = s.as_bytes();
     // 28 bytes = "Www Mmm dd HH:MM:SS TZm yyyy" with a 4-digit year;
@@ -403,32 +407,17 @@ fn digit(c: u8) -> Option<u8> {
     c.is_ascii_digit().then(|| c - b'0')
 }
 
-/// Appends `v`'s decimal digits to `out` without going through `fmt`.
-fn push_decimal(out: &mut String, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
-}
-
 impl CivilDateTime {
     /// Appends the support-log timestamp to `out`, byte-for-byte
     /// identical to this type's `Display` (`Sun Jul 23 05:43:36 PDT
-    /// 2006`) but via direct digit pushes instead of the `fmt`
-    /// machinery — the corpus renderer's hot path. Equivalence with
+    /// 2006`) — the corpus renderer's hot path. Equivalence with
     /// `Display` is pinned by a sweep test below.
     pub fn push_into(&self, out: &mut String) {
+        use fmt::Write as _;
         // In-range fields (every rendered study instant) assemble the
         // whole 28-byte canonical layout in one stack buffer and append
         // it with a single push; out-of-range fields (callers with
-        // degenerate hand-built values) keep the general pushes below.
+        // degenerate hand-built values) render through `Display`.
         if self.day >= 1 && self.day <= 31 && self.hour < 24 && self.minute < 60 && self.second < 60
         {
             if let (1000..=9999, 1..=12) = (self.year, self.month) {
@@ -454,36 +443,7 @@ impl CivilDateTime {
                 return;
             }
         }
-        out.push_str(self.weekday_name());
-        out.push(' ');
-        out.push_str(self.month_name());
-        out.push(' ');
-        // `{:2}`: space-pad the day to width 2.
-        if self.day < 10 {
-            out.push(' ');
-        }
-        push_decimal(out, self.day as u64);
-        out.push(' ');
-        // `{:02}`: zero-pad each clock field to width 2.
-        for (i, field) in [self.hour, self.minute, self.second]
-            .into_iter()
-            .enumerate()
-        {
-            if i > 0 {
-                out.push(':');
-            }
-            if field < 10 {
-                out.push('0');
-            }
-            push_decimal(out, field as u64);
-        }
-        out.push_str(" PDT ");
-        if self.year < 0 {
-            out.push('-');
-            push_decimal(out, (self.year as i64).unsigned_abs());
-        } else {
-            push_decimal(out, self.year as u64);
-        }
+        write!(out, "{self}").expect("writing to a String never fails");
     }
 }
 
@@ -656,6 +616,41 @@ mod tests {
         assert!(CivilDateTime::parse_log_timestamp("Sun Jul 23").is_none());
         assert!(CivilDateTime::parse_log_timestamp("Sun Xxx 23 05:43:36 PDT 2006").is_none());
         assert!(CivilDateTime::parse_log_timestamp("Sun Jul 23 25:43:36 PDT 2006").is_none());
+    }
+
+    proptest::proptest! {
+        /// The canonical fast path returns `None` or exactly the token
+        /// parser's fields, and the fused `SimTime` decode agrees with the
+        /// civil-calendar conversion — on arbitrary text and on
+        /// near-canonical layouts (free-content weekday/zone tokens,
+        /// space- or zero-padded days, out-of-range fields, pre-epoch
+        /// years).
+        #[test]
+        fn timestamp_fast_path_takes_the_token_verdict(
+            arbitrary in "[A-Za-z0-9 :+\\-]{0,40}",
+            wd in "[A-Za-z\\[]{1,4}",
+            mon in "[A-Z][a-z]{2}",
+            day in 0u32..40,
+            hour in 0u32..30,
+            minute in 0u32..70,
+            second in 0u32..70,
+            zone in "[A-Z]{2,4}",
+            year in 1900u32..2200,
+            pad in 0u8..2,
+        ) {
+            let structured = if pad == 0 {
+                format!("{wd} {mon} {day:2} {hour:02}:{minute:02}:{second:02} {zone} {year}")
+            } else {
+                format!("{wd} {mon} {day:02} {hour:02}:{minute:02}:{second:02} {zone} {year}")
+            };
+            for ts in [arbitrary, structured] {
+                if let Some(fast) = parse_canonical_fields(&ts) {
+                    proptest::prop_assert_eq!(Some(fast), parse_token_fields(&ts), "{:?}", ts);
+                }
+                let civil = CivilDateTime::parse_log_timestamp(&ts).and_then(|c| c.to_sim_time());
+                proptest::prop_assert_eq!(SimTime::parse_log_timestamp(&ts), civil, "{:?}", ts);
+            }
+        }
     }
 
     #[test]

@@ -330,28 +330,6 @@ impl Pipeline {
             .map(|(study, _, _)| study)
     }
 
-    /// [`Pipeline::run_monolithic`] with the classify stage fanned out
-    /// over [`Pipeline::threads`] workers via
-    /// [`ssfa_logs::classify_parallel`]: the corpus is bucketed by host,
-    /// host groups classify concurrently, and the partials merge.
-    ///
-    /// This is the one entry point that deliberately does **not** run on
-    /// the staged engine: its entire value is being a second,
-    /// independent oracle — host-bucketed scheduling that shares no code
-    /// with the chunk work queue — yet it must agree with both the
-    /// engine's streaming and monolithic configurations bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Pipeline::run_monolithic`].
-    pub fn run_monolithic_parallel(&self) -> Result<Study, PipelineError> {
-        let fleet = self.build_fleet();
-        let output = self.simulate(&fleet);
-        let book = self.render(&fleet, &output);
-        let input = ssfa_logs::classify_parallel(&book, self.threads)?;
-        Ok(Study::new(input))
-    }
-
     /// Runs the staged engine over a caller-provided [`Source`] with this
     /// pipeline's transport, strictness, chunking, and thread
     /// configuration — the extension point for non-simulator corpora

@@ -19,11 +19,7 @@
 //! [`Pipeline::run_with_health`], [`Pipeline::run_streaming_with_stats`],
 //! [`Pipeline::run_monolithic`] — is a *configuration* of that one
 //! engine, not a separate code path: the monolithic reference is simply a
-//! [`MonolithicSource`] in a single chunk on a single worker. The only
-//! deliberate exception is [`Pipeline::run_monolithic_parallel`], which
-//! bypasses the engine to call [`ssfa_logs::classify_parallel`] directly —
-//! its entire value is being a second oracle that shares no scheduling
-//! code with the engine it cross-checks.
+//! [`MonolithicSource`] in a single chunk on a single worker.
 //!
 //! The engine itself is unchanged in behavior from the pre-refactor root
 //! crate (the differential and golden-snapshot suites prove

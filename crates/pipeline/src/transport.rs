@@ -170,3 +170,40 @@ impl Transport for InjectedText {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use std::borrow::Cow;
+
+    use ssfa_logs::{LogEvent, LogLine};
+    use ssfa_model::{SimTime, SystemId};
+
+    use super::*;
+
+    /// Two text shards, each cut off before its trailing newline: every
+    /// transport must end a shard at its EOF, so both lines parse on
+    /// their own instead of gluing into one malformed line.
+    #[test]
+    fn a_shard_without_a_trailing_newline_ends_at_its_eof() {
+        let line = LogLine::new(
+            SystemId(1),
+            SimTime::from_secs(1_000),
+            LogEvent::FciAdapterReset { adapter: 8 },
+        )
+        .to_string();
+        let injected = InjectedText::new(FaultSpec::none(), 0);
+        let transports: [&dyn Transport; 3] = [&ParsedLines, &TextRoundTrip, &injected];
+        for transport in transports {
+            let mut classifier = Classifier::lenient();
+            let mut ledger = FaultLedger::default();
+            for shard in 0..2 {
+                let data = ShardData::Text(Cow::Borrowed(&line));
+                transport
+                    .convey(shard, 0, data, &mut classifier, &mut ledger)
+                    .unwrap();
+            }
+            let (_, health) = classifier.finish_with_health().unwrap();
+            assert_eq!((health.lines_seen, health.malformed_skipped), (2, 0));
+        }
+    }
+}

@@ -24,7 +24,7 @@ use std::process::ExitCode;
 
 use ssfa::daemon::{AgentConfig, ReplayAgent};
 use ssfa::logs::{CascadeStyle, CheckpointReader, CorpusWriter, Strictness};
-use ssfa::pipeline::Source;
+use ssfa::pipeline::{Sink, Source, TextReportSink};
 use ssfa::{FileSource, MmapSource, Pipeline};
 
 const USAGE: &str = "\
@@ -303,14 +303,13 @@ fn corpus_analyze(args: &[&str]) -> Result<(), CliError> {
     }
     .map_err(|e| CliError::Run(e.to_string()))?;
 
-    for row in study.table1() {
-        println!("{row:?}");
-    }
+    TextReportSink::new(std::io::stdout().lock())
+        .consume(&study, &health)
+        .map_err(|e| CliError::Run(e.to_string()))?;
     println!(
         "{} shards in {} chunks, peak resident shard {} bytes of {} corpus bytes",
         stats.shards, stats.chunks, stats.max_shard_bytes, stats.total_bytes
     );
-    println!("{health}");
     Ok(())
 }
 

@@ -62,8 +62,7 @@
 //! corpus at peak regardless of chunk size. Per-chunk
 //! [`ssfa_logs::AnalysisInput`] partials are then merged in fleet order, so
 //! the result is bit-identical to classifying the monolithic corpus
-//! ([`Pipeline::run_monolithic`], or its multi-threaded twin
-//! [`Pipeline::run_monolithic_parallel`]) for any
+//! ([`Pipeline::run_monolithic`]) for any
 //! `(fleet, seed, threads, chunking)` tuple —
 //! `tests/pipeline_differential.rs` proves this on every push.
 //!

@@ -76,19 +76,6 @@ fn monolithic_oracles_match_the_pre_refactor_golden() {
         golden,
         "engine-hosted monolithic configuration diverged from golden"
     );
-    for threads in [1, 4] {
-        let parallel = Pipeline::new()
-            .scale(SCALE)
-            .seed(SEED)
-            .threads(threads)
-            .run_monolithic_parallel()
-            .unwrap();
-        assert_eq!(
-            table1(&parallel),
-            golden,
-            "off-engine parallel oracle diverged from golden (threads={threads})"
-        );
-    }
 }
 
 /// A self-deleting scratch directory under the system temp dir.

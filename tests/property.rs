@@ -8,8 +8,9 @@ use ssfa::core::tbf::TbfAnalysis;
 use ssfa::core::Scope;
 use ssfa::logs::{LogEvent, LogLine};
 use ssfa::model::{
-    DeviceAddr, DiskInstanceId, DiskModelId, FailureRecord, FailureType, LoopId, RaidGroupId,
-    ShelfId, SimTime, SystemId,
+    DeviceAddr, DiskInstanceId, DiskModelId, FailureRecord, FailureType, LayoutPolicy, LoopId,
+    PathConfig, RaidGroupId, RaidType, ShelfId, ShelfModel, SimTime, SlotAddr, SystemClass,
+    SystemId,
 };
 
 fn arb_device() -> impl Strategy<Value = DeviceAddr> {
@@ -25,21 +26,84 @@ fn arb_time() -> impl Strategy<Value = SimTime> {
     (0u64..SimTime::study_end().as_secs()).prop_map(SimTime::from_secs)
 }
 
-fn arb_failure_event() -> impl Strategy<Value = LogEvent> {
-    (arb_device(), arb_serial(), 0u8..10).prop_map(|(device, serial, kind)| match kind {
-        0 => LogEvent::FciDeviceTimeout { device },
-        1 => LogEvent::FciAdapterReset {
-            adapter: device.adapter,
-        },
-        2 => LogEvent::ScsiCmdAborted { device },
-        3 => LogEvent::ScsiSelectionTimeout { device },
-        4 => LogEvent::ScsiNoMorePaths { device },
-        5 => LogEvent::ScsiPathFailover { device },
-        6 => LogEvent::RaidDiskMissing { device, serial },
-        7 => LogEvent::RaidDiskFailed { device, serial },
-        8 => LogEvent::RaidProtocolError { device, serial },
-        _ => LogEvent::RaidDiskSlow { device, serial },
-    })
+/// Events of all 18 variants: `kind` picks the variant, the other
+/// draws fill its fields.
+fn arb_event() -> impl Strategy<Value = LogEvent> {
+    (
+        0u8..18,
+        arb_device(),
+        arb_serial(),
+        (0u64..u64::MAX, 0u32..u32::MAX, 0u8..=255),
+        (0usize..4, 0usize..6, b'A'..=b'Z', 1u8..=255),
+        proptest::collection::vec((0u32..u32::MAX, 0u8..=255), 1..5),
+    )
+        .prop_map(
+            |(kind, device, serial, (big, mid, small), (class, pick, family, cap), slots)| {
+                let model = DiskModelId::new(family as char, cap);
+                match kind {
+                    0 => LogEvent::FciDeviceTimeout { device },
+                    1 => LogEvent::FciAdapterReset {
+                        adapter: device.adapter,
+                    },
+                    2 => LogEvent::ScsiCmdAborted { device },
+                    3 => LogEvent::ScsiSelectionTimeout { device },
+                    4 => LogEvent::ScsiNoMorePaths { device },
+                    5 => LogEvent::ScsiPathFailover { device },
+                    6 => LogEvent::DiskMediumError {
+                        device,
+                        sector: big,
+                    },
+                    7 => LogEvent::ScsiProtocolViolation { device },
+                    8 => LogEvent::ScsiSlowResponse {
+                        device,
+                        latency_ms: mid,
+                    },
+                    9 => LogEvent::RaidDiskMissing { device, serial },
+                    10 => LogEvent::RaidDiskFailed { device, serial },
+                    11 => LogEvent::RaidProtocolError { device, serial },
+                    12 => LogEvent::RaidDiskSlow { device, serial },
+                    13 => LogEvent::CfgSystem {
+                        class: SystemClass::ALL[class],
+                        disk_model: model,
+                        shelf_model: ShelfModel::ALL[pick % 3],
+                        paths: PathConfig::ALL[pick % 2],
+                        layout: [LayoutPolicy::SpanShelves, LayoutPolicy::SameShelf][pick / 3],
+                    },
+                    14 => LogEvent::CfgShelf {
+                        shelf: ShelfId(mid),
+                        model: ShelfModel::ALL[pick % 3],
+                        fc_loop: LoopId(mid / 2),
+                        adapter: device.adapter,
+                        position: device.target,
+                        bays: small,
+                    },
+                    15 => LogEvent::CfgRaidGroup {
+                        rg: RaidGroupId(mid),
+                        raid_type: RaidType::ALL[pick % 2],
+                        slots: slots
+                            .into_iter()
+                            .map(|(shelf, bay)| SlotAddr {
+                                shelf: ShelfId(shelf),
+                                bay,
+                            })
+                            .collect(),
+                    },
+                    16 => LogEvent::CfgDiskInstall {
+                        serial,
+                        model,
+                        slot: SlotAddr {
+                            shelf: ShelfId(mid),
+                            bay: small,
+                        },
+                        device,
+                    },
+                    _ => LogEvent::CfgDiskRemove {
+                        serial,
+                        reason: ["failed", "study_end"][pick % 2].to_owned(),
+                    },
+                }
+            },
+        )
 }
 
 proptest! {
@@ -47,7 +111,7 @@ proptest! {
     fn any_failure_log_line_round_trips(
         host in 0u32..1_000_000,
         at in arb_time(),
-        event in arb_failure_event(),
+        event in arb_event(),
     ) {
         let line = LogLine::new(SystemId(host), at, event);
         let text = line.to_string();
