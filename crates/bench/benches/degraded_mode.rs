@@ -28,8 +28,8 @@ fn bench_degraded_mode(c: &mut Criterion) {
 
     // The zero-rate identity, checked on the bench config before timing:
     // lenient on a clean corpus is not an approximation of strict.
-    let strict_study = strict.run().expect("strict pipeline runs");
-    let (lenient_study, health) = lenient.run_with_health().expect("lenient pipeline runs");
+    let (strict_study, stats, strict_health) = strict.run().expect("strict pipeline runs");
+    let (lenient_study, _, health) = lenient.run().expect("lenient pipeline runs");
     assert_eq!(
         lenient_study.input(),
         strict_study.input(),
@@ -37,10 +37,9 @@ fn bench_degraded_mode(c: &mut Criterion) {
     );
     assert!(health.is_clean());
 
-    let (_, stats) = strict.run_streaming_with_stats().expect("stats run");
     println!(
         "degraded-mode bench at scale {scale}: {} shards, {:.1} MiB corpus",
-        stats.shards,
+        strict_health.shards_total,
         stats.total_bytes as f64 / (1024.0 * 1024.0),
     );
 
@@ -51,10 +50,10 @@ fn bench_degraded_mode(c: &mut Criterion) {
         b.iter(|| black_box(strict.run().expect("strict pipeline runs")));
     });
     group.bench_function("lenient_clean", |b| {
-        b.iter(|| black_box(lenient.run_with_health().expect("lenient pipeline runs")));
+        b.iter(|| black_box(lenient.run().expect("lenient pipeline runs")));
     });
     group.bench_function(format!("lenient_injected_{INJECT_RATE}"), |b| {
-        b.iter(|| black_box(injected.run_with_health().expect("injected pipeline runs")));
+        b.iter(|| black_box(injected.run().expect("injected pipeline runs")));
     });
     group.finish();
 }

@@ -25,15 +25,15 @@ fn bench_pipeline_sharded(c: &mut Criterion) {
     let pipeline = Pipeline::new().scale(scale).seed(SEED);
 
     // One streaming run up front for the memory-bound evidence.
-    let (_, stats) = pipeline
+    let (_, stats, health) = pipeline
         .clone()
         .threads(8)
-        .run_streaming_with_stats()
+        .run()
         .expect("streaming pipeline runs");
     println!(
         "sharded pipeline at scale {scale}: {} shards, total corpus {:.1} MiB, \
          peak resident shard {:.2} MiB ({:.1}x smaller than monolithic)",
-        stats.shards,
+        health.shards_total,
         stats.total_bytes as f64 / (1024.0 * 1024.0),
         stats.max_shard_bytes as f64 / (1024.0 * 1024.0),
         stats.total_bytes as f64 / stats.max_shard_bytes.max(1) as f64,

@@ -308,12 +308,12 @@ struct Counters {
     chunks: u64,
 }
 
-fn stream_counters(stats: ssfa::StreamStats) -> Counters {
+fn stream_counters(stats: ssfa::StreamStats, health: &ssfa::RunHealth) -> Counters {
     Counters {
         peak_bytes: stats.max_shard_bytes as u64,
         total_bytes: stats.total_bytes as u64,
-        shards: stats.shards as u64,
-        chunks: stats.chunks as u64,
+        shards: health.shards_total as u64,
+        chunks: health.chunks_total as u64,
     }
 }
 
@@ -359,13 +359,13 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
 
     let p_mono = base.clone();
     let p_chunk1 = base.clone().chunk_systems(1);
-    let p_auto = base.clone().chunk_auto();
-    let p_corpus_file = base.clone().chunk_auto();
-    let p_corpus_mmap = base.clone().chunk_auto();
-    let p_resume = base.clone().chunk_auto().epoch_chunks(1);
+    let p_auto = base.clone();
+    let p_corpus_file = base.clone();
+    let p_corpus_mmap = base.clone();
+    let p_resume = base.clone().epoch_chunks(1);
     let resume_stage = ResumeStageGuard::build(&p_resume, &corpus_dir.0);
     let corpus_resume = ssfa::FileSource::open(&corpus_dir.0).expect("bench corpus opens");
-    let p_text = base.chunk_auto().text_transport();
+    let p_text = base.text_transport();
 
     type Runner<'a> = Box<dyn FnMut() -> Counters + 'a>;
     let mut configs: Vec<(&'static str, bool, Runner)> = vec![
@@ -381,45 +381,45 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
             "streaming_chunk1",
             true,
             Box::new(move || {
-                let (study, stats) = p_chunk1.run_streaming_with_stats().unwrap();
+                let (study, stats, health) = p_chunk1.run().unwrap();
                 std::hint::black_box(study);
-                stream_counters(stats)
+                stream_counters(stats, &health)
             }),
         ),
         (
             "streaming_auto",
             true,
             Box::new(move || {
-                let (study, stats) = p_auto.run_streaming_with_stats().unwrap();
+                let (study, stats, health) = p_auto.run().unwrap();
                 std::hint::black_box(study);
-                stream_counters(stats)
+                stream_counters(stats, &health)
             }),
         ),
         (
             "streaming_auto_text",
             true,
             Box::new(move || {
-                let (study, stats) = p_text.run_streaming_with_stats().unwrap();
+                let (study, stats, health) = p_text.run().unwrap();
                 std::hint::black_box(study);
-                stream_counters(stats)
+                stream_counters(stats, &health)
             }),
         ),
         (
             "corpus_file",
             true,
             Box::new(move || {
-                let (study, stats, _) = p_corpus_file.run_source(&corpus_file).unwrap();
+                let (study, stats, health) = p_corpus_file.run_source(&corpus_file).unwrap();
                 std::hint::black_box(study);
-                stream_counters(stats)
+                stream_counters(stats, &health)
             }),
         ),
         (
             "corpus_mmap",
             true,
             Box::new(move || {
-                let (study, stats, _) = p_corpus_mmap.run_source(&corpus_mmap).unwrap();
+                let (study, stats, health) = p_corpus_mmap.run_source(&corpus_mmap).unwrap();
                 std::hint::black_box(study);
-                stream_counters(stats)
+                stream_counters(stats, &health)
             }),
         ),
         (
@@ -427,11 +427,11 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
             true,
             Box::new(move || {
                 resume_stage.restore();
-                let (study, stats, _) = p_resume
+                let (study, stats, health) = p_resume
                     .resume_from(&corpus_resume, &resume_stage.work)
                     .unwrap();
                 std::hint::black_box(study);
-                stream_counters(stats)
+                stream_counters(stats, &health)
             }),
         ),
     ];

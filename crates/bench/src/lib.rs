@@ -50,7 +50,7 @@ impl ExpContext {
     ///
     /// Panics if classification fails (a pipeline bug, not a data issue).
     pub fn study(&self) -> Study {
-        self.pipeline().run().expect("pipeline runs")
+        self.pipeline().run().expect("pipeline runs").0
     }
 }
 
@@ -548,7 +548,7 @@ pub fn render_ablation_layout(ctx: &ExpContext) -> String {
     let mut out = section("Ablation A1: RAID-group layout (span-shelves vs same-shelf)");
     let mut t = TextTable::new(["Layout", "RG gaps", "RG P(gap<1e4 s)", "Shelf P(gap<1e4 s)"]);
     for layout in [LayoutPolicy::SpanShelves, LayoutPolicy::SameShelf] {
-        let study = ctx.pipeline().layout(layout).run().expect("pipeline runs");
+        let (study, _, _) = ctx.pipeline().layout(layout).run().expect("pipeline runs");
         let rg = study.tbf(Scope::RaidGroup);
         let shelf = study.tbf(Scope::Shelf);
         t.row([
@@ -576,7 +576,7 @@ pub fn render_ablation_multipath(ctx: &ExpContext) -> String {
         "IC reduction (MR)",
     ]);
     for p in [0.0, 0.25, 0.5, 0.55, 0.75, 1.0] {
-        let study = ctx
+        let (study, _, _) = ctx
             .pipeline()
             .calibration(Calibration::paper().with_mask_probability(p))
             .run()
@@ -622,7 +622,7 @@ pub fn render_ablation_independence(ctx: &ExpContext) -> String {
         ("paper (episodes on)", Calibration::paper()),
         ("episodes off", Calibration::paper().without_episodes()),
     ] {
-        let study = ctx
+        let (study, _, _) = ctx
             .pipeline()
             .calibration(cal)
             .run()

@@ -85,8 +85,8 @@ pub struct Study {
 /// lifetimes/failures append) and re-establishes canonical order exactly
 /// once at [`StudyFold::finish`], so the result is bit-identical to
 /// buffering every partial and calling [`Study::from_partials`] — without
-/// ever holding more than the running accumulator. This is the `Reduce`
-/// stage seam the streaming pipeline folds into.
+/// ever holding more than the running accumulator. The streaming
+/// pipeline's engine folds every chunk's partial into one of these.
 #[derive(Debug, Clone, Default)]
 pub struct StudyFold {
     acc: AnalysisInput,

@@ -561,10 +561,7 @@ fn absorb_loop(cell: &TenantCell) {
                 inner.fold.push(input);
                 inner.health.shards_processed += 1;
                 inner.health.chunks_processed += 1;
-                inner.health.lines_seen += shard_health.lines_seen;
-                inner.health.lines_skipped_malformed += shard_health.malformed_skipped;
-                inner.health.lines_skipped_missing_topology +=
-                    shard_health.missing_topology_skipped;
+                inner.health.add_line_counts(&shard_health);
             }
             Err((reason, system, lines)) => match strictness {
                 // Strict: the tenant is poisoned. Record the loss exactly

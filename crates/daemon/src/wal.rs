@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use ssfa_logs::frame::{decode_frame, encode_frame};
-use ssfa_logs::Strictness;
+use ssfa_logs::{write_atomic, Strictness};
 
 /// Default segment rotation threshold (bytes).
 pub const DEFAULT_SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
@@ -338,12 +338,7 @@ fn write_meta(tenant_dir: &Path, strictness: Strictness) -> std::io::Result<()> 
         Strictness::Strict => "strict\n",
         Strictness::Lenient => "lenient\n",
     };
-    let tmp = tenant_dir.join("META.tmp");
-    let mut file = File::create(&tmp)?;
-    file.write_all(text.as_bytes())?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(tmp, tenant_dir.join("META"))
+    write_atomic(&tenant_dir.join("META"), text.as_bytes())
 }
 
 fn read_meta(tenant_dir: &Path) -> Option<Strictness> {

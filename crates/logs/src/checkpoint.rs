@@ -30,11 +30,11 @@
 //! [`CheckpointError::CorpusMismatch`] instead of silently double- or
 //! mis-counting failures.
 //!
-//! Durability follows the corpus store's discipline: epoch frames are
-//! written to a temp file, synced, and renamed into place, and the
-//! manifest is rewritten via `CHECKPOINT.tmp` + atomic rename *after*
-//! the epoch frame lands — a crash mid-write leaves the previous
-//! manifest (and thus the previous durable epoch) intact.
+//! Durability follows the corpus store's discipline: epoch frames and
+//! the manifest are published with [`write_atomic`] (temp file, sync,
+//! rename), the manifest *after* the epoch frame lands — a crash
+//! mid-write leaves the previous manifest (and thus the previous durable
+//! epoch) intact.
 //!
 //! The store is payload-agnostic: snapshots are opaque bytes here. The
 //! payload's own schema version (`ssfa_core::SNAPSHOT_VERSION`) is
@@ -43,13 +43,13 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, Read as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::cascade::CascadeStyle;
 use crate::frame::{self, Checksum, FrameError, HEADER_LEN};
-use crate::store::{style_from_name, style_name, Manifest};
+use crate::store::{style_from_name, style_name, write_atomic, Manifest};
 
 /// The manifest file name inside a checkpoint directory.
 pub const CHECKPOINT_NAME: &str = "CHECKPOINT";
@@ -584,15 +584,8 @@ impl CheckpointWriter {
             frame::encode_frame(&mut frame_bytes, index as u32, shards.end as u64, payload);
 
         let path = self.dir.join(epoch_file_name(index));
-        let tmp = self.dir.join(format!("{}.tmp", epoch_file_name(index)));
-        let mut file = File::create(&tmp).map_err(io_err(format!("creating {}", tmp.display())))?;
-        file.write_all(&frame_bytes)
-            .map_err(io_err(format!("writing {}", tmp.display())))?;
-        file.sync_all()
-            .map_err(io_err(format!("syncing {}", tmp.display())))?;
-        drop(file);
-        std::fs::rename(&tmp, &path)
-            .map_err(io_err(format!("renaming {} into place", path.display())))?;
+        write_atomic(&path, &frame_bytes)
+            .map_err(io_err(format!("publishing {}", path.display())))?;
 
         self.manifest.epochs.push(EpochEntry {
             shard_start: shards.start,
@@ -642,15 +635,8 @@ impl CheckpointWriter {
 
     fn persist_manifest(&self) -> Result<(), CheckpointError> {
         let path = self.dir.join(CHECKPOINT_NAME);
-        let tmp = self.dir.join(format!("{CHECKPOINT_NAME}.tmp"));
-        let mut file = File::create(&tmp).map_err(io_err(format!("creating {}", tmp.display())))?;
-        file.write_all(self.manifest.to_text().as_bytes())
-            .map_err(io_err(format!("writing {}", tmp.display())))?;
-        file.sync_all()
-            .map_err(io_err(format!("syncing {}", tmp.display())))?;
-        drop(file);
-        std::fs::rename(&tmp, &path)
-            .map_err(io_err(format!("renaming {} into place", path.display())))
+        write_atomic(&path, self.manifest.to_text().as_bytes())
+            .map_err(io_err(format!("publishing {}", path.display())))
     }
 }
 

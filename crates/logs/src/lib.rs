@@ -78,7 +78,7 @@ pub use intern::TagId;
 pub use render::{render_support_log, render_support_log_noisy, NoiseParams};
 pub use shard::{render_system_log, ChunkPlan, ShardPlan, DEFAULT_CHUNK_TARGET_BYTES};
 pub use store::{
-    CorpusError, CorpusReader, CorpusSummary, CorpusWriter, Manifest, ShardEntry,
+    write_atomic, CorpusError, CorpusReader, CorpusSummary, CorpusWriter, Manifest, ShardEntry,
     DEFAULT_SEGMENT_SHARDS, MANIFEST_NAME,
 };
 pub use view::{EventRef, LogLineRef, SlotsRef};

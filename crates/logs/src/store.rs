@@ -207,6 +207,27 @@ fn io_err(what: impl Into<String>) -> impl FnOnce(io::Error) -> CorpusError {
     move |source| CorpusError::Io { what, source }
 }
 
+/// Publishes `bytes` at `path` atomically: writes them to a sibling
+/// `<name>.tmp`, syncs that file to disk, then renames it over `path`. A
+/// crash at any point leaves either the previous file (or none) or the
+/// complete new one, never a torn or empty one. The parent directory is
+/// not synced, so a crash may still roll back the rename itself.
+///
+/// # Errors
+///
+/// The first I/O error from creating, writing, syncing or renaming; on
+/// error `path` is untouched (a stray `.tmp` may remain).
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)
+}
+
 /// One shard's record in the manifest index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardEntry {
@@ -578,7 +599,7 @@ impl CorpusWriter {
     /// noise stream keyed by `seed` — the same parameters the in-memory
     /// `SimSource` uses.
     ///
-    /// The manifest is written last (via a temp file + rename), so a
+    /// The manifest is written last, with [`write_atomic`], so a
     /// crashed build leaves a directory that readers reject as missing
     /// its manifest rather than a silently short corpus.
     ///
@@ -667,10 +688,7 @@ impl CorpusWriter {
             total_payload_bytes: manifest.shards.iter().map(|e| e.payload_len).sum(),
             ..manifest
         };
-        let tmp = self.dir.join("MANIFEST.tmp");
-        std::fs::write(&tmp, manifest.to_text())
-            .map_err(io_err(format!("write {}", tmp.display())))?;
-        std::fs::rename(&tmp, &manifest_path)
+        write_atomic(&manifest_path, manifest.to_text().as_bytes())
             .map_err(io_err(format!("publish {}", manifest_path.display())))?;
 
         Ok(CorpusSummary {
@@ -949,6 +967,22 @@ mod tests {
         fn drop(&mut self) {
             let _ = std::fs::remove_dir_all(&self.0);
         }
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_target_and_leaves_no_tmp() {
+        let tmp = TempDir::new("atomic");
+        std::fs::create_dir_all(&tmp.0).unwrap();
+        let target = tmp.0.join("MANIFEST");
+        write_atomic(&target, b"first\n").unwrap();
+        assert_eq!(std::fs::read(&target).unwrap(), b"first\n");
+        write_atomic(&target, b"second, longer\n").unwrap();
+        assert_eq!(std::fs::read(&target).unwrap(), b"second, longer\n");
+        let names: Vec<_> = std::fs::read_dir(&tmp.0)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["MANIFEST"], "no .tmp may survive a publish");
     }
 
     fn small_run() -> (Fleet, SimOutput) {

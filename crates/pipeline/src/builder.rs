@@ -1,6 +1,7 @@
 //! The [`Pipeline`] builder: fleet → simulation → support log →
-//! classified analysis input → [`ssfa_core::Study`], with every `run_*`
-//! entry point expressed as a configuration of the one staged engine.
+//! classified analysis input → [`ssfa_core::Study`], with every entry
+//! point expressed as a configuration of the one staged engine and
+//! returning the same `(Study, StreamStats, RunHealth)` result.
 
 use std::path::Path;
 
@@ -11,13 +12,10 @@ use ssfa_model::{Fleet, FleetConfig, LayoutPolicy};
 use ssfa_sim::{Calibration, SimOutput, Simulator};
 
 use crate::checkpoint::{chunk_starting_at, plan_epochs, CheckpointSink, ManifestSource};
-use crate::classify::RaidClassify;
 use crate::error::PipelineError;
 use crate::exec::Engine;
 use crate::health::{RunHealth, StreamStats};
 use crate::plan::ChunkPolicy;
-use crate::reduce::StudyReduce;
-use crate::sink::Sink;
 use crate::source::{MonolithicSource, SimSource, Source};
 use crate::transport::{InjectedText, ParsedLines, TextRoundTrip, Transport};
 
@@ -101,14 +99,6 @@ impl Pipeline {
         self
     }
 
-    /// Restores the default automatic chunking policy (see
-    /// [`Pipeline::chunk_systems`]).
-    #[must_use]
-    pub fn chunk_auto(mut self) -> Pipeline {
-        self.chunking = ChunkPolicy::Auto;
-        self
-    }
-
     /// Makes the streaming path serialize every shard to corpus text and
     /// re-parse it ([`TextRoundTrip`]), instead of handing parsed lines
     /// straight to the classifier. This is the full on-disk round trip —
@@ -182,9 +172,8 @@ impl Pipeline {
     /// [`Strictness::Strict`], is the original fail-fast behavior; with
     /// [`Strictness::Lenient`] bad lines are skipped and counted,
     /// panicking chunk workers get one retry and are then quarantined,
-    /// and the [`RunHealth`] from [`Pipeline::run_with_health`] accounts
-    /// for every skip. At fault rate zero the two policies are
-    /// bit-identical.
+    /// and the [`RunHealth`] every entry point returns accounts for every
+    /// skip. At fault rate zero the two policies are bit-identical.
     #[must_use]
     pub fn strictness(mut self, strictness: Strictness) -> Pipeline {
         self.strictness = strictness;
@@ -216,11 +205,6 @@ impl Pipeline {
         self
     }
 
-    /// The fleet configuration currently in effect.
-    pub fn fleet_config(&self) -> &FleetConfig {
-        &self.config
-    }
-
     /// Builds the fleet only.
     pub fn build_fleet(&self) -> Fleet {
         Fleet::build(&self.config, self.seed)
@@ -241,60 +225,31 @@ impl Pipeline {
     /// shard ([`SimSource`]), shards batch into chunks (see
     /// [`Pipeline::chunk_systems`]), worker threads classify chunks
     /// concurrently, and the per-chunk partials fold — in system order —
-    /// through the reduce stage.
+    /// into one [`StudyFold`].
+    ///
+    /// Alongside the study it returns the [`StreamStats`] (how much
+    /// corpus text was resident at peak) and the [`RunHealth`] audit
+    /// report: how many shards and lines made it through, what was
+    /// skipped and why, which chunks were retried or quarantined. With
+    /// [`Pipeline::lenient`] a corrupt corpus yields a best-effort study
+    /// plus an exact accounting of the loss, instead of an abort.
     ///
     /// Memory stays bounded by the largest shard (plus the classified
-    /// partials), never the whole rendered corpus; the result is
-    /// bit-identical to [`Pipeline::run_monolithic`] for every
+    /// partials), never the whole rendered corpus; the study is
+    /// bit-identical to [`Pipeline::run_monolithic`]'s for every
     /// `(fleet, seed, threads, chunking)` tuple.
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::Log`] if a shard fails to classify (which
     /// would indicate a bug — rendered corpora are always classifiable)
-    /// and [`PipelineError::Worker`] if a worker thread panics.
-    pub fn run(&self) -> Result<Study, PipelineError> {
-        self.run_streaming().map(|(study, _, _)| study)
-    }
-
-    /// [`Pipeline::run`], also returning the [`RunHealth`] audit report:
-    /// how many shards and lines made it through, what was skipped and
-    /// why, which shards were retried or quarantined. This is the entry
-    /// point for degraded-mode analysis — with [`Pipeline::lenient`] a
-    /// corrupt corpus yields a best-effort [`ssfa_core::Study`] plus an
-    /// exact accounting of the loss, instead of an abort.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Pipeline::run`] (in lenient mode, only worker-pool
-    /// failures outside the per-shard isolation boundary surface as
-    /// errors).
-    pub fn run_with_health(&self) -> Result<(Study, RunHealth), PipelineError> {
-        self.run_streaming()
-            .map(|(study, _, health)| (study, health))
-    }
-
-    /// [`Pipeline::run`], also reporting how the corpus was sharded and
-    /// how much corpus text was resident at peak.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Pipeline::run`].
-    pub fn run_streaming_with_stats(&self) -> Result<(Study, StreamStats), PipelineError> {
-        self.run_streaming().map(|(study, stats, _)| (study, stats))
-    }
-
-    /// [`Pipeline::run_with_health`], then hands the study and audit to
-    /// `sink` — the Sink stage seam for report/JSON writers.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Pipeline::run_with_health`], plus
-    /// [`PipelineError::Sink`] if the sink's writer fails.
-    pub fn run_to_sink(&self, sink: &mut dyn Sink) -> Result<(Study, RunHealth), PipelineError> {
-        let (study, health) = self.run_with_health()?;
-        sink.consume(&study, &health).map_err(PipelineError::Sink)?;
-        Ok((study, health))
+    /// and [`PipelineError::Worker`] if a worker thread panics. In
+    /// lenient mode, only worker-pool failures outside the per-chunk
+    /// isolation boundary surface as errors.
+    pub fn run(&self) -> Result<(Study, StreamStats, RunHealth), PipelineError> {
+        let fleet = self.build_fleet();
+        let output = self.simulate(&fleet);
+        self.run_source(&SimSource::new(&fleet, &output, self.style, self.seed))
     }
 
     /// The single-buffer reference configuration: the whole corpus as one
@@ -304,30 +259,26 @@ impl Pipeline {
     /// the correctness oracle the streaming configuration is
     /// differentially tested against (same engine, different source, so a
     /// divergence isolates the sharded render/merge path). Fault
-    /// injection and [`Pipeline::strictness`] do not apply here: the
-    /// reference is always the clean, strict corpus.
+    /// injection, [`Pipeline::strictness`], [`Pipeline::text_transport`]
+    /// and the chunking policy do not apply here: the reference is always
+    /// the clean, strict, parsed-line corpus.
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::Log`] if the rendered corpus fails to
     /// classify.
-    pub fn run_monolithic(&self) -> Result<Study, PipelineError> {
+    pub fn run_monolithic(&self) -> Result<(Study, StreamStats, RunHealth), PipelineError> {
         let fleet = self.build_fleet();
         let output = self.simulate(&fleet);
-        let source = MonolithicSource::new(&fleet, &output, self.style);
-        let engine = Engine {
+        let reference = Pipeline {
             threads: 1,
             strictness: Strictness::Strict,
-            policy: ChunkPolicy::Fixed(usize::MAX),
+            faults: FaultSpec::none(),
+            chunking: ChunkPolicy::Fixed(usize::MAX),
+            transport: TransportKind::Lines,
+            ..self.clone()
         };
-        engine
-            .run(
-                &source,
-                &ParsedLines,
-                &RaidClassify::new(Strictness::Strict),
-                StudyReduce::new(),
-            )
-            .map(|(study, _, _)| study)
+        reference.run_source(&MonolithicSource::new(&fleet, &output, self.style))
     }
 
     /// Runs the staged engine over a caller-provided [`Source`] with this
@@ -338,23 +289,12 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// As for [`Pipeline::run_with_health`].
+    /// As for [`Pipeline::run`].
     pub fn run_source(
         &self,
         source: &dyn Source,
     ) -> Result<(Study, StreamStats, RunHealth), PipelineError> {
-        let transport = self.transport_stage();
-        let engine = Engine {
-            threads: self.threads,
-            strictness: self.strictness,
-            policy: self.chunking,
-        };
-        engine.run(
-            source,
-            transport.as_ref(),
-            &RaidClassify::new(self.strictness),
-            StudyReduce::new(),
-        )
+        self.run_engine(source, StudyFold::new(), 0, |_, _| Ok(()))
     }
 
     /// [`Pipeline::run_source`] over a corpus-backed source, writing one
@@ -386,7 +326,7 @@ impl Pipeline {
             source.manifest().seed,
             source.manifest().style,
         )?;
-        self.run_checkpointed(source, writer, 0, StudyReduce::new())
+        self.run_checkpointed(source, writer, 0, StudyFold::new())
     }
 
     /// Resumes a checkpointed analysis: restores the newest epoch in
@@ -438,15 +378,14 @@ impl Pipeline {
                 break;
             }
         }
-        let reduce = if keep > 0 {
-            let payload = reader.read_epoch(keep - 1)?;
-            StudyReduce::resume(StudyFold::from_snapshot(&payload)?)
+        let fold = if keep > 0 {
+            StudyFold::from_snapshot(&reader.read_epoch(keep - 1)?)?
         } else {
-            StudyReduce::new()
+            StudyFold::new()
         };
         let mut writer = CheckpointWriter::append_to(dir)?;
         writer.truncate_to(keep)?;
-        self.run_checkpointed(source, writer, first_chunk, reduce)
+        self.run_checkpointed(source, writer, first_chunk, fold)
     }
 
     /// The engine leg shared by [`Pipeline::run_source_checkpointed`] and
@@ -457,7 +396,7 @@ impl Pipeline {
         source: &S,
         writer: CheckpointWriter,
         first_chunk: usize,
-        reduce: StudyReduce,
+        fold: StudyFold,
     ) -> Result<(Study, StreamStats, RunHealth), PipelineError> {
         let corpus = source.manifest();
         let plan = source.plan_chunks(self.chunking);
@@ -468,30 +407,29 @@ impl Pipeline {
             writer.manifest().epochs.len(),
         );
         let mut sink = CheckpointSink::new(writer, epochs, corpus);
-        let transport = self.transport_stage();
+        self.run_engine(source, fold, first_chunk, |chunk, fold| {
+            sink.on_chunk(chunk, fold)
+        })
+    }
+
+    /// Runs the engine with this pipeline's threads, strictness, chunking
+    /// and transport from `first_chunk`, folding into `fold` (empty for a
+    /// cold run, a restored snapshot on resume) and calling `observer`
+    /// after each chunk folds.
+    fn run_engine(
+        &self,
+        source: &dyn Source,
+        fold: StudyFold,
+        first_chunk: usize,
+        observer: impl FnMut(usize, &StudyFold) -> Result<(), PipelineError>,
+    ) -> Result<(Study, StreamStats, RunHealth), PipelineError> {
         let engine = Engine {
             threads: self.threads,
             strictness: self.strictness,
             policy: self.chunking,
         };
-        engine.run_from(
-            source,
-            transport.as_ref(),
-            &RaidClassify::new(self.strictness),
-            reduce,
-            first_chunk,
-            |chunk, reduce: &StudyReduce| sink.on_chunk(chunk, reduce.fold_state()),
-        )
-    }
-
-    /// The streaming engine configuration behind [`Pipeline::run`],
-    /// [`Pipeline::run_with_health`], and
-    /// [`Pipeline::run_streaming_with_stats`].
-    fn run_streaming(&self) -> Result<(Study, StreamStats, RunHealth), PipelineError> {
-        let fleet = self.build_fleet();
-        let output = self.simulate(&fleet);
-        let source = SimSource::new(&fleet, &output, self.style, self.seed);
-        self.run_source(&source)
+        let transport = self.transport_stage();
+        engine.run_from(source, transport.as_ref(), fold, first_chunk, observer)
     }
 
     /// Builds the configured transport stage: fault injection forces the
@@ -519,8 +457,8 @@ mod tests {
 
     #[test]
     fn pipeline_is_deterministic() {
-        let a = Pipeline::new().scale(0.001).seed(5).run().unwrap();
-        let b = Pipeline::new().scale(0.001).seed(5).run().unwrap();
+        let (a, _, _) = Pipeline::new().scale(0.001).seed(5).run().unwrap();
+        let (b, _, _) = Pipeline::new().scale(0.001).seed(5).run().unwrap();
         assert_eq!(a.input().failures, b.input().failures);
         assert_eq!(a.input().lifetimes.len(), b.input().lifetimes.len());
     }
@@ -533,7 +471,7 @@ mod tests {
             .layout(LayoutPolicy::SameShelf)
             .calibration(Calibration::paper().without_episodes())
             .cascade_style(CascadeStyle::Full);
-        let study = p.run().unwrap();
+        let (study, _, _) = p.run().unwrap();
         assert!(!study.input().failures.is_empty());
     }
 }

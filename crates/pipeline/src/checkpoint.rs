@@ -1,5 +1,5 @@
 //! Checkpointed, resumable engine runs: epoch planning and the
-//! [`CheckpointSink`] that makes fold state durable at epoch boundaries.
+//! checkpoint sink that makes fold state durable at epoch boundaries.
 //!
 //! An **epoch** is a contiguous chunk range of a corpus-backed source's
 //! chunk plan, keyed to the corpus manifest by the shard range it covers
@@ -15,8 +15,8 @@
 //! boundary still aligns with the current chunk plan, then absorbs only
 //! the chunks past it. Cold and resumed runs are bit-identical because
 //! the fold sequence is identical: the snapshot *is* the fold state after
-//! the covered chunks, and [`crate::Engine`] (private) feeds the
-//! remaining partials in the same order a cold run would.
+//! the covered chunks, and the engine feeds the remaining partials in the
+//! same order a cold run would.
 //!
 //! [`Pipeline::run_source_checkpointed`]: crate::Pipeline::run_source_checkpointed
 //! [`Pipeline::resume_from`]: crate::Pipeline::resume_from
@@ -55,15 +55,15 @@ impl ManifestSource for MmapSource {
 /// One planned epoch: a contiguous chunk range and the shard range those
 /// chunks cover, in plan order.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Epoch {
+pub(crate) struct Epoch {
     /// Index of this epoch in the checkpoint (global, counting restored
     /// epochs a resume kept).
-    pub index: usize,
+    pub(crate) index: usize,
     /// The chunk range the epoch covers in the current plan.
-    pub chunks: Range<usize>,
+    pub(crate) chunks: Range<usize>,
     /// The shard range those chunks cover — what keys the epoch to the
     /// corpus manifest.
-    pub shards: Range<usize>,
+    pub(crate) shards: Range<usize>,
 }
 
 /// Plans the epochs for the not-yet-folded tail of `plan`: chunks
@@ -74,7 +74,7 @@ pub struct Epoch {
 /// # Panics
 ///
 /// Panics if `chunks_per_epoch` is zero.
-pub fn plan_epochs(
+pub(crate) fn plan_epochs(
     plan: &ChunkPlan,
     first_chunk: usize,
     chunks_per_epoch: usize,
@@ -121,7 +121,7 @@ pub(crate) fn chunk_starting_at(plan: &ChunkPlan, shard_end: usize) -> Option<us
 /// every chunk (on the reassembly thread, in chunk order) and writes an
 /// epoch frame whenever a planned epoch's last chunk has been absorbed.
 #[derive(Debug)]
-pub struct CheckpointSink<'a> {
+pub(crate) struct CheckpointSink<'a> {
     writer: CheckpointWriter,
     corpus: &'a Manifest,
     epochs: Vec<Epoch>,
@@ -131,7 +131,7 @@ pub struct CheckpointSink<'a> {
 impl<'a> CheckpointSink<'a> {
     /// Wraps `writer` to durably record `epochs` (in order) as the run
     /// reaches them, digesting shard ranges against `corpus`.
-    pub fn new(writer: CheckpointWriter, epochs: Vec<Epoch>, corpus: &'a Manifest) -> Self {
+    pub(crate) fn new(writer: CheckpointWriter, epochs: Vec<Epoch>, corpus: &'a Manifest) -> Self {
         CheckpointSink {
             writer,
             corpus,
@@ -148,7 +148,7 @@ impl<'a> CheckpointSink<'a> {
     /// [`PipelineError::Checkpoint`] if the epoch frame or manifest
     /// cannot be persisted — the run aborts rather than silently losing
     /// durability.
-    pub fn on_chunk(&mut self, chunk: usize, fold: &StudyFold) -> Result<(), PipelineError> {
+    pub(crate) fn on_chunk(&mut self, chunk: usize, fold: &StudyFold) -> Result<(), PipelineError> {
         let Some(epoch) = self.epochs.get(self.next) else {
             return Ok(());
         };
@@ -161,10 +161,5 @@ impl<'a> CheckpointSink<'a> {
             .write_epoch(epoch.shards.clone(), epoch.chunks.len(), digest, &payload)?;
         self.next += 1;
         Ok(())
-    }
-
-    /// How many of the planned epochs have been written so far.
-    pub fn epochs_written(&self) -> usize {
-        self.next
     }
 }

@@ -4,9 +4,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ssfa_logs::{AnalysisInput, FaultLedger, LogError, ShardHealth, Strictness};
+use ssfa_logs::{AnalysisInput, Classifier, FaultLedger, LogError, ShardHealth, Strictness};
 
-use crate::classify::Classify;
 use crate::error::{panic_message, PipelineError};
 use crate::quarantine::ChunkQuarantine;
 use crate::source::Source;
@@ -36,7 +35,6 @@ pub(crate) struct ChunkOutcome {
 pub(crate) fn process_chunk(
     source: &dyn Source,
     transport: &dyn Transport,
-    classify: &dyn Classify,
     strictness: Strictness,
     chunk: usize,
     range: std::ops::Range<usize>,
@@ -52,7 +50,7 @@ pub(crate) fn process_chunk(
         let mut total_bytes = 0usize;
         let outcome = catch_unwind(AssertUnwindSafe(
             || -> Result<(AnalysisInput, ShardHealth), LogError> {
-                let mut classifier = classify.begin_chunk();
+                let mut classifier = Classifier::with_strictness(strictness);
                 for shard in range.clone() {
                     let data = source.load(shard);
                     let delivery =
@@ -64,7 +62,7 @@ pub(crate) fn process_chunk(
                         total_bytes += delivery.bytes;
                     }
                 }
-                classify.finish_chunk(classifier)
+                classifier.finish_with_health()
             },
         ));
         match outcome {

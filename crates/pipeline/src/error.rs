@@ -14,8 +14,6 @@ pub enum PipelineError {
         /// when the payload was a string (the overwhelmingly common case).
         what: String,
     },
-    /// A [`crate::Sink`] failed to write a run artifact.
-    Sink(std::io::Error),
     /// The checkpoint store refused a read or write (corruption, version
     /// or corpus mismatch, i/o).
     Checkpoint(CheckpointError),
@@ -40,7 +38,6 @@ impl std::fmt::Display for PipelineError {
         match self {
             PipelineError::Log(e) => write!(f, "log pipeline failed: {e}"),
             PipelineError::Worker { what } => write!(f, "pipeline worker died: {what}"),
-            PipelineError::Sink(e) => write!(f, "run sink failed: {e}"),
             PipelineError::Checkpoint(e) => write!(f, "checkpoint store failed: {e}"),
             PipelineError::Snapshot(e) => write!(f, "checkpoint snapshot failed: {e}"),
         }
@@ -52,7 +49,6 @@ impl std::error::Error for PipelineError {
         match self {
             PipelineError::Log(e) => Some(e),
             PipelineError::Worker { .. } => None,
-            PipelineError::Sink(e) => Some(e),
             PipelineError::Checkpoint(e) => Some(e),
             PipelineError::Snapshot(e) => Some(e),
         }

@@ -1,25 +1,24 @@
 //! The staged engine: one chunked worker-pool executor that every
-//! `Pipeline::run_*` entry point is a configuration of.
+//! `Pipeline` entry point is a configuration of.
 //!
 //! Workers pull chunk indices from the shared, model-checked
 //! [`crate::workqueue`] (static splits strand workers behind uneven
-//! chunks); outcomes are reassembled in chunk order before the reduce
-//! stage, so scheduling cannot affect the result.
+//! chunks); outcomes are reassembled in chunk order before they fold, so
+//! scheduling cannot affect the result.
 //!
-//! [`Engine::run_from`] is the checkpoint seam: it starts the plan at an
-//! arbitrary chunk (everything before it is assumed already folded into
-//! the reduce state by a snapshot restore) and surfaces an in-order
-//! per-chunk observer callback — the epoch boundary — after each
-//! partial folds. A cold run is `run_from(.., 0, no-op)`.
+//! [`Engine::run_from`] is also the checkpoint seam: it starts the plan
+//! at an arbitrary chunk (everything before it is assumed already folded
+//! into the [`StudyFold`] by a snapshot restore) and surfaces an in-order
+//! per-chunk observer callback — the epoch boundary — after each partial
+//! folds. A cold run is `run_from(.., StudyFold::new(), 0, no-op)`.
 
+use ssfa_core::{Study, StudyFold};
 use ssfa_logs::Strictness;
 
 use crate::chunk::process_chunk;
-use crate::classify::Classify;
 use crate::error::{panic_message, PipelineError};
 use crate::health::{RunHealth, StreamStats};
 use crate::plan::ChunkPolicy;
-use crate::reduce::Reduce;
 use crate::source::Source;
 use crate::transport::Transport;
 use crate::workqueue::{worker_loop, ChunkStatus, StdChunkQueue};
@@ -33,43 +32,32 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    /// Drives `source` through `transport` and `classify`, folds the
-    /// per-chunk partials — in chunk order — through `reduce`, and
-    /// returns the fold's output with the run's stream statistics and
-    /// health audit.
-    pub(crate) fn run<R: Reduce>(
-        &self,
-        source: &dyn Source,
-        transport: &dyn Transport,
-        classify: &dyn Classify,
-        reduce: R,
-    ) -> Result<(R::Output, StreamStats, RunHealth), PipelineError> {
-        self.run_from(source, transport, classify, reduce, 0, |_, _: &R| Ok(()))
-    }
-
-    /// Like [`Engine::run`], but starts at `first_chunk` of the source's
-    /// chunk plan — chunks before it are assumed already folded into
-    /// `reduce` (a checkpoint restore) and are neither loaded nor
-    /// counted. After each chunk's outcome is absorbed, in chunk order,
-    /// `observer(chunk, &reduce)` runs on the reassembly thread; an
+    /// Drives `source` through `transport` and the RAID-layer classifier
+    /// from `first_chunk` of the source's chunk plan, folds each chunk's
+    /// partial — in chunk order — into `fold`, and returns the finished
+    /// study with the run's stream statistics and health audit.
+    ///
+    /// Chunks before `first_chunk` are assumed already folded into `fold`
+    /// (a checkpoint restore) and are neither loaded nor counted. After
+    /// each chunk's outcome is absorbed, in chunk order,
+    /// `observer(chunk, &fold)` runs on the reassembly thread; an
     /// observer error aborts the run.
     ///
     /// Stats and health cover only the chunks this call processed (the
     /// increment), so a fully-caught-up resume reports an empty, clean
     /// run.
-    pub(crate) fn run_from<R: Reduce>(
+    pub(crate) fn run_from(
         &self,
         source: &dyn Source,
         transport: &dyn Transport,
-        classify: &dyn Classify,
-        mut reduce: R,
+        mut fold: StudyFold,
         first_chunk: usize,
-        mut observer: impl FnMut(usize, &R) -> Result<(), PipelineError>,
-    ) -> Result<(R::Output, StreamStats, RunHealth), PipelineError> {
+        mut observer: impl FnMut(usize, &StudyFold) -> Result<(), PipelineError>,
+    ) -> Result<(Study, StreamStats, RunHealth), PipelineError> {
         if source.shard_count() == 0 {
             return Ok((
-                reduce.finish(),
-                StreamStats::empty(),
+                fold.finish(),
+                StreamStats::default(),
                 RunHealth {
                     strictness: self.strictness,
                     ..RunHealth::default()
@@ -99,7 +87,6 @@ impl Engine {
                             let result = process_chunk(
                                 source,
                                 transport,
-                                classify,
                                 self.strictness,
                                 chunk,
                                 chunks.shard_range(chunk),
@@ -132,12 +119,7 @@ impl Engine {
         });
         collected.sort_by_key(|(chunk, _)| *chunk);
 
-        let mut stats = StreamStats {
-            shards: new_shards,
-            chunks: new_chunks,
-            max_shard_bytes: 0,
-            total_bytes: 0,
-        };
+        let mut stats = StreamStats::default();
         let mut health = RunHealth {
             strictness: self.strictness,
             shards_total: new_shards,
@@ -156,15 +138,13 @@ impl Engine {
                 health.chunks_processed += 1;
             }
             health.quarantined.extend(outcome.quarantine);
-            health.lines_seen += outcome.health.lines_seen;
-            health.lines_skipped_malformed += outcome.health.malformed_skipped;
-            health.lines_skipped_missing_topology += outcome.health.missing_topology_skipped;
+            health.add_line_counts(&outcome.health);
             health.ledger.merge(&outcome.ledger);
             if let Some(partial) = outcome.partial {
-                reduce.fold(*partial);
+                fold.push(*partial);
             }
-            observer(chunk, &reduce)?;
+            observer(chunk, &fold)?;
         }
-        Ok((reduce.finish(), stats, health))
+        Ok((fold.finish(), stats, health))
     }
 }

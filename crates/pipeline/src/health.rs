@@ -2,21 +2,17 @@
 //! and how much was resident) and [`RunHealth`] (what was ingested,
 //! skipped, dropped, retried, and quarantined).
 
-use ssfa_logs::{FaultLedger, Strictness};
+use ssfa_logs::{FaultLedger, ShardHealth, Strictness};
 
 use crate::quarantine::ChunkQuarantine;
 
-/// How a streaming run sharded its corpus — the evidence behind the
+/// How much corpus a streaming run held — the evidence behind the
 /// bounded-memory claim: `max_shard_bytes` (the largest corpus buffer any
 /// worker held) versus `total_bytes` (what the monolithic path would have
-/// held at once).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// held at once). How the corpus was sharded and chunked is in
+/// [`RunHealth::shards_total`] and [`RunHealth::chunks_total`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
-    /// Number of shards planned (= systems in the fleet for the
-    /// production source).
-    pub shards: usize,
-    /// Number of chunks the shards were batched into.
-    pub chunks: usize,
     /// Largest single shard the run held at once — corpus-text bytes on
     /// the text transport (and under fault injection), in-memory parsed
     /// line bytes on the default transport.
@@ -24,18 +20,6 @@ pub struct StreamStats {
     /// Total corpus bytes across all shards, in the same unit as
     /// `max_shard_bytes`.
     pub total_bytes: usize,
-}
-
-impl StreamStats {
-    /// All-zero statistics for an empty run.
-    pub(crate) fn empty() -> StreamStats {
-        StreamStats {
-            shards: 0,
-            chunks: 0,
-            max_shard_bytes: 0,
-            total_bytes: 0,
-        }
-    }
 }
 
 /// The degraded-mode audit report: exactly what a streaming run ingested,
@@ -87,6 +71,14 @@ pub struct RunHealth {
 }
 
 impl RunHealth {
+    /// Adds one classified shard's (or chunk's) line tally to the run's
+    /// line counters: lines seen and both skip buckets.
+    pub fn add_line_counts(&mut self, lines: &ShardHealth) {
+        self.lines_seen += lines.lines_seen;
+        self.lines_skipped_malformed += lines.malformed_skipped;
+        self.lines_skipped_missing_topology += lines.missing_topology_skipped;
+    }
+
     /// Number of quarantined chunks.
     pub fn chunks_quarantined(&self) -> usize {
         self.quarantined.len()

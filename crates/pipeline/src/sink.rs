@@ -3,8 +3,8 @@
 //! Sinks consume the reduced [`Study`] plus the run's [`RunHealth`]
 //! audit and write a report — text for humans, hand-rolled JSON for
 //! machines (the workspace is offline; there is deliberately no serde).
-//! Drive them with [`crate::Pipeline::run_to_sink`], or call
-//! [`Sink::consume`] yourself on any study you already hold.
+//! Call [`Sink::consume`] on the study and health any `Pipeline` entry
+//! point returns.
 
 use std::io::Write;
 
@@ -18,9 +18,7 @@ pub trait Sink {
     ///
     /// # Errors
     ///
-    /// Returns the underlying writer's I/O error, which
-    /// [`crate::Pipeline::run_to_sink`] surfaces as
-    /// [`crate::PipelineError::Sink`].
+    /// Returns the underlying writer's I/O error unchanged.
     fn consume(&mut self, study: &Study, health: &RunHealth) -> std::io::Result<()>;
 }
 

@@ -3,7 +3,9 @@
 
 use ssfa_logs::{ChunkPlan, Strictness};
 use ssfa_model::{FleetConfig, SystemClass, SystemId};
-use ssfa_pipeline::{ChunkPolicy, JsonSummarySink, Pipeline, ShardData, Source, TextReportSink};
+use ssfa_pipeline::{
+    ChunkPolicy, JsonSummarySink, Pipeline, ShardData, Sink, Source, StreamStats, TextReportSink,
+};
 
 /// A source with nothing to yield: the engine must short-circuit without
 /// planning chunks, spawning workers, or touching `load`.
@@ -45,10 +47,9 @@ fn empty_source_yields_a_vacuously_complete_run() {
         let (study, stats, health) = pipeline.run_source(&EmptySource).unwrap();
         assert!(study.input().failures.is_empty());
         assert!(study.input().topology.systems.is_empty());
-        assert_eq!(stats.shards, 0);
-        assert_eq!(stats.chunks, 0);
-        assert_eq!(stats.total_bytes, 0);
+        assert_eq!(stats, StreamStats::default());
         assert_eq!(health.shards_total, 0);
+        assert_eq!(health.chunks_total, 0);
         assert_eq!(health.coverage(), 1.0, "empty run is vacuously complete");
         assert!(health.is_clean());
     }
@@ -64,9 +65,9 @@ fn empty_source_reports_the_configured_strictness() {
 
 #[test]
 fn sinks_receive_the_same_run_the_caller_gets_back() {
-    let pipeline = tiny_pipeline();
+    let (study, _, health) = tiny_pipeline().run().unwrap();
     let mut sink = TextReportSink::new(Vec::new());
-    let (study, health) = pipeline.run_to_sink(&mut sink).unwrap();
+    sink.consume(&study, &health).unwrap();
     let text = String::from_utf8(sink.into_inner()).unwrap();
     assert!(
         text.contains(&format!("{health}").lines().next().unwrap().to_owned()),
@@ -79,7 +80,7 @@ fn sinks_receive_the_same_run_the_caller_gets_back() {
     );
 
     let mut json = JsonSummarySink::new(Vec::new());
-    pipeline.run_to_sink(&mut json).unwrap();
+    json.consume(&study, &health).unwrap();
     let text = String::from_utf8(json.into_inner()).unwrap();
     assert!(text.contains("\"schema\": \"ssfa-run-summary/v1\""));
     assert!(text.contains("\"shards_total\": 1"));
@@ -87,7 +88,7 @@ fn sinks_receive_the_same_run_the_caller_gets_back() {
 }
 
 #[test]
-fn failing_sink_surfaces_as_a_sink_error() {
+fn failing_sink_returns_the_writer_error_unswallowed() {
     /// A writer that always refuses.
     struct Refuse;
     impl std::io::Write for Refuse {
@@ -98,12 +99,14 @@ fn failing_sink_surfaces_as_a_sink_error() {
             Ok(())
         }
     }
-    let err = tiny_pipeline()
-        .run_to_sink(&mut TextReportSink::new(Refuse))
+    let (study, _, health) = tiny_pipeline().run().unwrap();
+    let err = TextReportSink::new(Refuse)
+        .consume(&study, &health)
         .unwrap_err();
-    let msg = err.to_string();
-    assert!(
-        msg.contains("sink") && msg.contains("disk full"),
-        "unexpected error rendering: {msg}"
+    assert_eq!(err.kind(), std::io::ErrorKind::Other);
+    assert_eq!(
+        err.to_string(),
+        "disk full",
+        "the writer's error must come back as is"
     );
 }

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             classes: vec![class_config],
             ..base
         };
-        let study = ssfa::Pipeline::new().config(config).seed(3).run()?;
+        let (study, _, _) = ssfa::Pipeline::new().config(config).seed(3).run()?;
 
         let by_class = study.afr_by_class(true);
         let b = &by_class[&SystemClass::MidRange];

@@ -92,13 +92,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // device references, dropped shards — and let lenient mode skip, count,
     // and audit instead of dying.
     println!("\n=== degraded mode: same fleet, 0.5% fault injection ===");
-    let (degraded, health) = ssfa::Pipeline::new()
+    let (degraded, _, health) = ssfa::Pipeline::new()
         .scale(0.001)
         .seed(23)
         .cascade_style(CascadeStyle::Full)
         .lenient()
         .faults(FaultSpec::uniform(0.005))
-        .run_with_health()?;
+        .run()?;
     println!("{health}");
     println!(
         "injector ledger: {} faults landed ({} bit flips, {} truncations, \

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for class in &mut config.classes {
             class.dual_path_fraction = adoption;
         }
-        let study = ssfa::Pipeline::new().config(config).seed(7).run()?;
+        let (study, _, _) = ssfa::Pipeline::new().config(config).seed(7).run()?;
 
         let by_class = study.afr_by_class(true);
         let mut merged = AfrBreakdown::empty();

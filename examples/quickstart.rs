@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // including the thread count: the streaming pipeline classifies
     // per-system log shards on 8 workers and merges bit-identically.
     let pipeline = ssfa::Pipeline::new().scale(0.02).seed(42).threads(8);
-    let study = pipeline.run()?;
+    let (study, _, _) = pipeline.run()?;
 
     println!(
         "fleet: {} systems, {} disks ever installed, {:.0} disk-years, {} subsystem failures\n",

@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for layout in [LayoutPolicy::SpanShelves, LayoutPolicy::SameShelf] {
-        let study = ssfa::Pipeline::new()
+        let (study, _, _) = ssfa::Pipeline::new()
             .scale(0.03)
             .seed(11)
             .layout(layout)

@@ -308,7 +308,7 @@ fn corpus_analyze(args: &[&str]) -> Result<(), CliError> {
         .map_err(|e| CliError::Run(e.to_string()))?;
     println!(
         "{} shards in {} chunks, peak resident shard {} bytes of {} corpus bytes",
-        stats.shards, stats.chunks, stats.max_shard_bytes, stats.total_bytes
+        health.shards_total, health.chunks_total, stats.max_shard_bytes, stats.total_bytes
     );
     Ok(())
 }

@@ -21,8 +21,8 @@
 //!   correlation, Findings 1–11.
 //! - [`pipeline`] — the staged execution engine behind [`Pipeline`]:
 //!   [`Source`](pipeline::Source) → [`Transport`](pipeline::Transport) →
-//!   [`Classify`](pipeline::Classify) → [`Reduce`](pipeline::Reduce) →
-//!   [`Sink`](pipeline::Sink) seams over one chunked worker pool.
+//!   classify → fold → [`Sink`](pipeline::Sink) over one chunked worker
+//!   pool.
 //! - [`daemon`] — `ssfad`, the always-on analysis service: a framed TCP
 //!   ingest bus with per-tenant folds and quarantine, session cursors,
 //!   bounded backpressure, and reconnect/backoff replay agents
@@ -39,7 +39,7 @@
 //!
 //! // 0.2% scale of the paper's fleet (about 80 systems, ~3,500 disks).
 //! let pipeline = ssfa::Pipeline::new().scale(0.002).seed(7);
-//! let study = pipeline.run()?;
+//! let (study, _stats, _health) = pipeline.run()?;
 //!
 //! let fig4 = study.afr_by_class(false);
 //! for class in SystemClass::ALL {
@@ -77,19 +77,14 @@
 //!
 //! // Full fleet on 8 workers: peak corpus memory stays at one shard
 //! // (a few hundred KiB), not the multi-hundred-MiB monolithic text.
-//! let study = Pipeline::new().scale(1.0).threads(8).run()?;
+//! let (study, stats, health) = Pipeline::new().scale(1.0).threads(8).run()?;
 //! println!("{} subsystem failures", study.input().failures.len());
 //!
-//! // Inspect the chunking and memory behavior directly:
-//! let (study, stats) = Pipeline::new()
-//!     .scale(1.0)
-//!     .threads(8)
-//!     .run_streaming_with_stats()?;
+//! // The same run reports its chunking and memory behavior:
 //! println!(
 //!     "{} shards in {} chunks, peak resident shard {} bytes of {} total corpus bytes",
-//!     stats.shards, stats.chunks, stats.max_shard_bytes, stats.total_bytes,
+//!     health.shards_total, health.chunks_total, stats.max_shard_bytes, stats.total_bytes,
 //! );
-//! # drop(study);
 //! # Ok::<(), ssfa::PipelineError>(())
 //! ```
 //!
@@ -98,21 +93,21 @@
 //! Real support corpora are lossy. [`Pipeline::lenient`] switches the
 //! classify stage to skip-and-count, isolates every chunk behind a panic
 //! boundary (one retry, then quarantine of the whole chunk, with an exact
-//! count of the systems and lines lost), and — via
-//! [`Pipeline::run_with_health`] — returns a [`RunHealth`] audit report
-//! accounting for every skipped line and lost shard. A deterministic
+//! count of the systems and lines lost), and every run returns a
+//! [`RunHealth`] audit report accounting for every skipped line and lost
+//! shard. A deterministic
 //! fault-injection harness ([`ssfa_logs::faults`], wired in with
 //! [`Pipeline::faults`]) exists to prove the accounting exact:
 //!
 //! ```
 //! use ssfa::prelude::*;
 //!
-//! let (study, health) = ssfa::Pipeline::new()
+//! let (study, _stats, health) = ssfa::Pipeline::new()
 //!     .scale(0.002)
 //!     .seed(7)
 //!     .lenient()
 //!     .faults(FaultSpec::uniform(1e-3))
-//!     .run_with_health()?;
+//!     .run()?;
 //! assert_eq!(health.lines_skipped_malformed, health.ledger.expect_malformed);
 //! println!("{health}");
 //! # drop(study);
@@ -134,8 +129,8 @@ pub use ssfa_stats as stats;
 // `ssfa-pipeline`. Every pre-refactor public path stays valid.
 pub use ssfa_pipeline::workqueue;
 pub use ssfa_pipeline::{
-    CheckpointSink, ChunkQuarantine, Epoch, FileSource, ManifestSource, MmapSource, Pipeline,
-    PipelineError, RunHealth, StreamStats,
+    ChunkQuarantine, FileSource, ManifestSource, MmapSource, Pipeline, PipelineError, RunHealth,
+    StreamStats,
 };
 
 /// Convenience re-exports for examples and downstream binaries.

@@ -6,8 +6,8 @@ use ssfa::prelude::*;
 #[test]
 fn without_episodes_failures_become_independent() {
     let base = ssfa::Pipeline::new().scale(0.02).seed(55);
-    let with = base.clone().run().expect("with episodes");
-    let without = base
+    let (with, _, _) = base.clone().run().expect("with episodes");
+    let (without, _, _) = base
         .calibration(Calibration::paper().without_episodes())
         .run()
         .expect("without episodes");
@@ -37,13 +37,13 @@ fn without_episodes_failures_become_independent() {
 
 #[test]
 fn same_shelf_layout_concentrates_bursts_in_raid_groups() {
-    let span = ssfa::Pipeline::new()
+    let (span, _, _) = ssfa::Pipeline::new()
         .scale(0.02)
         .seed(56)
         .layout(LayoutPolicy::SpanShelves)
         .run()
         .expect("span");
-    let same = ssfa::Pipeline::new()
+    let (same, _, _) = ssfa::Pipeline::new()
         .scale(0.02)
         .seed(56)
         .layout(LayoutPolicy::SameShelf)
@@ -67,7 +67,7 @@ fn same_shelf_layout_concentrates_bursts_in_raid_groups() {
 fn masking_probability_drives_exposed_interconnect_rate_monotonically() {
     let mut rates = Vec::new();
     for p in [0.0, 0.5, 1.0] {
-        let study = ssfa::Pipeline::new()
+        let (study, _, _) = ssfa::Pipeline::new()
             .scale(0.02)
             .seed(57)
             .calibration(Calibration::paper().with_mask_probability(p))
@@ -102,7 +102,7 @@ fn single_path_fleets_show_no_dual_panels() {
     for class in &mut config.classes {
         class.dual_path_fraction = 0.0;
     }
-    let study = ssfa::Pipeline::new()
+    let (study, _, _) = ssfa::Pipeline::new()
         .config(config)
         .seed(58)
         .run()

@@ -26,20 +26,12 @@ fn pipeline() -> Pipeline {
 
 #[test]
 fn every_chunk_granularity_is_bit_identical() {
-    let (legacy, legacy_health) = pipeline()
-        .threads(2)
-        .chunk_systems(1)
-        .run_with_health()
-        .unwrap();
-    let (auto, auto_health) = pipeline()
-        .threads(2)
-        .chunk_auto()
-        .run_with_health()
-        .unwrap();
-    let (whole, whole_health) = pipeline()
+    let (legacy, _, legacy_health) = pipeline().threads(2).chunk_systems(1).run().unwrap();
+    let (auto, _, auto_health) = pipeline().threads(2).run().unwrap();
+    let (whole, _, whole_health) = pipeline()
         .threads(2)
         .chunk_systems(1_000_000)
-        .run_with_health()
+        .run()
         .unwrap();
 
     assert_eq!(
@@ -71,28 +63,22 @@ fn every_chunk_granularity_is_bit_identical() {
 
 #[test]
 fn chunk_counts_hit_the_degenerate_bounds() {
-    let (_, per_shard) = pipeline()
-        .chunk_systems(1)
-        .run_streaming_with_stats()
-        .unwrap();
+    let (_, _, per_shard) = pipeline().chunk_systems(1).run().unwrap();
     assert_eq!(
-        per_shard.chunks, per_shard.shards,
+        per_shard.chunks_total, per_shard.shards_total,
         "chunk size 1 must give one chunk per shard"
     );
 
-    let (_, single) = pipeline()
-        .chunk_systems(1_000_000)
-        .run_streaming_with_stats()
-        .unwrap();
+    let (_, _, single) = pipeline().chunk_systems(1_000_000).run().unwrap();
     assert_eq!(
-        single.chunks, 1,
+        single.chunks_total, 1,
         "chunk size beyond the fleet must collapse to one chunk"
     );
-    assert_eq!(single.shards, per_shard.shards);
+    assert_eq!(single.shards_total, per_shard.shards_total);
 
-    let (_, auto) = pipeline().chunk_auto().run_streaming_with_stats().unwrap();
+    let (_, _, auto) = pipeline().run().unwrap();
     assert!(
-        auto.chunks >= 1 && auto.chunks <= auto.shards,
+        auto.chunks_total >= 1 && auto.chunks_total <= auto.shards_total,
         "auto chunk count out of range: {auto:?}"
     );
 }
@@ -112,20 +98,15 @@ fn one_system_fleet_chunk1_and_auto_are_identical() {
             )
             .threads(2)
     };
-    let (fixed, fixed_stats) = one_system()
-        .chunk_systems(1)
-        .run_streaming_with_stats()
-        .unwrap();
-    let (auto, auto_stats) = one_system()
-        .chunk_auto()
-        .run_streaming_with_stats()
-        .unwrap();
-    assert_eq!(fixed_stats.shards, 1);
-    assert_eq!(fixed_stats.chunks, 1);
+    let (fixed, fixed_stats, fixed_health) = one_system().chunk_systems(1).run().unwrap();
+    let (auto, auto_stats, auto_health) = one_system().run().unwrap();
+    assert_eq!(fixed_health.shards_total, 1);
+    assert_eq!(fixed_health.chunks_total, 1);
     assert_eq!(auto_stats, fixed_stats);
+    assert_eq!(auto_health, fixed_health);
     assert_eq!(auto.input(), fixed.input());
 
-    let mono = one_system().run_monolithic().unwrap();
+    let (mono, _, _) = one_system().run_monolithic().unwrap();
     assert_eq!(
         mono.input(),
         fixed.input(),
@@ -141,12 +122,12 @@ fn panicking_system_quarantines_its_whole_chunk_with_exact_accounting() {
         panic_shards: BTreeSet::from([PANIC_SHARD]),
         ..FaultSpec::none()
     };
-    let (study, health) = pipeline()
+    let (study, _, health) = pipeline()
         .threads(4)
         .chunk_systems(CHUNK)
         .lenient()
         .faults(spec)
-        .run_with_health()
+        .run()
         .unwrap();
 
     // Shard 10 lives in chunk 1 (shards 8..16); the whole chunk is retried

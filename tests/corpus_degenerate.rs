@@ -12,7 +12,7 @@ use ssfa::logs::{CascadeStyle, CorpusReader, CorpusWriter, Manifest, MANIFEST_NA
 use ssfa::model::{Fleet, FleetConfig, SystemClass};
 use ssfa::pipeline::Source;
 use ssfa::sim::Simulator;
-use ssfa::{FileSource, MmapSource, Pipeline};
+use ssfa::{FileSource, MmapSource, Pipeline, StreamStats};
 
 /// A self-deleting scratch directory under the system temp dir.
 struct TempDir(PathBuf);
@@ -72,9 +72,9 @@ fn zero_shard_manifest_analyzes_to_a_clean_empty_run() {
             .expect("empty analysis completes");
         assert_eq!(study.input().topology.systems.len(), 0);
         assert_eq!(study.input().failures.len(), 0);
-        assert_eq!((stats.shards, stats.chunks), (0, 0));
+        assert_eq!(stats, StreamStats::default());
+        assert_eq!((health.shards_total, health.chunks_total), (0, 0));
         assert!(health.is_clean(), "{health}");
-        assert_eq!(health.shards_total, 0);
         assert_eq!(health.coverage(), 1.0);
     }
 }
@@ -160,12 +160,12 @@ fn single_system_fleet_round_trips_through_both_sources() {
     let mut reports = Vec::new();
     for threads in [1, 4] {
         for source in [&file as &dyn Source, &mmap] {
-            let (study, stats, health) = Pipeline::new()
+            let (study, _, health) = Pipeline::new()
                 .threads(threads)
                 .run_source(source)
                 .expect("one-shard analysis completes");
             assert_eq!(study.input().topology.systems.len(), 1);
-            assert_eq!((stats.shards, stats.chunks), (1, 1));
+            assert_eq!((health.shards_total, health.chunks_total), (1, 1));
             assert!(health.is_clean(), "{health}");
             reports.push(format!("{:?}", study.table1()));
         }

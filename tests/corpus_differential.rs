@@ -125,11 +125,9 @@ fn disk_backed_sources_match_the_pre_refactor_golden() {
             if text {
                 pipeline = pipeline.text_transport();
             }
-            pipeline = if fixed_chunks {
-                pipeline.chunk_systems(1)
-            } else {
-                pipeline.chunk_auto()
-            };
+            if fixed_chunks {
+                pipeline = pipeline.chunk_systems(1);
+            }
             for (name, source) in [("file", &file as &dyn Source), ("mmap", &mmap)] {
                 assert_eq!(
                     report(&pipeline, source),

@@ -46,12 +46,10 @@ fn streaming_grid_matches_the_pre_refactor_golden() {
                 if text {
                     pipeline = pipeline.text_transport();
                 }
-                pipeline = if fixed_chunks {
-                    pipeline.chunk_systems(1)
-                } else {
-                    pipeline.chunk_auto()
-                };
-                let study = pipeline.run().unwrap();
+                if fixed_chunks {
+                    pipeline = pipeline.chunk_systems(1);
+                }
+                let (study, _, _) = pipeline.run().unwrap();
                 assert_eq!(
                     table1(&study),
                     golden,
@@ -66,7 +64,7 @@ fn streaming_grid_matches_the_pre_refactor_golden() {
 #[test]
 fn monolithic_oracles_match_the_pre_refactor_golden() {
     let golden = golden_table1();
-    let mono = Pipeline::new()
+    let (mono, _, _) = Pipeline::new()
         .scale(SCALE)
         .seed(SEED)
         .run_monolithic()
@@ -120,11 +118,9 @@ fn checkpoint_resume_matches_the_golden_across_the_grid() {
                     .seed(SEED)
                     .threads(threads)
                     .epoch_chunks(1);
-                pipeline = if fixed_chunks {
-                    pipeline.chunk_systems(1)
-                } else {
-                    pipeline.chunk_auto()
-                };
+                if fixed_chunks {
+                    pipeline = pipeline.chunk_systems(1);
+                }
 
                 // One closure per grid point so FileSource/MmapSource
                 // stay concrete types for the generic entry points.

@@ -94,7 +94,7 @@ fn engine_report_is_identical_under_permuted_source_order() {
         let (baseline, baseline_lines) = run((0..n).collect());
         assert_eq!(
             baseline,
-            render_report(&make().threads(4).chunk_systems(3).run().unwrap()),
+            render_report(&make().threads(4).chunk_systems(3).run().unwrap().0),
             "[{transport}] identity permutation diverged from Pipeline::run"
         );
 

@@ -89,13 +89,9 @@ fn assert_exact_accounting(health: &RunHealth, context: &str) {
 #[test]
 fn zero_rate_lenient_is_bit_identical_to_strict() {
     for seed in SEEDS {
-        let strict = pipeline(seed).run().unwrap();
+        let (strict, _, _) = pipeline(seed).run().unwrap();
         for threads in THREADS {
-            let (lenient, health) = pipeline(seed)
-                .threads(threads)
-                .lenient()
-                .run_with_health()
-                .unwrap();
+            let (lenient, _, health) = pipeline(seed).threads(threads).lenient().run().unwrap();
             assert_eq!(
                 lenient.input(),
                 strict.input(),
@@ -116,8 +112,8 @@ fn zero_rate_lenient_is_bit_identical_to_strict() {
 
 #[test]
 fn strict_mode_is_backward_compatible_with_health_reporting() {
-    let (study, health) = pipeline(7).run_with_health().unwrap();
-    assert_eq!(study.input(), pipeline(7).run().unwrap().input());
+    let (study, _, health) = pipeline(7).run().unwrap();
+    assert_eq!(study.input(), pipeline(7).run().unwrap().0.input());
     assert_eq!(health.strictness, Strictness::Strict);
     assert!(
         health.is_clean(),
@@ -134,11 +130,11 @@ fn injected_runs_complete_with_exact_accounting() {
             let oracle = external_ledger(seed, &spec);
             let mut baseline: Option<RunHealth> = None;
             for threads in THREADS {
-                let (study, health) = pipeline(seed)
+                let (study, _, health) = pipeline(seed)
                     .threads(threads)
                     .lenient()
                     .faults(spec.clone())
-                    .run_with_health()
+                    .run()
                     .unwrap();
                 let context = format!("rate {rate}, seed {seed}, {threads} threads");
                 assert_exact_accounting(&health, &context);
@@ -160,12 +156,12 @@ fn injected_runs_complete_with_exact_accounting() {
             }
             // Faults are keyed by shard index, so the ledger — and the
             // exact-accounting contract — is invariant under chunking.
-            let (_, chunked) = pipeline(seed)
+            let (_, _, chunked) = pipeline(seed)
                 .threads(2)
                 .chunk_systems(7)
                 .lenient()
                 .faults(spec.clone())
-                .run_with_health()
+                .run()
                 .unwrap();
             let context = format!("rate {rate}, seed {seed}, chunk_systems(7)");
             assert_exact_accounting(&chunked, &context);
@@ -190,11 +186,11 @@ fn injected_runs_complete_with_exact_accounting() {
 #[test]
 fn small_rate_keeps_afr_deltas_bounded() {
     let seed = 7;
-    let clean = pipeline(seed).run().unwrap();
-    let (dirty, health) = pipeline(seed)
+    let (clean, _, _) = pipeline(seed).run().unwrap();
+    let (dirty, _, health) = pipeline(seed)
         .lenient()
         .faults(FaultSpec::uniform(1e-4))
-        .run_with_health()
+        .run()
         .unwrap();
     assert!(
         health.ledger.faults_landed() > 0,
@@ -225,12 +221,12 @@ fn panicking_shard_is_quarantined_without_killing_the_run() {
     };
     // One system per chunk pins quarantine to exactly the panicking shard;
     // the multi-system-chunk blast radius is covered in tests/chunking.rs.
-    let (study, health) = pipeline(7)
+    let (study, _, health) = pipeline(7)
         .threads(4)
         .chunk_systems(1)
         .lenient()
         .faults(spec)
-        .run_with_health()
+        .run()
         .unwrap();
 
     // Shard 2 panicked, was retried, panicked again → quarantined.
@@ -310,12 +306,8 @@ fn ci_matrix_point() {
         .unwrap_or(2);
     let seed = 7;
     if rate == 0.0 {
-        let strict = pipeline(seed).run().unwrap();
-        let (lenient, health) = pipeline(seed)
-            .threads(threads)
-            .lenient()
-            .run_with_health()
-            .unwrap();
+        let (strict, _, _) = pipeline(seed).run().unwrap();
+        let (lenient, _, health) = pipeline(seed).threads(threads).lenient().run().unwrap();
         assert_eq!(
             lenient.input(),
             strict.input(),
@@ -324,11 +316,11 @@ fn ci_matrix_point() {
         assert!(health.is_clean(), "{health}");
     } else {
         let spec = FaultSpec::uniform(rate);
-        let (_, health) = pipeline(seed)
+        let (_, _, health) = pipeline(seed)
             .threads(threads)
             .lenient()
             .faults(spec.clone())
-            .run_with_health()
+            .run()
             .unwrap();
         assert_exact_accounting(&health, &format!("matrix rate {rate}, {threads} threads"));
         assert_eq!(health.ledger, external_ledger(seed, &spec));

@@ -74,7 +74,7 @@ fn corpus_digest_matches_golden() {
 
 #[test]
 fn table1_matches_golden() {
-    let study = Pipeline::new().scale(SCALE).seed(SEED).run().unwrap();
+    let (study, _, _) = Pipeline::new().scale(SCALE).seed(SEED).run().unwrap();
     let mut actual = String::new();
     for row in study.table1() {
         actual.push_str(&format!("{row:?}\n"));
@@ -85,13 +85,13 @@ fn table1_matches_golden() {
 #[test]
 fn snapshot_run_is_thread_count_invariant() {
     // The golden table must not depend on the machine's core count.
-    let a = Pipeline::new()
+    let (a, _, _) = Pipeline::new()
         .scale(SCALE)
         .seed(SEED)
         .threads(1)
         .run()
         .unwrap();
-    let b = Pipeline::new()
+    let (b, _, _) = Pipeline::new()
         .scale(SCALE)
         .seed(SEED)
         .threads(8)

@@ -91,7 +91,7 @@ fn render_report(study: &Study) -> String {
 
 #[test]
 fn report_is_identical_under_permuted_insertion_order() {
-    let study = Pipeline::new().scale(SCALE).seed(SEED).run().unwrap();
+    let (study, _, _) = Pipeline::new().scale(SCALE).seed(SEED).run().unwrap();
     let baseline = render_report(&study);
     assert!(
         !baseline.is_empty() && study.input().failures.len() > 1,

@@ -17,6 +17,7 @@ fn study() -> &'static Study {
             .seed(20_08)
             .run()
             .expect("pipeline runs")
+            .0
     })
 }
 

@@ -29,17 +29,17 @@ fn pipeline(scale: f64, seed: u64) -> Pipeline {
 fn chunked(p: Pipeline, chunk: Option<usize>) -> Pipeline {
     match chunk {
         Some(n) => p.chunk_systems(n),
-        None => p.chunk_auto(),
+        None => p,
     }
 }
 
 #[test]
 fn streaming_equals_monolithic_across_the_grid() {
     for (scale, seed) in GRID {
-        let reference = pipeline(scale, seed).run_monolithic().unwrap();
+        let (reference, _, _) = pipeline(scale, seed).run_monolithic().unwrap();
         for threads in THREADS {
             for chunk in CHUNKS {
-                let streamed = chunked(pipeline(scale, seed).threads(threads), chunk)
+                let (streamed, _, _) = chunked(pipeline(scale, seed).threads(threads), chunk)
                     .run()
                     .unwrap();
                 assert_eq!(
@@ -59,9 +59,9 @@ fn text_transport_equals_monolithic_across_the_grid() {
     // arrive as) stays differentially tested even though the default
     // transport hands parsed lines straight to the classifier.
     for (scale, seed) in GRID {
-        let reference = pipeline(scale, seed).run_monolithic().unwrap();
+        let (reference, _, _) = pipeline(scale, seed).run_monolithic().unwrap();
         for (threads, chunk) in [(1, Some(1)), (2, Some(7)), (8, None)] {
-            let streamed = chunked(pipeline(scale, seed).threads(threads), chunk)
+            let (streamed, _, _) = chunked(pipeline(scale, seed).threads(threads), chunk)
                 .text_transport()
                 .run()
                 .unwrap();
@@ -78,12 +78,13 @@ fn text_transport_equals_monolithic_across_the_grid() {
 #[test]
 fn table1_rows_are_identical_across_thread_counts() {
     for (scale, seed) in GRID {
-        let reference = pipeline(scale, seed).run_monolithic().unwrap().table1();
+        let reference = pipeline(scale, seed).run_monolithic().unwrap().0.table1();
         for threads in THREADS {
             let streamed = pipeline(scale, seed)
                 .threads(threads)
                 .run()
                 .unwrap()
+                .0
                 .table1();
             assert_eq!(
                 format!("{streamed:?}"),
@@ -100,9 +101,9 @@ fn thread_counts_agree_with_each_other_bitwise() {
     // but it localizes a failure: if this passes while the monolithic
     // comparison fails, the bug is in the merge, not the worker split.
     let (scale, seed) = GRID[1];
-    let one = pipeline(scale, seed).threads(1).run().unwrap();
+    let (one, _, _) = pipeline(scale, seed).threads(1).run().unwrap();
     for threads in [2, 3, 8, 64] {
-        let many = pipeline(scale, seed).threads(threads).run().unwrap();
+        let (many, _, _) = pipeline(scale, seed).threads(threads).run().unwrap();
         assert_eq!(
             many.input(),
             one.input(),
@@ -113,18 +114,15 @@ fn thread_counts_agree_with_each_other_bitwise() {
 
 #[test]
 fn streaming_memory_is_bounded_by_shard_size() {
-    let (study, stats) = pipeline(0.006, 7)
-        .threads(4)
-        .run_streaming_with_stats()
-        .unwrap();
-    assert_eq!(stats.shards, study.input().topology.systems.len());
+    let (study, stats, health) = pipeline(0.006, 7).threads(4).run().unwrap();
+    assert_eq!(health.shards_total, study.input().topology.systems.len());
     assert!(
-        stats.shards > 8,
+        health.shards_total > 8,
         "grid scale should give a multi-shard fleet"
     );
     assert!(
-        stats.chunks > 0 && stats.chunks <= stats.shards,
-        "{stats:?}"
+        health.chunks_total > 0 && health.chunks_total <= health.shards_total,
+        "{health:?}"
     );
     assert!(stats.max_shard_bytes > 0 && stats.total_bytes > stats.max_shard_bytes);
     // The bounded-memory claim: the biggest corpus buffer any worker held
@@ -138,12 +136,12 @@ fn streaming_memory_is_bounded_by_shard_size() {
         stats.total_bytes
     );
     // And it holds when whole-fleet chunking forces a single work unit.
-    let (_, one_chunk) = pipeline(0.006, 7)
+    let (_, one_chunk, one_chunk_health) = pipeline(0.006, 7)
         .threads(4)
         .chunk_systems(100_000)
-        .run_streaming_with_stats()
+        .run()
         .unwrap();
-    assert_eq!(one_chunk.chunks, 1, "{one_chunk:?}");
+    assert_eq!(one_chunk_health.chunks_total, 1, "{one_chunk_health:?}");
     assert!(
         one_chunk.max_shard_bytes * 4 < one_chunk.total_bytes,
         "single-chunk peak {} bytes vs total {} bytes",
@@ -155,12 +153,12 @@ fn streaming_memory_is_bounded_by_shard_size() {
 #[test]
 fn full_cascade_style_is_also_differential() {
     let (scale, seed) = GRID[0];
-    let reference = pipeline(scale, seed)
+    let (reference, _, _) = pipeline(scale, seed)
         .cascade_style(CascadeStyle::Full)
         .run_monolithic()
         .unwrap();
     for threads in THREADS {
-        let streamed = pipeline(scale, seed)
+        let (streamed, _, _) = pipeline(scale, seed)
             .cascade_style(CascadeStyle::Full)
             .threads(threads)
             .run()

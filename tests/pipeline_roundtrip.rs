@@ -29,8 +29,8 @@ fn classifier_matches_ground_truth_through_full_cascades() {
 fn compact_and_full_corpora_classify_identically() {
     let p_full = pipeline().cascade_style(CascadeStyle::Full);
     let p_compact = pipeline().cascade_style(CascadeStyle::RaidOnly);
-    let a = p_full.run().expect("full pipeline");
-    let b = p_compact.run().expect("compact pipeline");
+    let (a, _, _) = p_full.run().expect("full pipeline");
+    let (b, _, _) = p_compact.run().expect("compact pipeline");
     assert_eq!(a.input().failures, b.input().failures);
     assert_eq!(a.input().lifetimes.len(), b.input().lifetimes.len());
 }
@@ -68,11 +68,11 @@ fn disk_year_accounting_matches_ground_truth() {
 
 #[test]
 fn pipeline_is_deterministic_and_seed_sensitive() {
-    let a = pipeline().run().expect("run a");
-    let b = pipeline().run().expect("run b");
+    let (a, _, _) = pipeline().run().expect("run a");
+    let (b, _, _) = pipeline().run().expect("run b");
     assert_eq!(a.input().failures, b.input().failures);
 
-    let c = ssfa::Pipeline::new()
+    let (c, _, _) = ssfa::Pipeline::new()
         .scale(0.003)
         .seed(1235)
         .run()
@@ -86,7 +86,7 @@ fn pipeline_is_deterministic_and_seed_sensitive() {
 
 #[test]
 fn every_failure_record_references_valid_topology() {
-    let study = pipeline().run().expect("pipeline");
+    let (study, _, _) = pipeline().run().expect("pipeline");
     let input = study.input();
     for rec in &input.failures {
         assert!(input.topology.systems.contains_key(&rec.system));
@@ -104,7 +104,7 @@ fn every_failure_record_references_valid_topology() {
 
 #[test]
 fn table1_composition_tracks_fleet_scale() {
-    let study = pipeline().run().expect("pipeline");
+    let (study, _, _) = pipeline().run().expect("pipeline");
     let rows = study.table1();
     // Low-end systems are by far the most numerous class (paper Table 1).
     let by_class: std::collections::HashMap<_, _> = rows.iter().map(|r| (r.class, r)).collect();
