@@ -238,7 +238,7 @@ mod tests {
     use ssfa_logs::Topology;
     use ssfa_model::{
         DeviceAddr, DiskInstanceId, DiskModelId, FailureRecord, LayoutPolicy, LoopId, PathConfig,
-        RaidGroupId, ShelfId, ShelfModel, SlotAddr, SystemClass, SystemId,
+        RaidGroupId, ShelfId, ShelfModel, SystemClass, SystemId,
     };
 
     /// Builds a minimal AnalysisInput: `n_groups` RAID4 groups in service
@@ -262,10 +262,6 @@ mod tests {
                 RaidGroupMeta {
                     system: SystemId(0),
                     raid_type: RaidType::Raid4,
-                    slots: vec![SlotAddr {
-                        shelf: ShelfId(0),
-                        bay: 0,
-                    }],
                 },
             );
         }

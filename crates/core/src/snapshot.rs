@@ -2,8 +2,11 @@
 //! the incremental analysis state.
 //!
 //! A snapshot is a versioned little-endian byte image of the fold's
-//! accumulator (`AnalysisInput` topology maps, lifetimes, failures) plus
-//! its partial count. The encoding is *canonical*: the same fold state
+//! accumulator (the `AnalysisInput` system, shelf and RAID-group maps,
+//! lifetimes, failures) plus its partial count. Every record has a fixed
+//! width, so a snapshot's size is linear in the records the analysis
+//! reads; the classifier's device → slot → RAID-group placement index
+//! never reaches the fold. The encoding is *canonical*: the same fold state
 //! always serializes to identical bytes (`BTreeMap`s iterate in key
 //! order; vectors are written in their current append order, which the
 //! fold re-establishes deterministically), so checkpoint equality can be
@@ -39,7 +42,7 @@ use crate::study::StudyFold;
 
 /// The snapshot schema version this build writes and reads. Bump it on
 /// any layout change — old snapshots are refused, never reinterpreted.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Errors from [`StudyFold::from_snapshot`], each with a pinned
 /// `Display` rendering (the negative-path suite asserts exact messages).
@@ -218,10 +221,6 @@ fn put_shelf_meta(out: &mut Vec<u8>, m: &ShelfMeta) {
 fn put_raid_group_meta(out: &mut Vec<u8>, m: &RaidGroupMeta) {
     put_u32(out, m.system.0);
     put_raid_type(out, m.raid_type);
-    put_len(out, m.slots.len());
-    for &slot in &m.slots {
-        put_slot(out, slot);
-    }
 }
 
 fn put_lifetime(out: &mut Vec<u8>, lt: &DiskLifetime) {
@@ -372,17 +371,9 @@ impl<'a> Reader<'a> {
     }
 
     fn raid_group_meta(&mut self) -> Result<RaidGroupMeta, SnapshotError> {
-        let system = SystemId(self.u32("raid group system")?);
-        let raid_type = self.variant("raid type", &RaidType::ALL)?;
-        let n = self.len("raid group slot count")?;
-        let mut slots = Vec::new();
-        for _ in 0..n {
-            slots.push(self.slot("raid group slot")?);
-        }
         Ok(RaidGroupMeta {
-            system,
-            raid_type,
-            slots,
+            system: SystemId(self.u32("raid group system")?),
+            raid_type: self.variant("raid type", &RaidType::ALL)?,
         })
     }
 
@@ -435,17 +426,6 @@ pub(crate) fn encode(acc: &AnalysisInput, partials: usize) -> Vec<u8> {
         put_u32(&mut out, id.0);
         put_raid_group_meta(&mut out, meta);
     }
-    put_len(&mut out, acc.topology.slot_to_group.len());
-    for (&slot, &group) in &acc.topology.slot_to_group {
-        put_slot(&mut out, slot);
-        put_u32(&mut out, group.0);
-    }
-    put_len(&mut out, acc.topology.device_to_slot.len());
-    for (&(system, device), &slot) in &acc.topology.device_to_slot {
-        put_u32(&mut out, system.0);
-        put_device(&mut out, device);
-        put_slot(&mut out, slot);
-    }
 
     put_len(&mut out, acc.lifetimes.len());
     for lt in &acc.lifetimes {
@@ -481,19 +461,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(AnalysisInput, usize), SnapshotErr
     for _ in 0..n {
         let id = RaidGroupId(r.u32("raid group id")?);
         topology.raid_groups.insert(id, r.raid_group_meta()?);
-    }
-    let n = r.len("slot map count")?;
-    for _ in 0..n {
-        let slot = r.slot("slot map slot")?;
-        let group = RaidGroupId(r.u32("slot map group")?);
-        topology.slot_to_group.insert(slot, group);
-    }
-    let n = r.len("device map count")?;
-    for _ in 0..n {
-        let system = SystemId(r.u32("device map system")?);
-        let device = r.device("device map device")?;
-        let slot = r.slot("device map slot")?;
-        topology.device_to_slot.insert((system, device), slot);
     }
 
     let n = r.len("lifetime count")?;
@@ -597,12 +564,44 @@ mod tests {
     #[test]
     fn version_mismatch_is_refused_with_pinned_display() {
         let mut image = sample_fold().to_snapshot();
-        image[0..4].copy_from_slice(&2u32.to_le_bytes());
+        image[0..4].copy_from_slice(&1u32.to_le_bytes());
         let err = StudyFold::from_snapshot(&image).unwrap_err();
-        assert_eq!(err, SnapshotError::UnsupportedVersion { found: 2 });
+        assert_eq!(err, SnapshotError::UnsupportedVersion { found: 1 });
         assert_eq!(
             err.to_string(),
-            "unsupported snapshot version 2 (this build reads version 1)"
+            "unsupported snapshot version 1 (this build reads version 2)"
+        );
+    }
+
+    /// The fold holds only what the analysis reads, each record at a
+    /// fixed width: any per-device or per-slot state would add bytes
+    /// this sum does not account for.
+    #[test]
+    fn snapshot_length_is_fixed_width_per_record() {
+        let fold = sample_fold();
+        let acc = fold.acc_ref();
+        // Version and partial count, then five u64 length prefixes.
+        let header = 4 + 8 + 5 * 8;
+        // id + class, disk model (family, capacity), shelf model, paths,
+        // layout, install time.
+        let system = 4 + 1 + 5 + 1 + 1 + 1 + 8;
+        // id + system, model, loop, bays.
+        let shelf = 4 + 4 + 1 + 4 + 1;
+        // id + system, RAID type.
+        let raid_group = 4 + 4 + 1;
+        // disk, model, slot, system, RAID group, install, removal, flag.
+        let lifetime = 8 + 5 + 5 + 4 + 4 + 8 + 8 + 1;
+        // time, type, disk, system, shelf, RAID group, loop, device.
+        let failure = 8 + 1 + 8 + 4 + 4 + 4 + 4 + 2;
+        assert!(!acc.failures.is_empty(), "fixture must carry failures");
+        assert_eq!(
+            fold.to_snapshot().len(),
+            header
+                + system * acc.topology.systems.len()
+                + shelf * acc.topology.shelves.len()
+                + raid_group * acc.topology.raid_groups.len()
+                + lifetime * acc.lifetimes.len()
+                + failure * acc.failures.len()
         );
     }
 

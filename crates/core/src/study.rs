@@ -77,15 +77,15 @@ pub struct Study {
     input: AnalysisInput,
 }
 
-/// Incremental form of [`Study::from_partials`]: push per-shard (or
-/// per-chunk) [`AnalysisInput`] partials one at a time — in shard order —
-/// and finish into a [`Study`].
+/// The one way per-shard (or per-chunk) [`AnalysisInput`] partials
+/// combine: push them one at a time — in shard order — and finish into a
+/// [`Study`].
 ///
 /// The fold absorbs each partial as it arrives (topology maps union,
 /// lifetimes/failures append) and re-establishes canonical order exactly
-/// once at [`StudyFold::finish`], so the result is bit-identical to
-/// buffering every partial and calling [`Study::from_partials`] — without
-/// ever holding more than the running accumulator. The streaming
+/// once at [`StudyFold::finish`], never holding more than the running
+/// accumulator. For the shards of one fleet history the result is
+/// bit-identical to classifying the monolithic corpus. The streaming
 /// pipeline's engine folds every chunk's partial into one of these.
 #[derive(Debug, Clone, Default)]
 pub struct StudyFold {
@@ -94,8 +94,7 @@ pub struct StudyFold {
 }
 
 impl StudyFold {
-    /// An empty fold. Finishing it immediately yields the empty study
-    /// that [`Study::from_partials`]`([])` produces.
+    /// An empty fold. Finishing it immediately yields the empty study.
     pub fn new() -> StudyFold {
         StudyFold::default()
     }
@@ -154,18 +153,6 @@ impl Study {
     /// [`ssfa_logs::classify()`]).
     pub fn new(input: AnalysisInput) -> Study {
         Study { input }
-    }
-
-    /// Assembles a study from per-shard partial inputs, as produced by
-    /// classifying each system's log shard independently (in shard
-    /// order). Exact, not approximate: for shards of one fleet history
-    /// this yields the same study as classifying the monolithic corpus.
-    ///
-    /// For incremental assembly — folding partials in as they arrive
-    /// instead of buffering them — use [`StudyFold`], which is
-    /// bit-identical to this batched form.
-    pub fn from_partials(partials: impl IntoIterator<Item = AnalysisInput>) -> Study {
-        Study::new(AnalysisInput::merge(partials))
     }
 
     /// The underlying input.

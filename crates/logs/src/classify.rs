@@ -8,7 +8,6 @@
 //! tag each storage subsystem failure with its type (paper §2.5).
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::BufRead;
 
 use ssfa_model::{
     DeviceAddr, DiskInstanceId, DiskModelId, FailureRecord, FailureType, LayoutPolicy, LoopId,
@@ -112,8 +111,6 @@ pub struct RaidGroupMeta {
     pub system: SystemId,
     /// RAID level.
     pub raid_type: RaidType,
-    /// Member slots.
-    pub slots: Vec<SlotAddr>,
 }
 
 /// The fleet topology as recovered from configuration records.
@@ -130,16 +127,35 @@ pub struct Topology {
     pub shelves: BTreeMap<ShelfId, ShelfMeta>,
     /// RAID groups by id.
     pub raid_groups: BTreeMap<RaidGroupId, RaidGroupMeta>,
-    /// Slot → RAID group membership.
-    pub slot_to_group: BTreeMap<SlotAddr, RaidGroupId>,
-    /// (system, device address) → slot.
-    pub device_to_slot: BTreeMap<(SystemId, DeviceAddr), SlotAddr>,
 }
 
-impl Topology {
+/// The classifier's placement index: device → slot → RAID group, the
+/// lookups that place each RAID-layer event in its subsystem (paper
+/// §2.5). Only classification reads it, so it lives and dies with the
+/// [`Classifier`] and never reaches an [`AnalysisInput`].
+#[derive(Debug, Default)]
+struct Placement {
+    /// Slot → RAID group membership.
+    slot_to_group: BTreeMap<SlotAddr, RaidGroupId>,
+    /// (system, device address) → slot.
+    device_to_slot: BTreeMap<(SystemId, DeviceAddr), SlotAddr>,
+}
+
+impl Placement {
+    /// The RAID group a slot belongs to.
+    fn group_of(&self, slot: SlotAddr) -> Result<RaidGroupId, LogError> {
+        self.slot_to_group
+            .get(&slot)
+            .copied()
+            .ok_or_else(|| LogError::MissingTopology {
+                what: format!("raid group of {slot}"),
+            })
+    }
+
     /// Resolves the placement of a device within a system.
     fn resolve(
         &self,
+        shelves: &BTreeMap<ShelfId, ShelfMeta>,
         host: SystemId,
         device: DeviceAddr,
     ) -> Result<(SlotAddr, RaidGroupId, LoopId), LogError> {
@@ -150,14 +166,8 @@ impl Topology {
                 .ok_or_else(|| LogError::MissingTopology {
                     what: format!("device {device} on sys-{}", host.0),
                 })?;
-        let rg = *self
-            .slot_to_group
-            .get(&slot)
-            .ok_or_else(|| LogError::MissingTopology {
-                what: format!("raid group of {slot}"),
-            })?;
-        let shelf = self
-            .shelves
+        let rg = self.group_of(slot)?;
+        let shelf = shelves
             .get(&slot.shelf)
             .ok_or_else(|| LogError::MissingTopology {
                 what: format!("shelf {}", slot.shelf),
@@ -221,9 +231,8 @@ impl AnalysisInput {
 
     /// Re-establishes canonical ordering after construction or merging.
     ///
-    /// Idempotent; [`AnalysisInput::merge`] calls it once after folding,
-    /// and incremental folds ([`AnalysisInput::absorb`]) must call it once
-    /// at the end to match `merge` bit for bit.
+    /// Idempotent; a fold of partials ([`AnalysisInput::absorb`]) calls it
+    /// once at the end.
     pub fn canonicalize(&mut self) {
         // Both sorts are stable. Failure keys can tie (one disk, two RAID
         // events in the same scrub hour), but tied records always come
@@ -240,40 +249,18 @@ impl AnalysisInput {
 
     /// Folds one partial into this accumulator *without* re-establishing
     /// canonical order: topology maps union, lifetimes and failures
-    /// append. This is the incremental half of [`AnalysisInput::merge`] —
-    /// absorb each partial as it arrives (in shard order), then call
-    /// [`AnalysisInput::canonicalize`] once at the end, and the result is
-    /// bit-identical to a single batched `merge` of the same partials.
+    /// append. Absorb each partial as it arrives (in shard order), then
+    /// call [`AnalysisInput::canonicalize`] once at the end; for shards
+    /// produced by [`crate::shard::render_system_log`], the result is
+    /// bit-identical to classifying the monolithic corpus.
     pub fn absorb(&mut self, partial: AnalysisInput) {
         self.topology.systems.extend(partial.topology.systems);
         self.topology.shelves.extend(partial.topology.shelves);
         self.topology
             .raid_groups
             .extend(partial.topology.raid_groups);
-        self.topology
-            .slot_to_group
-            .extend(partial.topology.slot_to_group);
-        self.topology
-            .device_to_slot
-            .extend(partial.topology.device_to_slot);
         self.lifetimes.extend(partial.lifetimes);
         self.failures.extend(partial.failures);
-    }
-
-    /// Merges per-shard partial inputs (in shard order) into the input the
-    /// monolithic corpus would have produced.
-    ///
-    /// Topology maps union; lifetimes and failures concatenate and return
-    /// to canonical order. Merging is exact, not approximate: for shards
-    /// produced by [`crate::shard::render_system_log`], the result is
-    /// bit-identical to classifying the monolithic corpus.
-    pub fn merge(partials: impl IntoIterator<Item = AnalysisInput>) -> AnalysisInput {
-        let mut merged = AnalysisInput::default();
-        for partial in partials {
-            merged.absorb(partial);
-        }
-        merged.canonicalize();
-        merged
     }
 }
 
@@ -296,42 +283,22 @@ pub fn classify(book: &LogBook) -> Result<AnalysisInput, LogError> {
     classifier.finish()
 }
 
-/// [`classify`] under an explicit [`Strictness`] policy, returning the
-/// data-quality tally alongside the recovered input.
-///
-/// With [`Strictness::Strict`] this is exactly [`classify`] (and the
-/// returned [`ShardHealth`] is clean whenever it returns `Ok`); with
-/// [`Strictness::Lenient`] bad lines are skipped and counted instead of
-/// aborting.
-///
-/// # Errors
-///
-/// In strict mode, the first [`LogError`] of any kind; in lenient mode,
-/// only [`LogError::Io`].
-pub fn classify_with(
-    book: &LogBook,
-    strictness: Strictness,
-) -> Result<(AnalysisInput, ShardHealth), LogError> {
-    let mut classifier = Classifier::with_strictness(strictness);
-    classifier.feed_book(book)?;
-    classifier.finish_with_health()
-}
-
 /// An incremental classifier: the state machine behind [`classify`],
 /// exposed so corpora can be processed shard by shard — or byte chunk by
 /// byte chunk — in bounded memory.
 ///
 /// Feed it complete [`LogLine`]s ([`Classifier::feed_line`] /
-/// [`Classifier::feed_book`]), raw text fragments that may split lines at
-/// arbitrary byte positions ([`Classifier::feed_bytes`]), or a whole
-/// [`BufRead`] stream ([`Classifier::feed_reader`]); then call
+/// [`Classifier::feed_book`]) or raw text fragments that may split lines
+/// at arbitrary byte positions ([`Classifier::feed_bytes`]); then call
 /// [`Classifier::finish`] for the [`AnalysisInput`]. Feeding the shards of
-/// one fleet history in any grouping produces partials whose
-/// [`AnalysisInput::merge`] is bit-identical to one classifier fed the
-/// monolithic corpus.
+/// one fleet history in any grouping produces partials whose fold
+/// ([`AnalysisInput::absorb`], then [`AnalysisInput::canonicalize`]) is
+/// bit-identical to one classifier fed the monolithic corpus.
 #[derive(Debug, Default)]
 pub struct Classifier {
     topology: Topology,
+    /// Device → slot → RAID group lookups; dropped at finish.
+    placement: Placement,
     lifetimes: Vec<DiskLifetime>,
     open: HashMap<DiskInstanceId, usize>,
     failures: Vec<FailureRecord>,
@@ -418,6 +385,7 @@ impl Classifier {
     pub fn feed_view(&mut self, line: &LogLineRef<'_>) -> Result<(), LogError> {
         let Classifier {
             topology,
+            placement,
             lifetimes,
             open,
             failures,
@@ -463,7 +431,7 @@ impl Classifier {
                 // Pre-register the device address of every bay of this shelf.
                 for bay in 0..*bays {
                     let device = DeviceAddr::new(*adapter, position * 16 + bay);
-                    topology
+                    placement
                         .device_to_slot
                         .insert((line.host, device), SlotAddr { shelf: *shelf, bay });
                 }
@@ -473,16 +441,14 @@ impl Classifier {
                 raid_type,
                 slots,
             } => {
-                let slots = slots.to_vec();
-                for slot in &slots {
-                    topology.slot_to_group.insert(*slot, *rg);
+                for slot in slots.iter() {
+                    placement.slot_to_group.insert(slot, *rg);
                 }
                 topology.raid_groups.insert(
                     *rg,
                     RaidGroupMeta {
                         system: line.host,
                         raid_type: *raid_type,
-                        slots,
                     },
                 );
             }
@@ -497,14 +463,8 @@ impl Classifier {
                         what: format!("serial {serial}"),
                     }
                 })?;
-                topology.device_to_slot.insert((line.host, *device), *slot);
-                let rg =
-                    *topology
-                        .slot_to_group
-                        .get(slot)
-                        .ok_or_else(|| LogError::MissingTopology {
-                            what: format!("raid group of {slot}"),
-                        })?;
+                placement.device_to_slot.insert((line.host, *device), *slot);
+                let rg = placement.group_of(*slot)?;
                 open.insert(disk, lifetimes.len());
                 lifetimes.push(DiskLifetime {
                     disk,
@@ -544,7 +504,8 @@ impl Classifier {
                         what: format!("serial {serial}"),
                     }
                 })?;
-                let (slot, raid_group, fc_loop) = topology.resolve(line.host, *device)?;
+                let (slot, raid_group, fc_loop) =
+                    placement.resolve(&topology.shelves, line.host, *device)?;
                 failures.push(FailureRecord {
                     detected_at: line.at,
                     failure_type,
@@ -637,25 +598,6 @@ impl Classifier {
         result
     }
 
-    /// Feeds an entire reader to exhaustion, in whatever chunk sizes the
-    /// reader's buffer yields — the streaming shard-file path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Io`] for reader failures and the
-    /// [`Classifier::feed_bytes`] errors for corpus problems.
-    pub fn feed_reader<R: BufRead>(&mut self, mut r: R) -> Result<(), LogError> {
-        loop {
-            let buf = r.fill_buf()?;
-            if buf.is_empty() {
-                return Ok(());
-            }
-            let consumed = buf.len();
-            self.feed_bytes(buf)?;
-            r.consume(consumed);
-        }
-    }
-
     /// Parses and feeds one complete raw text line (no newline).
     fn feed_raw_line(&mut self, raw: &[u8]) -> Result<(), LogError> {
         match std::str::from_utf8(raw) {
@@ -714,7 +656,8 @@ impl Classifier {
     }
 
     /// Flushes any buffered partial line, canonicalizes, and returns the
-    /// recovered [`AnalysisInput`].
+    /// recovered [`AnalysisInput`]. The placement index is dropped here:
+    /// nothing after classification reads it.
     ///
     /// # Errors
     ///
@@ -856,7 +799,7 @@ mod tests {
         assert_eq!(input.failures[1].failure_type, FailureType::Performance);
     }
 
-    /// Merging is independent of partial order even when install times
+    /// Folding is independent of partial order even when install times
     /// tie across partials: canonical order breaks the tie by disk.
     #[test]
     fn merge_breaks_install_time_ties_by_disk() {
@@ -876,8 +819,16 @@ mod tests {
             }],
             ..AnalysisInput::default()
         };
-        let forward = AnalysisInput::merge([partial(7), partial(2)]);
-        let backward = AnalysisInput::merge([partial(2), partial(7)]);
+        let fold = |disks: [u64; 2]| {
+            let mut acc = AnalysisInput::default();
+            for disk in disks {
+                acc.absorb(partial(disk));
+            }
+            acc.canonicalize();
+            acc
+        };
+        let forward = fold([7, 2]);
+        let backward = fold([2, 7]);
         assert_eq!(forward, backward);
         assert_eq!(forward.lifetimes[0].disk, DiskInstanceId(2));
     }
@@ -939,16 +890,24 @@ mod tests {
 
     #[test]
     fn shelf_records_preregister_all_bay_devices() {
-        let book: LogBook = cfg_lines().into_iter().collect();
+        // Shelf at position 1 with 2 bays: devices 8.16 and 8.17. Only bay
+        // 0 has an install record, so bay 1's device resolves through the
+        // shelf record's pre-registration alone.
+        let mut lines = cfg_lines();
+        lines.push(LogLine::new(
+            SystemId(1),
+            SimTime::from_secs(2_000_000),
+            LogEvent::RaidDiskFailed {
+                device: DeviceAddr::new(8, 17),
+                serial: DiskInstanceId(101).serial(),
+            },
+        ));
+        let book: LogBook = lines.into_iter().collect();
         let input = classify(&book).unwrap();
-        // Shelf at position 1 with 2 bays: devices 8.16 and 8.17.
-        assert!(input
-            .topology
-            .device_to_slot
-            .contains_key(&(SystemId(1), DeviceAddr::new(8, 16))));
-        assert!(input
-            .topology
-            .device_to_slot
-            .contains_key(&(SystemId(1), DeviceAddr::new(8, 17))));
+        assert_eq!(input.failures.len(), 1);
+        let failure = &input.failures[0];
+        assert_eq!(failure.shelf, ShelfId(10));
+        assert_eq!(failure.raid_group, RaidGroupId(3));
+        assert_eq!(failure.fc_loop, LoopId(5));
     }
 }

@@ -807,8 +807,7 @@ fn swappable(raw: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::{classify, Classifier, Strictness};
-    use crate::corpus::LogBook;
+    use crate::classify::{Classifier, Strictness};
     use crate::render::{render_support_log, NoiseParams};
     use crate::shard::{render_system_log, ShardPlan};
     use crate::CascadeStyle;
@@ -993,16 +992,28 @@ mod tests {
     fn orphan_rewrite_targets_an_undeclared_device() {
         let fleet = Fleet::build(&FleetConfig::paper().scaled(0.002), 3);
         let out = Simulator::default().run(&fleet, 3);
-        let book = render_support_log(&fleet, &out, CascadeStyle::RaidOnly);
-        let input = classify(&LogBook::from_text(&book.to_text()).unwrap()).unwrap();
-        assert!(
-            !input
-                .topology
-                .device_to_slot
-                .keys()
-                .any(|(_, device)| *device == ORPHAN_DEVICE),
+        let text = render_support_log(&fleet, &out, CascadeStyle::RaidOnly).to_text();
+        let mut corpus = Vec::new();
+        let mut orphaned = 0;
+        for raw in text.lines() {
+            match orphan_raid_event(raw.as_bytes()) {
+                Some(line) => {
+                    corpus.extend_from_slice(&line);
+                    orphaned += 1;
+                }
+                None => corpus.extend_from_slice(raw.as_bytes()),
+            }
+            corpus.push(b'\n');
+        }
+        assert!(orphaned > 0, "fixture must carry RAID events");
+        let mut classifier = Classifier::lenient();
+        classifier.feed_bytes(&corpus).unwrap();
+        let (input, health) = classifier.finish_with_health().unwrap();
+        assert_eq!(
+            health.missing_topology_skipped, orphaned,
             "a fleet declared the orphan device; pick a different sentinel"
         );
+        assert!(input.failures.is_empty());
     }
 
     #[test]

@@ -61,8 +61,7 @@ pub use checkpoint::{
     EpochEntry,
 };
 pub use classify::{
-    classify, classify_with, AnalysisInput, Classifier, DiskLifetime, ShardHealth, Strictness,
-    Topology,
+    classify, AnalysisInput, Classifier, DiskLifetime, ShardHealth, Strictness, Topology,
 };
 pub use corpus::{LogBook, LogError};
 pub use event::{LogEvent, LogLine, Severity};

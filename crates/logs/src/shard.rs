@@ -16,8 +16,9 @@
 //! 2. **Decomposability** — the monolithic corpus
 //!    ([`crate::render_support_log_noisy`]) is *defined* as the
 //!    chronologically merged concatenation of all shards, so per-shard
-//!    classification followed by [`crate::AnalysisInput::merge`] is
-//!    bit-identical to classifying the monolithic corpus.
+//!    classification folded with [`crate::AnalysisInput::absorb`] and
+//!    [`crate::AnalysisInput::canonicalize`] is bit-identical to
+//!    classifying the monolithic corpus.
 //!
 //! Benign noise is seeded **per disk instance** (not from one sequential
 //! stream over the whole fleet), which is what makes property 2 hold with
@@ -570,21 +571,20 @@ mod tests {
             11,
         );
         let expected = classify(&mono).unwrap();
-        let partials: Vec<_> = (0..plan.shard_count())
-            .map(|shard| {
-                let book = render_system_log(
-                    &fleet,
-                    &out,
-                    &plan,
-                    shard,
-                    CascadeStyle::RaidOnly,
-                    NoiseParams::realistic(),
-                    11,
-                );
-                classify(&book).unwrap()
-            })
-            .collect();
-        let merged = crate::AnalysisInput::merge(partials);
+        let mut merged = crate::AnalysisInput::default();
+        for shard in 0..plan.shard_count() {
+            let book = render_system_log(
+                &fleet,
+                &out,
+                &plan,
+                shard,
+                CascadeStyle::RaidOnly,
+                NoiseParams::realistic(),
+                11,
+            );
+            merged.absorb(classify(&book).unwrap());
+        }
+        merged.canonicalize();
         assert_eq!(merged, expected);
     }
 

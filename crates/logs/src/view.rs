@@ -64,9 +64,9 @@ impl<'a> SlotsRef<'a> {
         }
     }
 
-    /// Collects the members into an owned vector (the only allocation a
-    /// raid-group record costs, and only when the classifier keeps it).
-    // lint: alloc-ok the promotion boundary for kept raid-group records
+    /// Collects the members into an owned vector, for promotion to an
+    /// owned [`LogEvent::CfgRaidGroup`].
+    // lint: alloc-ok the promotion boundary for owned raid-group records
     pub fn to_vec(&self) -> Vec<SlotAddr> {
         self.iter().collect()
     }

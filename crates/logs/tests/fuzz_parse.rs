@@ -226,7 +226,6 @@ proptest! {
     fn empty_shards_are_no_ops(blank_lines in 0usize..5) {
         let mut streaming = Classifier::new();
         streaming.feed_bytes(b"").unwrap();
-        streaming.feed_reader(std::io::Cursor::new(Vec::new())).unwrap();
         for _ in 0..blank_lines {
             streaming.feed_bytes(b"\n").unwrap();
         }

@@ -307,8 +307,11 @@ impl Pipeline {
     /// [`ssfa_core::StudyFold`] snapshot after that epoch's chunks, keyed
     /// to the corpus manifest by shard range and shard-checksum digest.
     /// The checkpoint manifest is rewritten atomically (temp file + sync +
-    /// rename) after every epoch frame, so a crash at any point leaves the
-    /// previous epoch durable and nothing torn.
+    /// rename) after every epoch frame, so each epoch is published
+    /// atomically and a crash leaves nothing torn. Epochs are written only
+    /// after classification: the engine joins every worker before it
+    /// folds, so a crash during classification writes no new epoch
+    /// (`ROADMAP.md` item 1).
     ///
     /// # Errors
     ///

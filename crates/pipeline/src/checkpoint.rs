@@ -7,8 +7,11 @@
 //! in order, the sink snapshots the [`StudyFold`]
 //! ([`StudyFold::to_snapshot`]) at each epoch's last chunk and appends it
 //! to an on-disk [`CheckpointWriter`] — one `SSFC` frame per epoch,
-//! manifest rewritten atomically after each, so a crash leaves the
-//! previous epoch durable and nothing torn.
+//! manifest rewritten atomically after each, so each epoch is published
+//! atomically and a crash leaves nothing torn. The engine folds only
+//! after every worker has joined, so all epochs are written after
+//! classification: a crash during classification writes no new epoch
+//! (folding while workers run is `ROADMAP.md` item 1).
 //!
 //! [`Pipeline::run_source_checkpointed`] runs cold while writing epochs;
 //! [`Pipeline::resume_from`] restores the newest epoch whose shard

@@ -1,9 +1,9 @@
 //! The `Source` stage: where shard corpora come from.
 //!
-//! Today both shipped sources are simulator-backed — the study has no
-//! real AutoSupport archive — but the seam is exactly where a
-//! file-backed or mmap-backed corpus reader plugs in tomorrow: implement
-//! [`Source`] over your shard layout and drive it with
+//! This module holds the trait and the simulator-backed sources; the
+//! on-disk corpus readers ([`crate::FileSource`], [`crate::MmapSource`])
+//! implement the same trait. Any other shard layout plugs in the same
+//! way: implement [`Source`] over it and drive it with
 //! [`crate::Pipeline::run_source`].
 
 use std::borrow::Cow;

@@ -1,10 +1,10 @@
 //! The `Transport` stage: what representation a shard travels in between
 //! the [`crate::Source`] and the classifier.
 //!
-//! This unifies what used to be a `text_transport()` special case and an
-//! inline fault-injection branch into one seam with three shipped
-//! implementations. Transports see one shard at a time and drop it after
-//! feeding, which is what keeps peak corpus residency at one shard.
+//! The seam has three shipped implementations: [`ParsedLines`],
+//! [`TextRoundTrip`] and [`InjectedText`]. Transports see one shard at a
+//! time and drop it after feeding, which is what keeps peak corpus
+//! residency at one shard.
 //!
 //! Shards arrive as [`ShardData`] — already-parsed lines from the
 //! simulator sources, corpus text (possibly borrowed straight from an

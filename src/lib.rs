@@ -138,8 +138,7 @@ pub mod prelude {
     pub use crate::{ChunkQuarantine, RunHealth};
     pub use ssfa_core::{AfrBreakdown, FindingsReport, Scope, Study};
     pub use ssfa_logs::{
-        classify, classify_with, render_support_log, CascadeStyle, FaultSpec, LogBook, ShardHealth,
-        Strictness,
+        classify, render_support_log, CascadeStyle, FaultSpec, LogBook, ShardHealth, Strictness,
     };
     pub use ssfa_model::{
         DiskModelId, FailureType, Fleet, FleetConfig, LayoutPolicy, PathConfig, ShelfModel,

@@ -169,8 +169,8 @@ fn future_snapshot_version_is_refused_with_pinned_message() {
         .expect_err("future snapshot schema must be refused");
     assert_eq!(
         err.to_string(),
-        "checkpoint snapshot failed: unsupported snapshot version 2 \
-         (this build reads version 1)"
+        "checkpoint snapshot failed: unsupported snapshot version 3 \
+         (this build reads version 2)"
     );
 }
 

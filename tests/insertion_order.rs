@@ -10,7 +10,7 @@
 //! byte* the same, including float low-order bits.
 
 use ssfa::Pipeline;
-use ssfa_core::{Scope, Study};
+use ssfa_core::{Scope, Study, StudyFold};
 use ssfa_logs::classify::{AnalysisInput, Topology};
 use ssfa_model::SimDuration;
 
@@ -19,8 +19,9 @@ const SEED: u64 = 11;
 
 /// Rebuilds `input` with each topology map re-inserted in a permuted
 /// order, and lifetimes/failures concatenated from rotated halves (then
-/// re-canonicalized via `merge`, exactly like the sharded pipeline does).
-fn permuted(input: &AnalysisInput, rotate: usize) -> AnalysisInput {
+/// re-canonicalized by a `StudyFold`, exactly like the sharded pipeline
+/// does).
+fn permuted(input: &AnalysisInput, rotate: usize) -> Study {
     fn reinsert<K: Ord + Clone, V: Clone>(
         src: &std::collections::BTreeMap<K, V>,
         rotate: usize,
@@ -35,8 +36,6 @@ fn permuted(input: &AnalysisInput, rotate: usize) -> AnalysisInput {
         systems: reinsert(&input.topology.systems, rotate),
         shelves: reinsert(&input.topology.shelves, rotate),
         raid_groups: reinsert(&input.topology.raid_groups, rotate),
-        slot_to_group: reinsert(&input.topology.slot_to_group, rotate),
-        device_to_slot: reinsert(&input.topology.device_to_slot, rotate),
     };
     let mut lifetimes = input.lifetimes.clone();
     let mut failures = input.failures.clone();
@@ -44,12 +43,14 @@ fn permuted(input: &AnalysisInput, rotate: usize) -> AnalysisInput {
     let f_cut = failures.len() / 2;
     lifetimes.rotate_left(lt_cut);
     failures.rotate_left(f_cut);
-    // merge() restores canonical order, as it does for real shard partials.
-    AnalysisInput::merge([AnalysisInput {
+    // finish() restores canonical order, as it does for real shard partials.
+    let mut fold = StudyFold::new();
+    fold.push(AnalysisInput {
         topology,
         lifetimes,
         failures,
-    }])
+    });
+    fold.finish()
 }
 
 /// Renders every report surface whose float accumulations ride on map
@@ -98,7 +99,7 @@ fn report_is_identical_under_permuted_insertion_order() {
         "fixture must exercise the report paths"
     );
     for rotate in [1, 2, 5] {
-        let permuted_study = Study::new(permuted(study.input(), rotate));
+        let permuted_study = permuted(study.input(), rotate);
         let report = render_report(&permuted_study);
         assert_eq!(
             report, baseline,

@@ -117,3 +117,25 @@ fn table1_composition_tracks_fleet_scale() {
         assert!(row.disk_years > 0.0);
     }
 }
+
+/// Fold state must grow linearly with the corpus: doubling the fleet may
+/// at most roughly double the finished fold's snapshot. Quadratic state
+/// (or per-device state that outgrows the records) breaks the bound.
+#[test]
+fn fold_snapshot_grows_linearly_with_scale() {
+    let snapshot_len = |scale: f64| {
+        let (study, _, _) = ssfa::Pipeline::new()
+            .scale(scale)
+            .seed(1234)
+            .run()
+            .expect("pipeline");
+        let mut fold = ssfa::core::StudyFold::new();
+        fold.push(study.input().clone());
+        fold.to_snapshot().len()
+    };
+    let (small, large) = (snapshot_len(0.01), snapshot_len(0.02));
+    assert!(
+        large as f64 <= 2.2 * small as f64,
+        "fold snapshot grew {small} -> {large} bytes for a 2x corpus"
+    );
+}
