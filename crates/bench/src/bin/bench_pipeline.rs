@@ -2,7 +2,6 @@
 //!
 //! Benchmarks the end-to-end pipeline under every execution strategy —
 //! monolithic, streaming at chunk size 1, streaming with auto chunking,
-//! streaming over the text transport, and
 //! streaming over an on-disk corpus through both disk-backed sources
 //! (`corpus_file`, `corpus_mmap`; the corpus is built once outside the
 //! timed region, so these measure pure analysis with simulation and
@@ -33,9 +32,7 @@
 //!   as a `[config=<name> metric=<metric>]` prefix. The gates:
 //!   fail (exit 1) if a gated configuration's streaming/monolithic
 //!   wall-time ratio regressed by more than 25% relative to the
-//!   baseline's ratio, if the text transport runs slower than 1.2x the
-//!   parsed-lines transport *in the current run* (both sides share the
-//!   box, so no baseline is involved), if any streaming configuration's
+//!   baseline's ratio, if any streaming configuration's
 //!   peak resident corpus bytes grew at all, if a gated configuration's
 //!   allocations-per-line grew more than 10% over baseline, or if the
 //!   steady-state probe allocates at all.
@@ -61,25 +58,6 @@ use ssfa::Pipeline;
 /// Wall-time regression tolerance on the streaming/monolithic ratio.
 const WALL_RATIO_TOLERANCE: f64 = 1.25;
 
-/// Hard ceiling on `streaming_auto_text` / `streaming_auto` wall time in
-/// the *current* run: the text transport serializes and re-parses every
-/// shard on top of the work the parsed transport does. Both sides run
-/// interleaved on the same box, so the ratio needs no baseline to be
-/// machine-independent — but it is NOT core-count-independent: with
-/// workers to spread over, the round-trip overhead hides behind
-/// parallelism and the ratio sits near 1.2; on a single-core runner the
-/// render+re-parse fully serializes against the shared simulate/classify
-/// work and floors near 1.4. The ceiling covers the serialized
-/// worst case; [`TEXT_RATIO_TOLERANCE`] tracks the blessed baseline's
-/// (machine-specific) ratio much more tightly.
-const TEXT_OVER_PARSED_LIMIT: f64 = 1.6;
-
-/// Relative tolerance on the text/parsed wall ratio against the blessed
-/// baseline's ratio: the tight, machine-calibrated half of the text gate
-/// (the absolute [`TEXT_OVER_PARSED_LIMIT`] is the floor-independent
-/// half; the lower of the two bounds wins).
-const TEXT_RATIO_TOLERANCE: f64 = 1.15;
-
 /// Allocations-per-line regression tolerance (relative to baseline, plus
 /// a half-allocation absolute slack so tiny counts don't flap).
 const ALLOCS_TOLERANCE: f64 = 1.1;
@@ -94,10 +72,9 @@ const GATED_REFERENCE: &str = "monolithic";
 
 /// Configurations whose peak resident corpus bytes are gated absolutely
 /// (peak residency is deterministic for a given `(scale, seed)`).
-const GATED_PEAK: [&str; 5] = [
+const GATED_PEAK: [&str; 4] = [
     "streaming_chunk1",
     "streaming_auto",
-    "streaming_auto_text",
     "corpus_file",
     "corpus_mmap",
 ];
@@ -365,7 +342,6 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
     let p_resume = base.clone().epoch_chunks(1);
     let resume_stage = ResumeStageGuard::build(&p_resume, &corpus_dir.0);
     let corpus_resume = ssfa::FileSource::open(&corpus_dir.0).expect("bench corpus opens");
-    let p_text = base.text_transport();
 
     type Runner<'a> = Box<dyn FnMut() -> Counters + 'a>;
     let mut configs: Vec<(&'static str, bool, Runner)> = vec![
@@ -391,15 +367,6 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
             true,
             Box::new(move || {
                 let (study, stats, health) = p_auto.run().unwrap();
-                std::hint::black_box(study);
-                stream_counters(stats, &health)
-            }),
-        ),
-        (
-            "streaming_auto_text",
-            true,
-            Box::new(move || {
-                let (study, stats, health) = p_text.run().unwrap();
                 std::hint::black_box(study);
                 stream_counters(stats, &health)
             }),
@@ -571,27 +538,6 @@ fn check_against_baseline(
         }
     }
 
-    // The text/parsed contract: the serialize-and-re-parse transport must
-    // stay close to feeding parsed lines. Two bounds, the lower wins:
-    // an absolute ceiling (TEXT_OVER_PARSED_LIMIT, covers the serialized
-    // single-core floor without a baseline) and a relative bound tracking
-    // the blessed baseline's own ratio (TEXT_RATIO_TOLERANCE, tight on the
-    // machine the baseline was blessed on). Ratios are compared
-    // ratio-to-ratio, so machine speed cancels out of the relative half.
-    let text_ratio = result_for(results, "streaming_auto_text").wall_ms
-        / result_for(results, "streaming_auto").wall_ms;
-    let baseline_text_ratio = baseline_number(baseline, "streaming_auto_text", "wall_ms")?
-        / baseline_number(baseline, "streaming_auto", "wall_ms")?;
-    let text_limit = TEXT_OVER_PARSED_LIMIT.min(baseline_text_ratio * TEXT_RATIO_TOLERANCE);
-    if text_ratio > text_limit {
-        violations.push(format!(
-            "[config=streaming_auto_text metric=wall_ms] text-transport regression: \
-             streaming_auto_text/streaming_auto ratio {text_ratio:.3} exceeds \
-             min(hard limit {TEXT_OVER_PARSED_LIMIT}, baseline {baseline_text_ratio:.3} x \
-             {TEXT_RATIO_TOLERANCE}) = {text_limit:.3}"
-        ));
-    }
-
     // Memory gate: peak resident corpus bytes on every streaming config
     // are deterministic for the bench (scale, seed) — any growth fails.
     for config in GATED_PEAK {
@@ -735,11 +681,6 @@ mod tests {
       "peak_bytes": 20000
     },
     {
-      "name": "streaming_auto_text",
-      "wall_ms": 24.000,
-      "peak_bytes": 23000
-    },
-    {
       "name": "corpus_file",
       "wall_ms": 18.000,
       "peak_bytes": 20000,
@@ -777,7 +718,6 @@ mod tests {
             result("monolithic", 20.0, 1_000_000),
             result("streaming_chunk1", 30.0, 20_000),
             result("streaming_auto", auto_wall, auto_peak),
-            result("streaming_auto_text", 24.0, 23_000),
             result("corpus_file", 18.0, 20_000),
             result("corpus_mmap", 16.0, 20_000),
         ]
@@ -830,8 +770,8 @@ mod tests {
             20.0
         );
         assert_eq!(
-            baseline_number(&json, "streaming_auto_text", "peak_bytes").unwrap(),
-            23_000.0
+            baseline_number(&json, "streaming_chunk1", "peak_bytes").unwrap(),
+            20_000.0
         );
         assert_eq!(
             baseline_number(&json, "corpus_file", "allocs_per_line").unwrap(),
@@ -844,68 +784,20 @@ mod tests {
     fn gate_passes_at_parity_and_within_tolerance() {
         // Identical ratio: pass.
         assert!(check(&sample_results(21.0, 20_000)).is_empty());
-        // 11% slower streaming_auto: inside the 25% band, and the text
-        // ratio 24/23.3 stays under the baseline-relative text bound
-        // (24/21 x 1.15 = 1.314).
+        // 11% slower streaming_auto: inside the 25% band.
         assert!(check(&sample_results(23.3, 20_000)).is_empty());
     }
 
     #[test]
     fn gate_fails_on_synthetic_2x_slowdown() {
-        // streaming_auto at 2x trips its baseline ratio gate; the text
-        // config rides along because its hard ratio is measured against
-        // the now-slow streaming_auto, so exclude it from the count by
-        // slowing text equally.
-        let mut results = sample_results(42.0, 20_000);
-        results
-            .iter_mut()
-            .find(|r| r.name == "streaming_auto_text")
-            .unwrap()
-            .wall_ms = 48.0;
-        let violations = check(&results);
+        // streaming_auto at 2x trips its baseline ratio gate.
+        let violations = check(&sample_results(42.0, 20_000));
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
             violations[0].contains("[config=streaming_auto metric=wall_ms]")
                 && violations[0].contains("wall-time regression"),
             "{violations:?}"
         );
-    }
-
-    #[test]
-    fn gate_fails_when_text_transport_exceeds_the_baseline_relative_bound() {
-        // Baseline ratio 24/21 = 1.143, x 1.15 = 1.314 — below the 1.6
-        // ceiling, so the relative half binds. 30/21 = 1.429 trips it.
-        let violations = check(&sample_results_with("streaming_auto_text", 30.0, 23_000));
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(
-            violations[0].contains("[config=streaming_auto_text metric=wall_ms]")
-                && violations[0].contains("text-transport regression"),
-            "{violations:?}"
-        );
-        // 26/21 = 1.238 would have tripped the old fixed 1.2 limit but is
-        // inside the relative bound: pass.
-        assert!(check(&sample_results_with("streaming_auto_text", 26.0, 23_000)).is_empty());
-    }
-
-    #[test]
-    fn gate_caps_the_text_transport_at_the_absolute_ceiling() {
-        // A baseline blessed with a bad ratio (32/21 = 1.524, x 1.15 =
-        // 1.752) cannot loosen the gate past the 1.6 absolute ceiling.
-        let loose_baseline = SAMPLE.replace("24.000", "32.000");
-        let results = sample_results_with("streaming_auto_text", 35.0, 23_000);
-        let violations = check_against_baseline(&results, 0, &loose_baseline).unwrap();
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(
-            violations[0].contains("text-transport regression")
-                && violations[0].contains("hard limit 1.6"),
-            "{violations:?}"
-        );
-        // 33/21 = 1.571 is under the ceiling and under the (capped)
-        // relative bound: pass.
-        let results = sample_results_with("streaming_auto_text", 33.0, 23_000);
-        assert!(check_against_baseline(&results, 0, &loose_baseline)
-            .unwrap()
-            .is_empty());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct Edit {
 const NOFIX_RULES: [&str; 2] = ["unused-allow", "contract-sync"];
 
 /// Plans the suppression edits for `findings`. Diagnostics without a
-/// source line and [`NOFIX_RULES`] findings are skipped — deleting or
+/// source line and `NOFIX_RULES` findings are skipped — deleting or
 /// rewriting config is not the fixer's call.
 pub fn plan(root: &Path, findings: &[Diagnostic]) -> std::io::Result<Vec<Edit>> {
     let mut edits = Vec::new();

@@ -15,7 +15,7 @@ use ssfa_model::{
     SystemId,
 };
 
-use crate::corpus::{LogBook, LogError};
+use crate::corpus::{is_blank_line, LogBook, LogError};
 use crate::event::LogLine;
 use crate::view::{EventRef, LogLineRef};
 
@@ -616,7 +616,7 @@ impl Classifier {
     /// Parses and feeds one complete, already-validated text line.
     fn feed_str_line(&mut self, raw: &str) -> Result<(), LogError> {
         self.line_no += 1;
-        if raw.bytes().all(|b| b.is_ascii_whitespace()) {
+        if is_blank_line(raw.as_bytes()) {
             return Ok(());
         }
         self.health.lines_seen += 1;

@@ -27,6 +27,15 @@ pub enum LogError {
     Io(io::Error),
 }
 
+/// Whether a raw line (no newline) is blank: empty or all ASCII
+/// whitespace. Blank lines are not log lines — every reader skips them
+/// without counting or parsing them. The rule is ASCII-only because the
+/// classifier splits on `\n` and never trims Unicode whitespace, so a
+/// line holding only, say, U+00A0 is a malformed line, not a blank one.
+pub fn is_blank_line(raw: &[u8]) -> bool {
+    raw.iter().all(u8::is_ascii_whitespace)
+}
+
 /// How many characters of an offending line a [`LogError::Malformed`]
 /// preserves. A corrupted corpus can contain arbitrarily long garbage
 /// lines; capping the preview keeps error messages from flooding
@@ -190,8 +199,8 @@ impl LogBook {
         self.lines.iter().map(LogLine::resident_bytes).sum()
     }
 
-    /// Parses a corpus from text. Blank lines are skipped; anything else
-    /// that fails to parse is an error.
+    /// Parses a corpus from text. Blank lines (see [`is_blank_line`]) are
+    /// skipped; anything else that fails to parse is an error.
     ///
     /// # Errors
     ///
@@ -199,7 +208,7 @@ impl LogBook {
     pub fn from_text(text: &str) -> Result<LogBook, LogError> {
         let mut book = LogBook::new();
         for (idx, raw) in text.lines().enumerate() {
-            if raw.trim().is_empty() {
+            if is_blank_line(raw.as_bytes()) {
                 continue;
             }
             match LogLine::parse(raw) {
@@ -239,7 +248,7 @@ impl LogBook {
         let mut book = LogBook::new();
         for (idx, raw) in r.lines().enumerate() {
             let raw = raw?;
-            if raw.trim().is_empty() {
+            if is_blank_line(raw.as_bytes()) {
                 continue;
             }
             match LogLine::parse(&raw) {

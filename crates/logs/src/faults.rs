@@ -40,6 +40,7 @@ use rand::{Rng, SeedableRng};
 use ssfa_model::DeviceAddr;
 use ssfa_sim::rng::derive;
 
+use crate::corpus::is_blank_line;
 use crate::event::{LogEvent, LogLine};
 
 /// Domain separator folded into the fault seed so corruption streams never
@@ -707,16 +708,11 @@ fn corruptible(raw: &[u8]) -> bool {
     }
 }
 
-/// Whether a line is blank once trimmed — blank lines are silently skipped
-/// by the classifier, so a mutation must never produce one.
-fn is_blank(raw: &[u8]) -> bool {
-    raw.iter().all(u8::is_ascii_whitespace)
-}
-
 /// A mutated line "lands" when it is non-blank and no longer parses —
-/// guaranteeing exactly one `Malformed` skip in the lenient classifier.
+/// guaranteeing exactly one `Malformed` skip in the lenient classifier,
+/// which skips blank lines silently.
 fn lands_as_malformed(raw: &[u8]) -> bool {
-    !is_blank(raw) && parse_line(raw).is_none()
+    !is_blank_line(raw) && parse_line(raw).is_none()
 }
 
 /// Flips one random bit so the line no longer parses. Returns `false` if

@@ -63,7 +63,7 @@ pub use checkpoint::{
 pub use classify::{
     classify, AnalysisInput, Classifier, DiskLifetime, ShardHealth, Strictness, Topology,
 };
-pub use corpus::{LogBook, LogError};
+pub use corpus::{is_blank_line, LogBook, LogError};
 pub use event::{LogEvent, LogLine, Severity};
 pub use faults::{
     FaultInjector, FaultLedger, FaultSpec, ShardFate, WireAction, WireFaultInjector,

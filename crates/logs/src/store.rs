@@ -813,12 +813,17 @@ impl CorpusReader {
     }
 
     /// Reads, integrity-checks, and returns one shard's corpus text via
-    /// buffered positioned reads — the `FileSource` read path.
+    /// buffered positioned reads — the `FileSource` read path. The frame
+    /// is verified once, by [`CorpusReader::read_shard_frame`], and its
+    /// buffer becomes the returned `String` with the header stripped in
+    /// place, so the payload is neither hashed nor copied twice.
     ///
     /// # Errors
     ///
     /// [`CorpusError::Frame`] when the frame is corrupt (truncation, bad
-    /// magic/version, checksum mismatch),
+    /// magic/version, checksum mismatch, a payload that is not UTF-8 —
+    /// the same [`FrameError::PayloadNotUtf8`] offset
+    /// [`frame::decode_frame_text`] reports),
     /// [`CorpusError::DigestMismatch`] / [`CorpusError::EntryMismatch`]
     /// when the frame disagrees with the manifest, [`CorpusError::Io`] on
     /// filesystem errors.
@@ -827,14 +832,15 @@ impl CorpusReader {
     ///
     /// Panics if `shard` is out of range.
     pub fn read_shard_text(&self, shard: usize) -> Result<String, CorpusError> {
-        let bytes = self.read_shard_frame(shard)?;
-        let framed = |source| CorpusError::Frame {
+        let mut bytes = self.read_shard_frame(shard)?;
+        bytes.drain(..HEADER_LEN);
+        String::from_utf8(bytes).map_err(|e| CorpusError::Frame {
             shard,
             segment: self.manifest.shards[shard].segment,
-            source,
-        };
-        let (_, text) = frame::decode_frame_text(&bytes).map_err(framed)?;
-        Ok(text.to_owned())
+            source: FrameError::PayloadNotUtf8 {
+                at: e.utf8_error().valid_up_to(),
+            },
+        })
     }
 
     /// Reads and integrity-checks one shard's *encoded frame* — header and

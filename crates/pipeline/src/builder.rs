@@ -7,7 +7,7 @@ use std::path::Path;
 
 use ssfa_core::{SnapshotError, Study, StudyFold, SNAPSHOT_VERSION};
 use ssfa_logs::checkpoint::{CheckpointReader, CheckpointWriter, CHECKPOINT_NAME};
-use ssfa_logs::{CascadeStyle, FaultSpec, Strictness};
+use ssfa_logs::{CascadeStyle, FaultInjector, FaultSpec, Strictness};
 use ssfa_model::{Fleet, FleetConfig, LayoutPolicy};
 use ssfa_sim::{Calibration, SimOutput, Simulator};
 
@@ -17,7 +17,6 @@ use crate::exec::Engine;
 use crate::health::{RunHealth, StreamStats};
 use crate::plan::ChunkPolicy;
 use crate::source::{MonolithicSource, SimSource, Source};
-use crate::transport::{InjectedText, ParsedLines, TextRoundTrip, Transport};
 
 /// The end-to-end pipeline: fleet → simulation → support log → classified
 /// analysis input → [`ssfa_core::Study`].
@@ -33,16 +32,7 @@ pub struct Pipeline {
     strictness: Strictness,
     faults: FaultSpec,
     chunking: ChunkPolicy,
-    transport: TransportKind,
     epoch_chunks: usize,
-}
-
-/// Which shard representation the configured transport stage uses (fault
-/// injection overrides to text — the injector corrupts bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TransportKind {
-    Lines,
-    Text,
 }
 
 impl Pipeline {
@@ -58,7 +48,6 @@ impl Pipeline {
             strictness: Strictness::Strict,
             faults: FaultSpec::none(),
             chunking: ChunkPolicy::Auto,
-            transport: TransportKind::Lines,
             epoch_chunks: 1,
         }
     }
@@ -96,18 +85,6 @@ impl Pipeline {
     pub fn chunk_systems(mut self, n: usize) -> Pipeline {
         assert!(n > 0, "chunks must hold at least one system");
         self.chunking = ChunkPolicy::Fixed(n);
-        self
-    }
-
-    /// Makes the streaming path serialize every shard to corpus text and
-    /// re-parse it ([`TextRoundTrip`]), instead of handing parsed lines
-    /// straight to the classifier. This is the full on-disk round trip —
-    /// slower, and kept differentially tested precisely because
-    /// production corpora arrive as text. Runs with fault injection use
-    /// it implicitly (the injector corrupts bytes).
-    #[must_use]
-    pub fn text_transport(mut self) -> Pipeline {
-        self.transport = TransportKind::Text;
         self
     }
 
@@ -186,9 +163,10 @@ impl Pipeline {
         self.strictness(Strictness::Lenient)
     }
 
-    /// Installs a fault-injection spec: every rendered shard is corrupted
-    /// through a deterministic, seedable [`ssfa_logs::FaultInjector`]
-    /// before it reaches the classifier (the [`InjectedText`] transport).
+    /// Installs a fault-injection spec: every shard, as corpus text
+    /// (simulated shards are rendered first), is corrupted through a
+    /// deterministic, seedable [`FaultInjector`] before it reaches the
+    /// classifier.
     /// [`FaultSpec::none`] (the default) bypasses injection entirely.
     /// Injection is a test/chaos-engineering facility; pair a non-trivial
     /// spec with [`Pipeline::lenient`] unless the point is to watch
@@ -259,9 +237,9 @@ impl Pipeline {
     /// the correctness oracle the streaming configuration is
     /// differentially tested against (same engine, different source, so a
     /// divergence isolates the sharded render/merge path). Fault
-    /// injection, [`Pipeline::strictness`], [`Pipeline::text_transport`]
-    /// and the chunking policy do not apply here: the reference is always
-    /// the clean, strict, parsed-line corpus.
+    /// injection, [`Pipeline::strictness`] and the chunking policy do not
+    /// apply here: the reference is always the clean, strict, parsed-line
+    /// corpus.
     ///
     /// # Errors
     ///
@@ -275,14 +253,13 @@ impl Pipeline {
             strictness: Strictness::Strict,
             faults: FaultSpec::none(),
             chunking: ChunkPolicy::Fixed(usize::MAX),
-            transport: TransportKind::Lines,
             ..self.clone()
         };
         reference.run_source(&MonolithicSource::new(&fleet, &output, self.style))
     }
 
     /// Runs the staged engine over a caller-provided [`Source`] with this
-    /// pipeline's transport, strictness, chunking, and thread
+    /// pipeline's fault injection, strictness, chunking, and thread
     /// configuration — the extension point for non-simulator corpora
     /// (file- or mmap-backed shard readers) and for test harnesses that
     /// permute or filter shard order.
@@ -416,7 +393,7 @@ impl Pipeline {
     }
 
     /// Runs the engine with this pipeline's threads, strictness, chunking
-    /// and transport from `first_chunk`, folding into `fold` (empty for a
+    /// and fault injection from `first_chunk`, folding into `fold` (empty for a
     /// cold run, a restored snapshot on resume) and calling `observer`
     /// after each chunk folds.
     fn run_engine(
@@ -430,21 +407,10 @@ impl Pipeline {
             threads: self.threads,
             strictness: self.strictness,
             policy: self.chunking,
+            injector: (!self.faults.is_none())
+                .then(|| FaultInjector::new(self.faults.clone(), self.seed)),
         };
-        let transport = self.transport_stage();
-        engine.run_from(source, transport.as_ref(), fold, first_chunk, observer)
-    }
-
-    /// Builds the configured transport stage: fault injection forces the
-    /// corrupting text transport; otherwise the builder's choice stands.
-    fn transport_stage(&self) -> Box<dyn Transport> {
-        if !self.faults.is_none() {
-            return Box::new(InjectedText::new(self.faults.clone(), self.seed));
-        }
-        match self.transport {
-            TransportKind::Lines => Box::new(ParsedLines),
-            TransportKind::Text => Box::new(TextRoundTrip),
-        }
+        engine.run_from(source, fold, first_chunk, observer)
     }
 }
 

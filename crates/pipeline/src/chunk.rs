@@ -1,15 +1,17 @@
-//! Per-chunk processing: one classifier per chunk, fed shard by shard
-//! through the transport, inside a panic-isolation boundary with the
-//! retry/quarantine policy.
+//! Per-chunk processing: one classifier per chunk, fed shard by shard in
+//! the form each source produced, inside a panic-isolation boundary with
+//! the retry/quarantine policy.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ssfa_logs::{AnalysisInput, Classifier, FaultLedger, LogError, ShardHealth, Strictness};
+use ssfa_logs::{
+    AnalysisInput, Classifier, FaultInjector, FaultLedger, LogError, ShardFate, ShardHealth,
+    Strictness,
+};
 
 use crate::error::{panic_message, PipelineError};
 use crate::quarantine::ChunkQuarantine;
-use crate::source::Source;
-use crate::transport::Transport;
+use crate::source::{ShardData, Source};
 
 /// What one chunk's isolated processing produced: either a merged partial
 /// with its counters, or a quarantine record. The partial is boxed so the
@@ -31,10 +33,11 @@ pub(crate) struct ChunkOutcome {
 /// applying the retry/quarantine policy. One classifier serves the whole
 /// chunk — that is the amortization — but shards are still loaded, fed,
 /// and dropped one at a time, so the worker never holds more than one
-/// shard of corpus.
+/// shard of corpus. With an `injector`, every shard is corrupted on its
+/// way to the classifier (see [`feed_shard`]).
 pub(crate) fn process_chunk(
     source: &dyn Source,
-    transport: &dyn Transport,
+    injector: Option<&FaultInjector>,
     strictness: Strictness,
     chunk: usize,
     range: std::ops::Range<usize>,
@@ -53,13 +56,13 @@ pub(crate) fn process_chunk(
                 let mut classifier = Classifier::with_strictness(strictness);
                 for shard in range.clone() {
                     let data = source.load(shard);
-                    let delivery =
-                        transport.convey(shard, attempt, data, &mut classifier, &mut ledger)?;
-                    if delivery.dropped {
-                        dropped += 1;
-                    } else {
-                        max_shard_bytes = max_shard_bytes.max(delivery.bytes);
-                        total_bytes += delivery.bytes;
+                    match feed_shard(data, injector, shard, attempt, &mut classifier, &mut ledger)?
+                    {
+                        Some(bytes) => {
+                            max_shard_bytes = max_shard_bytes.max(bytes);
+                            total_bytes += bytes;
+                        }
+                        None => dropped += 1,
                     }
                 }
                 classifier.finish_with_health()
@@ -122,6 +125,51 @@ pub(crate) fn process_chunk(
     }
 }
 
+/// Feeds one shard to `classifier` in the form its source produced and
+/// returns the corpus bytes fed, or `None` when fault injection dropped
+/// the whole upload.
+///
+/// Parsed shards hand their lines straight over, counted in resident
+/// bytes. Text shards — borrowed straight from an mmap or owned — stream
+/// through the byte-oriented parser, counted in text bytes. Only an
+/// `injector` renders a shard to text first, because it corrupts bytes;
+/// its faults are keyed by `(shard, attempt)`, never by chunk, so the
+/// landed ledger is invariant under chunking.
+fn feed_shard(
+    data: ShardData<'_>,
+    injector: Option<&FaultInjector>,
+    shard: usize,
+    attempt: u32,
+    classifier: &mut Classifier,
+    ledger: &mut FaultLedger,
+) -> Result<Option<usize>, LogError> {
+    let Some(injector) = injector else {
+        return match data {
+            ShardData::Parsed(book) => {
+                classifier.feed_book(&book)?;
+                Ok(Some(book.resident_bytes()))
+            }
+            ShardData::Text(text) => feed_text(text.as_bytes(), classifier).map(Some),
+        };
+    };
+    let text = data.into_text();
+    match injector.corrupt_shard(shard, attempt, &text, ledger) {
+        ShardFate::Processed(bytes) => {
+            drop(text);
+            feed_text(&bytes, classifier).map(Some)
+        }
+        ShardFate::Dropped => Ok(None),
+    }
+}
+
+/// Feeds one shard's text and ends it at its own EOF, so a tail cut off
+/// before its newline cannot glue onto the next shard's first line.
+fn feed_text(bytes: &[u8], classifier: &mut Classifier) -> Result<usize, LogError> {
+    classifier.feed_bytes(bytes)?;
+    classifier.flush_tail()?;
+    Ok(bytes.len())
+}
+
 /// Builds the outcome for a quarantined chunk: no partial, no ledger
 /// contribution, and an exact accounting of what was lost — every system
 /// in the chunk by id, plus the rendered line count of each shard
@@ -157,5 +205,48 @@ fn quarantine_outcome(
             lines_lost,
         }),
         ..ChunkOutcome::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::borrow::Cow;
+
+    use ssfa_logs::{FaultSpec, LogEvent, LogLine};
+    use ssfa_model::{SimTime, SystemId};
+
+    use super::*;
+
+    /// Two text shards, each cut off before its trailing newline: both the
+    /// plain and the injected path must end a shard at its EOF, so both
+    /// lines parse on their own instead of gluing into one malformed line.
+    #[test]
+    fn a_shard_without_a_trailing_newline_ends_at_its_eof() {
+        let line = LogLine::new(
+            SystemId(1),
+            SimTime::from_secs(1_000),
+            LogEvent::FciAdapterReset { adapter: 8 },
+        )
+        .to_string();
+        let injector = FaultInjector::new(FaultSpec::none(), 0);
+        for injector in [None, Some(&injector)] {
+            let mut classifier = Classifier::lenient();
+            let mut ledger = FaultLedger::default();
+            for shard in 0..2 {
+                let data = ShardData::Text(Cow::Borrowed(&line));
+                let fed = feed_shard(data, injector, shard, 0, &mut classifier, &mut ledger);
+                assert_eq!(
+                    fed.unwrap(),
+                    Some(line.len() + usize::from(injector.is_some()))
+                );
+            }
+            let (_, health) = classifier.finish_with_health().unwrap();
+            assert_eq!(
+                (health.lines_seen, health.malformed_skipped),
+                (2, 0),
+                "injected: {}",
+                injector.is_some()
+            );
+        }
     }
 }

@@ -13,26 +13,28 @@
 //! folds. A cold run is `run_from(.., StudyFold::new(), 0, no-op)`.
 
 use ssfa_core::{Study, StudyFold};
-use ssfa_logs::Strictness;
+use ssfa_logs::{FaultInjector, Strictness};
 
 use crate::chunk::process_chunk;
 use crate::error::{panic_message, PipelineError};
 use crate::health::{RunHealth, StreamStats};
 use crate::plan::ChunkPolicy;
 use crate::source::Source;
-use crate::transport::Transport;
 use crate::workqueue::{worker_loop, ChunkStatus, StdChunkQueue};
 
 /// One engine run's configuration: everything that is not a stage.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub(crate) struct Engine {
     pub(crate) threads: usize,
     pub(crate) strictness: Strictness,
     pub(crate) policy: ChunkPolicy,
+    /// Corrupts every shard on its way to the classifier; `None` feeds
+    /// shards as their source produced them.
+    pub(crate) injector: Option<FaultInjector>,
 }
 
 impl Engine {
-    /// Drives `source` through `transport` and the RAID-layer classifier
+    /// Drives `source` through the RAID-layer classifier
     /// from `first_chunk` of the source's chunk plan, folds each chunk's
     /// partial — in chunk order — into `fold`, and returns the finished
     /// study with the run's stream statistics and health audit.
@@ -49,7 +51,6 @@ impl Engine {
     pub(crate) fn run_from(
         &self,
         source: &dyn Source,
-        transport: &dyn Transport,
         mut fold: StudyFold,
         first_chunk: usize,
         mut observer: impl FnMut(usize, &StudyFold) -> Result<(), PipelineError>,
@@ -86,7 +87,7 @@ impl Engine {
                             let chunk = slot + first_chunk;
                             let result = process_chunk(
                                 source,
-                                transport,
+                                self.injector.as_ref(),
                                 self.strictness,
                                 chunk,
                                 chunks.shard_range(chunk),

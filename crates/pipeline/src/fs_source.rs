@@ -59,7 +59,7 @@ fn corpus_system_ids(reader: &CorpusReader, shard: usize) -> Vec<SystemId> {
 
 /// A [`Source`] over an on-disk corpus using buffered positioned reads:
 /// open the segment file, seek to the shard's frame, read exactly the
-/// frame, verify, hand the text to the transport. Cheap to open (only the
+/// frame, verify, hand the text to the classifier. Cheap to open (only the
 /// manifest is read) and reads only the shards the engine asks for.
 #[derive(Debug)]
 pub struct FileSource {

@@ -13,9 +13,10 @@ use crate::quarantine::ChunkQuarantine;
 /// [`RunHealth::shards_total`] and [`RunHealth::chunks_total`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
-    /// Largest single shard the run held at once — corpus-text bytes on
-    /// the text transport (and under fault injection), in-memory parsed
-    /// line bytes on the default transport.
+    /// Largest single shard the run held at once, in the unit of the form
+    /// it was fed in: in-memory parsed line bytes for parsed shards
+    /// (the simulator sources), corpus-text bytes for text shards (the
+    /// disk-backed sources), corrupted text bytes under fault injection.
     pub max_shard_bytes: usize,
     /// Total corpus bytes across all shards, in the same unit as
     /// `max_shard_bytes`.

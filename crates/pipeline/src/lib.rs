@@ -6,14 +6,19 @@
 //! crate implements that pipeline **once**, as a single chunked
 //! worker-pool executor (the private `exec` module). The classify and
 //! fold steps are direct calls — [`ssfa_logs::Classifier`] per chunk,
-//! one [`ssfa_core::StudyFold`] per run — and three seams stay open
-//! where callers plug in different implementations:
+//! one [`ssfa_core::StudyFold`] per run — and two seams stay open where
+//! callers plug in different implementations:
 //!
 //! | Stage       | Trait         | Shipped implementations |
 //! |-------------|---------------|-------------------------|
 //! | [`Source`]  | yields shard corpora | [`SimSource`] (one shard per simulated system), [`MonolithicSource`] (the whole corpus as one shard), [`FileSource`] and [`MmapSource`] (an on-disk corpus) |
-//! | [`Transport`] | moves a shard from source to classifier | [`ParsedLines`], [`TextRoundTrip`], [`InjectedText`] (fault injection) |
 //! | [`Sink`]    | writes run artifacts | [`TextReportSink`], [`JsonSummarySink`] |
+//!
+//! Each shard reaches the classifier in the form its source produced —
+//! parsed lines from the simulator sources, corpus text (borrowed
+//! straight from the map for [`MmapSource`]) from the disk-backed ones —
+//! so no stage chooses a representation. Only
+//! [`Pipeline::faults`] renders shards to text first, to corrupt them.
 //!
 //! The entry points — [`Pipeline::run`], [`Pipeline::run_monolithic`],
 //! [`Pipeline::run_source`], [`Pipeline::run_source_checkpointed`] and
@@ -25,7 +30,7 @@
 //!
 //! Shards batch into chunks per [`ChunkPolicy`], worker threads pull
 //! chunks off the model-checked [`workqueue`], each chunk runs one
-//! classifier fed shard by shard (render → transport → feed → drop, so
+//! classifier fed shard by shard (load → feed → drop, so
 //! peak corpus residency stays one shard), failures retry then
 //! quarantine under [`ssfa_logs::Strictness::Lenient`], and per-chunk
 //! partials fold in chunk order, so scheduling never changes the result.
@@ -49,7 +54,6 @@ pub mod plan;
 pub mod quarantine;
 pub mod sink;
 pub mod source;
-pub mod transport;
 pub mod workqueue;
 
 pub use builder::Pipeline;
@@ -61,4 +65,3 @@ pub use plan::ChunkPolicy;
 pub use quarantine::ChunkQuarantine;
 pub use sink::{JsonSummarySink, Sink, TextReportSink};
 pub use source::{MonolithicSource, ShardData, SimSource, Source};
-pub use transport::{Delivery, InjectedText, ParsedLines, TextRoundTrip, Transport};

@@ -9,8 +9,8 @@
 use std::borrow::Cow;
 
 use ssfa_logs::{
-    render_support_log, render_system_log, CascadeStyle, ChunkPlan, LogBook, NoiseParams,
-    ShardPlan, DEFAULT_CHUNK_TARGET_BYTES,
+    is_blank_line, render_support_log, render_system_log, CascadeStyle, ChunkPlan, LogBook,
+    NoiseParams, ShardPlan, DEFAULT_CHUNK_TARGET_BYTES,
 };
 use ssfa_model::{Fleet, SystemId};
 use ssfa_sim::SimOutput;
@@ -22,7 +22,7 @@ use crate::plan::ChunkPolicy;
 /// The simulator-backed sources render parsed [`LogBook`]s; the disk-backed
 /// sources hand over corpus *text* — borrowed straight out of the mmap for
 /// [`crate::MmapSource`], owned for [`crate::FileSource`] — and the
-/// transport feeds it to the classifier's byte-oriented parser without
+/// chunk worker feeds it to the classifier's byte-oriented parser without
 /// ever materializing owned [`ssfa_logs::LogLine`]s. The lifetime ties a
 /// borrowed payload to the source that loaded it.
 #[derive(Debug)]
@@ -43,14 +43,16 @@ impl<'a> ShardData<'a> {
         }
     }
 
-    /// Number of rendered log lines this shard holds (blank lines are not
-    /// log lines — the classifier skips them without counting).
+    /// Number of rendered log lines this shard holds (blank lines, as
+    /// [`ssfa_logs::is_blank_line`] defines them, are not log lines — the
+    /// classifier skips them without counting).
     pub fn count_lines(&self) -> u64 {
         match self {
             ShardData::Parsed(book) => book.len() as u64,
-            ShardData::Text(text) => {
-                text.lines().filter(|line| !line.trim().is_empty()).count() as u64
-            }
+            ShardData::Text(text) => text
+                .lines()
+                .filter(|line| !is_blank_line(line.as_bytes()))
+                .count() as u64,
         }
     }
 }
@@ -203,5 +205,48 @@ impl Source for MonolithicSource<'_> {
 
     fn system_ids(&self, _shard: usize) -> Vec<SystemId> {
         self.fleet.systems().iter().map(|s| s.id).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use ssfa_logs::{Classifier, LogError};
+
+    use super::*;
+
+    /// The malformed line number of a failed parse, `None` on success.
+    fn malformed_at<T>(result: Result<T, LogError>) -> Option<usize> {
+        match result {
+            Ok(_) => None,
+            Err(LogError::Malformed { line_no, .. }) => Some(line_no),
+            Err(other) => panic!("expected a malformed-line error, got {other}"),
+        }
+    }
+
+    /// Every reader applies one blank-line rule: Unicode-only whitespace
+    /// is a malformed line to both parsers and a counted line to both
+    /// counters; ASCII whitespace is blank everywhere.
+    #[test]
+    fn readers_agree_on_what_a_blank_line_is() {
+        for (text, lines) in [
+            ("\u{a0}\n", 1),
+            ("\u{3000}\n", 1),
+            ("\u{85}\n", 1),
+            (" \t\r\n", 0),
+        ] {
+            let mut strict = Classifier::new();
+            let fed = strict
+                .feed_bytes(text.as_bytes())
+                .and_then(|()| strict.finish());
+            let expected = (lines == 1).then_some(1);
+            assert_eq!(malformed_at(LogBook::from_text(text)), expected, "{text:?}");
+            assert_eq!(malformed_at(fed), expected, "{text:?}");
+
+            let mut lenient = Classifier::lenient();
+            lenient.feed_bytes(text.as_bytes()).unwrap();
+            let (_, health) = lenient.finish_with_health().unwrap();
+            let count = ShardData::Text(Cow::Borrowed(text)).count_lines();
+            assert_eq!((count, health.lines_seen), (lines, lines), "{text:?}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Engine seam tests driven through custom [`Source`] implementations and
 //! the [`Sink`] stage — the extension points the trait seams exist for.
 
-use ssfa_logs::{ChunkPlan, Strictness};
+use ssfa_logs::{ChunkPlan, FaultSpec, Strictness};
 use ssfa_model::{FleetConfig, SystemClass, SystemId};
 use ssfa_pipeline::{
     ChunkPolicy, JsonSummarySink, Pipeline, ShardData, Sink, Source, StreamStats, TextReportSink,
@@ -43,7 +43,10 @@ fn tiny_pipeline() -> Pipeline {
 
 #[test]
 fn empty_source_yields_a_vacuously_complete_run() {
-    for pipeline in [Pipeline::new(), Pipeline::new().lenient().text_transport()] {
+    for pipeline in [
+        Pipeline::new(),
+        Pipeline::new().lenient().faults(FaultSpec::uniform(0.01)),
+    ] {
         let (study, stats, health) = pipeline.run_source(&EmptySource).unwrap();
         assert!(study.input().failures.is_empty());
         assert!(study.input().topology.systems.is_empty());

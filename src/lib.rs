@@ -20,9 +20,8 @@
 //! - [`core`] — the study analysis: AFR breakdowns, burstiness, P(N)
 //!   correlation, Findings 1–11.
 //! - [`pipeline`] — the staged execution engine behind [`Pipeline`]:
-//!   [`Source`](pipeline::Source) → [`Transport`](pipeline::Transport) →
-//!   classify → fold → [`Sink`](pipeline::Sink) over one chunked worker
-//!   pool.
+//!   [`Source`](pipeline::Source) → classify → fold →
+//!   [`Sink`](pipeline::Sink) over one chunked worker pool.
 //! - [`daemon`] — `ssfad`, the always-on analysis service: a framed TCP
 //!   ingest bus with per-tenant folds and quarantine, session cursors,
 //!   bounded backpressure, and reconnect/backoff replay agents
@@ -66,11 +65,10 @@
 //! `(fleet, seed, threads, chunking)` tuple —
 //! `tests/pipeline_differential.rs` proves this on every push.
 //!
-//! By default shards travel from render to classify as parsed lines, the
-//! same representation the monolithic oracle consumes.
-//! [`Pipeline::text_transport`] instead serializes every shard to corpus
-//! text and re-parses it — the full on-disk round trip, which stays
-//! differentially tested and is what fault-injected runs always use.
+//! Simulated shards travel from render to classify as parsed lines, the
+//! same representation the monolithic oracle consumes; on-disk corpora
+//! ([`FileSource`], [`MmapSource`]) feed their text straight to the
+//! parser. Fault-injected runs render every shard to text to corrupt it.
 //!
 //! ```no_run
 //! use ssfa::Pipeline;

@@ -100,8 +100,7 @@ fn disk_backed_sources_match_sim_source_across_the_grid() {
 
 /// The disk-backed extension of `tests/engine_grid.rs`: the corpus round
 /// trip must reproduce the pre-refactor golden byte for byte, through
-/// both disk-backed sources, under both chunking policies and the text
-/// transport.
+/// both disk-backed sources, under both chunking policies.
 #[test]
 fn disk_backed_sources_match_the_pre_refactor_golden() {
     let golden_path =
@@ -119,22 +118,17 @@ fn disk_backed_sources_match_the_pre_refactor_golden() {
 
     let file = FileSource::open(&tmp.0).expect("file source opens");
     let mmap = MmapSource::open(&tmp.0).expect("mmap source opens");
-    for text in [false, true] {
-        for fixed_chunks in [false, true] {
-            let mut pipeline = base.clone().threads(4);
-            if text {
-                pipeline = pipeline.text_transport();
-            }
-            if fixed_chunks {
-                pipeline = pipeline.chunk_systems(1);
-            }
-            for (name, source) in [("file", &file as &dyn Source), ("mmap", &mmap)] {
-                assert_eq!(
-                    report(&pipeline, source),
-                    golden,
-                    "{name} source diverged from golden (text={text}, chunk-1={fixed_chunks})"
-                );
-            }
+    for fixed_chunks in [false, true] {
+        let mut pipeline = base.clone().threads(4);
+        if fixed_chunks {
+            pipeline = pipeline.chunk_systems(1);
+        }
+        for (name, source) in [("file", &file as &dyn Source), ("mmap", &mmap)] {
+            assert_eq!(
+                report(&pipeline, source),
+                golden,
+                "{name} source diverged from golden (chunk-1={fixed_chunks})"
+            );
         }
     }
 }

@@ -15,7 +15,8 @@
 use std::path::{Path, PathBuf};
 
 use ssfa::logs::{
-    CascadeStyle, CorpusError, CorpusReader, CorpusWriter, Strictness, HEADER_LEN, MANIFEST_NAME,
+    encode_frame, CascadeStyle, CorpusError, CorpusReader, CorpusWriter, FrameError, Strictness,
+    HEADER_LEN, MANIFEST_NAME,
 };
 use ssfa::model::SystemId;
 use ssfa::pipeline::Source;
@@ -175,6 +176,62 @@ fn manifest_digest_disagreement_is_typed_and_pinned() {
         matches!(read_err, CorpusError::DigestMismatch { shard: 0, .. }),
         "{read_err:?}"
     );
+}
+
+/// A hand-built frame whose checksum and manifest entry are both honest
+/// but whose payload is not UTF-8 (the writer never emits one): the
+/// per-shard read path and `corpus verify` report the codec's pinned
+/// error, and both disk-backed sources refuse the shard identically.
+#[test]
+fn non_utf8_payload_is_typed_and_pinned() {
+    let tmp = TempDir::new("not-utf8");
+    let base = build_corpus(&tmp.0, 0.001, 3);
+    let reader = CorpusReader::open(&tmp.0).unwrap();
+    let entry = reader.manifest().shards[0];
+    let mut payload = reader.read_shard_frame(0).unwrap()[HEADER_LEN..].to_vec();
+    payload[5] = 0xff;
+    let mut frame = Vec::new();
+    let header = encode_frame(&mut frame, entry.system_id, entry.line_count, &payload);
+    let seg = segment0(&tmp.0);
+    let mut bytes = std::fs::read(&seg).unwrap();
+    bytes[entry.offset as usize..][..frame.len()].copy_from_slice(&frame);
+    std::fs::write(&seg, bytes).unwrap();
+    let manifest_path = tmp.0.join(MANIFEST_NAME);
+    let text = std::fs::read_to_string(&manifest_path).unwrap();
+    let doctored = text.replace(
+        &format!("{:016x}", entry.checksum),
+        &format!("{:016x}", header.checksum),
+    );
+    assert_ne!(doctored, text, "digest not found in manifest");
+    std::fs::write(&manifest_path, doctored).unwrap();
+
+    let reader = CorpusReader::open(&tmp.0).unwrap();
+    let err = reader.read_shard_text(0).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            CorpusError::Frame {
+                shard: 0,
+                segment: 0,
+                source: FrameError::PayloadNotUtf8 { at: 5 },
+            }
+        ),
+        "{err:?}"
+    );
+    let pinned = "corpus shard 0 (segment 0): frame payload is not UTF-8 (first invalid byte at 5)";
+    assert_eq!(err.to_string(), pinned);
+    assert_eq!(reader.verify(false).unwrap_err().to_string(), pinned);
+
+    let pipeline = base.threads(1).chunk_systems(1).lenient();
+    let file = FileSource::open(&tmp.0).unwrap();
+    let mmap = MmapSource::open(&tmp.0).unwrap();
+    let (_, _, file_health) = pipeline.run_source(&file).unwrap();
+    let (_, _, mmap_health) = pipeline.run_source(&mmap).unwrap();
+    assert_eq!(file_health, mmap_health);
+    assert_eq!(file_health.quarantined.len(), 1, "{file_health}");
+    let q = &file_health.quarantined[0];
+    assert_eq!(q.shards, 0..1);
+    assert!(q.reason.ends_with(pinned), "{:?}", q.reason);
 }
 
 #[test]

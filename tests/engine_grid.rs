@@ -1,7 +1,7 @@
 //! Acceptance grid for the staged engine refactor: every execution-path
 //! configuration — {monolithic, streaming} × {chunk-1, chunk-auto} ×
-//! {1, 4} threads × {parsed, text} — must reproduce the *pre-refactor*
-//! golden Table 1 byte for byte.
+//! {1, 4} threads — must reproduce the *pre-refactor* golden Table 1
+//! byte for byte.
 //!
 //! The golden file (`tests/golden/table1.txt`) was committed before the
 //! engine existed and is deliberately NOT regenerated here: this test is
@@ -40,23 +40,17 @@ fn table1(study: &ssfa::core::Study) -> String {
 fn streaming_grid_matches_the_pre_refactor_golden() {
     let golden = golden_table1();
     for threads in [1, 4] {
-        for text in [false, true] {
-            for fixed_chunks in [false, true] {
-                let mut pipeline = Pipeline::new().scale(SCALE).seed(SEED).threads(threads);
-                if text {
-                    pipeline = pipeline.text_transport();
-                }
-                if fixed_chunks {
-                    pipeline = pipeline.chunk_systems(1);
-                }
-                let (study, _, _) = pipeline.run().unwrap();
-                assert_eq!(
-                    table1(&study),
-                    golden,
-                    "streaming diverged from golden (threads={threads}, text={text}, \
-                     chunk-1={fixed_chunks})"
-                );
+        for fixed_chunks in [false, true] {
+            let mut pipeline = Pipeline::new().scale(SCALE).seed(SEED).threads(threads);
+            if fixed_chunks {
+                pipeline = pipeline.chunk_systems(1);
             }
+            let (study, _, _) = pipeline.run().unwrap();
+            assert_eq!(
+                table1(&study),
+                golden,
+                "streaming diverged from golden (threads={threads}, chunk-1={fixed_chunks})"
+            );
         }
     }
 }

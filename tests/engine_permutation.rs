@@ -1,6 +1,5 @@
 //! Source-order permutation test for the staged engine: feeding shards to
-//! the engine in *any* order — through either transport — must yield a
-//! byte-identical report.
+//! the engine in *any* order must yield a byte-identical report.
 //!
 //! `tests/insertion_order.rs` proves the analysis structures are
 //! insertion-order independent once an `AnalysisInput` exists; this test
@@ -63,62 +62,51 @@ fn render_report(study: &Study) -> String {
     out
 }
 
-type MakePipeline = fn() -> Pipeline;
-
 #[test]
 fn engine_report_is_identical_under_permuted_source_order() {
-    let configs: [(&str, MakePipeline); 2] = [
-        ("parsed-lines", || Pipeline::new().scale(SCALE).seed(SEED)),
-        ("text-round-trip", || {
-            Pipeline::new().scale(SCALE).seed(SEED).text_transport()
-        }),
-    ];
-    for (transport, make) in configs {
-        let pipeline = make().threads(4).chunk_systems(3);
-        let fleet = pipeline.build_fleet();
-        let output = pipeline.simulate(&fleet);
-        let source = SimSource::new(&fleet, &output, CascadeStyle::RaidOnly, SEED);
-        let n = source.shard_count();
-        assert!(n > 4, "fixture too small to permute meaningfully");
+    let pipeline = Pipeline::new()
+        .scale(SCALE)
+        .seed(SEED)
+        .threads(4)
+        .chunk_systems(3);
+    let fleet = pipeline.build_fleet();
+    let output = pipeline.simulate(&fleet);
+    let source = SimSource::new(&fleet, &output, CascadeStyle::RaidOnly, SEED);
+    let n = source.shard_count();
+    assert!(n > 4, "fixture too small to permute meaningfully");
 
-        let run = |order: Vec<usize>| {
-            let permuted = PermutedSource {
-                inner: SimSource::new(&fleet, &output, CascadeStyle::RaidOnly, SEED),
-                order,
-            };
-            let (study, _, health) = pipeline.run_source(&permuted).unwrap();
-            assert!(health.is_clean(), "[{transport}] {health}");
-            (render_report(&study), health.lines_seen)
+    let run = |order: Vec<usize>| {
+        let permuted = PermutedSource {
+            inner: SimSource::new(&fleet, &output, CascadeStyle::RaidOnly, SEED),
+            order,
         };
+        let (study, _, health) = pipeline.run_source(&permuted).unwrap();
+        assert!(health.is_clean(), "{health}");
+        (render_report(&study), health.lines_seen)
+    };
 
-        let (baseline, baseline_lines) = run((0..n).collect());
+    let (baseline, baseline_lines) = run((0..n).collect());
+    assert_eq!(
+        baseline,
+        render_report(&pipeline.run().unwrap().0),
+        "identity permutation diverged from Pipeline::run"
+    );
+
+    let mut reversed: Vec<usize> = (0..n).collect();
+    reversed.reverse();
+    let interleaved: Vec<usize> = (0..n).step_by(2).chain((1..n).step_by(2)).collect();
+    let mut rotated: Vec<usize> = (0..n).collect();
+    rotated.rotate_left(n / 3);
+    for (what, order) in [
+        ("reversed", reversed),
+        ("interleaved", interleaved),
+        ("rotated", rotated),
+    ] {
+        let (report, lines) = run(order);
+        assert_eq!(report, baseline, "report changed under {what} source order");
         assert_eq!(
-            baseline,
-            render_report(&make().threads(4).chunk_systems(3).run().unwrap().0),
-            "[{transport}] identity permutation diverged from Pipeline::run"
+            lines, baseline_lines,
+            "line accounting changed under {what} source order"
         );
-
-        let mut reversed: Vec<usize> = (0..n).collect();
-        reversed.reverse();
-        let mut interleaved: Vec<usize> = (0..n).step_by(2).chain((1..n).step_by(2)).collect();
-        for (what, order) in [
-            ("reversed", std::mem::take(&mut reversed)),
-            ("interleaved", std::mem::take(&mut interleaved)),
-            ("rotated", {
-                let mut v: Vec<usize> = (0..n).collect();
-                v.rotate_left(n / 3);
-                v
-            }),
-        ] {
-            let (report, lines) = run(order);
-            assert_eq!(
-                report, baseline,
-                "[{transport}] report changed under {what} source order"
-            );
-            assert_eq!(
-                lines, baseline_lines,
-                "[{transport}] line accounting changed under {what} source order"
-            );
-        }
     }
 }

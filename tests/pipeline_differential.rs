@@ -1,13 +1,18 @@
 //! Differential determinism harness: the chunked streaming pipeline must
 //! be bit-identical to the monolithic reference pipeline for every
-//! `(scale, seed, threads, chunk size, transport)` tuple.
+//! `(scale, seed, threads, chunk size)` tuple, whether shards arrive as
+//! parsed lines from the simulator or as text from an on-disk corpus.
 //!
 //! "Bit-identical" is checked at both levels the analysis consumes:
 //! the full [`AnalysisInput`] (every recovered lifetime, failure record,
 //! and topology entry) and the headline `Study::table1()` rows.
 
+use std::path::PathBuf;
+
+use ssfa::logs::CorpusWriter;
+use ssfa::pipeline::Source;
 use ssfa::prelude::*;
-use ssfa::Pipeline;
+use ssfa::{FileSource, MmapSource, Pipeline};
 
 /// The (scale, seed) grid: three distinct fleet sizes, three seeds, small
 /// enough to keep the suite fast but big enough that every shard path
@@ -53,24 +58,51 @@ fn streaming_equals_monolithic_across_the_grid() {
     }
 }
 
+/// A self-deleting scratch directory under the system temp dir.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        let dir =
+            std::env::temp_dir().join(format!("ssfa-pipeline-diff-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[test]
-fn text_transport_equals_monolithic_across_the_grid() {
-    // The full serialize → re-parse round trip (what production corpora
-    // arrive as) stays differentially tested even though the default
-    // transport hands parsed lines straight to the classifier.
+fn disk_round_trip_equals_monolithic_across_the_grid() {
+    // The full serialize → re-parse round trip, which is how production
+    // corpora arrive: render every shard to a corpus on disk, then read
+    // it back as text through both disk-backed sources.
     for (scale, seed) in GRID {
-        let (reference, _, _) = pipeline(scale, seed).run_monolithic().unwrap();
+        let base = pipeline(scale, seed);
+        let (reference, _, _) = base.run_monolithic().unwrap();
+        let tmp = TempDir::new(&format!("{scale}-{seed}"));
+        let fleet = base.build_fleet();
+        let output = base.simulate(&fleet);
+        CorpusWriter::new(&tmp.0)
+            .write(&fleet, &output, CascadeStyle::RaidOnly, seed)
+            .expect("corpus builds");
+        let file = FileSource::open(&tmp.0).expect("file source opens");
+        let mmap = MmapSource::open(&tmp.0).expect("mmap source opens");
         for (threads, chunk) in [(1, Some(1)), (2, Some(7)), (8, None)] {
-            let (streamed, _, _) = chunked(pipeline(scale, seed).threads(threads), chunk)
-                .text_transport()
-                .run()
-                .unwrap();
-            assert_eq!(
-                streamed.input(),
-                reference.input(),
-                "text transport diverged at scale {scale}, seed {seed}, \
-                 {threads} threads, chunk {chunk:?}"
-            );
+            let configured = chunked(base.clone().threads(threads), chunk);
+            for (name, source) in [("file", &file as &dyn Source), ("mmap", &mmap)] {
+                let (streamed, _, _) = configured.run_source(source).unwrap();
+                assert_eq!(
+                    streamed.input(),
+                    reference.input(),
+                    "{name} source diverged at scale {scale}, seed {seed}, \
+                     {threads} threads, chunk {chunk:?}"
+                );
+            }
         }
     }
 }
