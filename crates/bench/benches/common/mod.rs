@@ -1,5 +1,5 @@
 //! Shared helpers for the per-figure benches.
-#![allow(dead_code)] // each bench binary uses a subset of these helpers
+#![allow(dead_code, reason = "each bench binary uses a subset of these helpers")]
 
 use ssfa_bench::ExpContext;
 use ssfa_core::Study;

@@ -99,28 +99,28 @@ struct CountingAlloc;
 // GlobalAlloc contract; the counter increments have no effect on the
 // memory returned.
 unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: forwarded verbatim to `System::alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        // SAFETY: forwarded verbatim to `System::alloc`.
+        unsafe { System.alloc(layout) }
     }
 
-    // SAFETY: forwarded verbatim to `System::alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
+        // SAFETY: forwarded verbatim to `System::alloc_zeroed`.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
-    // SAFETY: forwarded verbatim to `System::dealloc`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: forwarded verbatim to `System::dealloc`.
+        unsafe { System.dealloc(ptr, layout) }
     }
 
-    // SAFETY: forwarded verbatim to `System::realloc`; a grow-in-place is
-    // still one allocator round trip, so it counts.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: forwarded verbatim to `System::realloc`; a grow-in-place
+        // is still one allocator round trip, so it counts.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
@@ -413,6 +413,10 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
     let mut walls: Vec<Vec<f64>> = vec![Vec::with_capacity(env.reps); configs.len()];
     for _ in 0..env.reps {
         for (i, (_, streaming, run)) in configs.iter_mut().enumerate() {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the perf gate measures wall time"
+            )]
             let t = Instant::now();
             if *streaming && env.handicap_ms > 0 {
                 std::thread::sleep(std::time::Duration::from_millis(env.handicap_ms));

@@ -43,6 +43,10 @@ impl Bencher {
 
         // Pick an iteration count that makes each sample's duration
         // comfortably larger than timer resolution.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a bench harness measures wall time"
+        )]
         let probe = Instant::now();
         let _ = routine();
         let once = probe.elapsed().max(Duration::from_nanos(1));
@@ -50,6 +54,10 @@ impl Bencher {
         self.iters_per_sample = u64::try_from(per_sample).unwrap_or(u64::MAX).min(10_000);
 
         for _ in 0..self.sample_target {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a bench harness measures wall time"
+            )]
             let start = Instant::now();
             for _ in 0..self.iters_per_sample {
                 let _ = routine();

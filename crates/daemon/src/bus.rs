@@ -315,7 +315,10 @@ impl IngestBus {
         let absorber_cell = Arc::clone(&cell);
         // One long-lived absorber per tenant; pool discipline (tracking,
         // joining at drain) is enforced right here in the bus.
-        // lint: allow(no-raw-spawn) per-tenant absorber, joined in drain()
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-tenant absorber, joined in drain()"
+        )]
         let handle = thread::spawn(move || absorb_loop(&absorber_cell));
         self.absorbers
             .lock()
@@ -599,7 +602,10 @@ fn absorb_loop(cell: &TenantCell) {
 /// with a byte scan, and parses each into a borrowed
 /// [`ssfa_logs::LogLineRef`] over the frame's own bytes — the daemon
 /// allocates per frame, never per line.
-#[allow(clippy::type_complexity)]
+#[allow(
+    clippy::type_complexity,
+    reason = "a private one-call helper; its error triple is destructured at the only call site"
+)]
 fn classify_frame(
     frame: &[u8],
     strictness: Strictness,

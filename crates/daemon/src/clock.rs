@@ -1,13 +1,13 @@
 //! Time, confined: the backoff schedule (pure, seeded, unit-tested) and
 //! the daemon's **only** wall-clock touchpoint.
 //!
-//! Everywhere else in the workspace time is data (`SimTime`), and the
-//! `ssfa-lint` `no-wall-clock` rule enforces that. A network daemon
-//! legitimately needs two wall-clock behaviors — waiting (sleeps, socket
-//! read timeouts: kernel services, no clock *read*) and measuring uptime
-//! for its operator-facing status endpoint. The single clock *read* lives
-//! here in [`Stopwatch`], behind one reviewed `lint.toml` allow entry, so
-//! any new wall-clock read elsewhere in the crate still fails the lint.
+//! Everywhere else in the workspace time is data (`SimTime`), and clippy's
+//! `disallowed_methods` (root `clippy.toml`) enforces that. A network
+//! daemon legitimately needs two wall-clock behaviors — waiting (sleeps,
+//! socket read timeouts: kernel services, no clock *read*) and measuring
+//! uptime for its operator-facing status endpoint. The single clock *read*
+//! lives here in [`Stopwatch`], behind one reviewed `#[expect]`, so any
+//! new wall-clock read elsewhere in the crate still fails clippy.
 //!
 //! Determinism note: nothing the daemon *absorbs* depends on any value
 //! produced by this module. Backoff delays and timeouts shift *when*
@@ -93,8 +93,9 @@ impl Backoff {
 }
 
 /// The daemon's one wall-clock read: uptime measurement for the
-/// operator-facing status endpoint. Keep every `Instant::now` inside this
-/// type — the `lint.toml` allow entry names this file alone.
+/// operator-facing status endpoint. Keep the `Instant::now` inside this
+/// type: its `#[expect(clippy::disallowed_methods)]` is the daemon's only
+/// wall-clock exception.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     started: std::time::Instant,
@@ -103,16 +104,17 @@ pub struct Stopwatch {
 impl Stopwatch {
     /// Starts measuring now.
     pub fn start() -> Stopwatch {
-        Stopwatch {
-            started: std::time::Instant::now(),
-        }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "operator-facing uptime only; nothing deterministic reads it"
+        )]
+        let started = std::time::Instant::now();
+        Stopwatch { started }
     }
 
     /// Whole milliseconds elapsed since [`Stopwatch::start`].
     pub fn elapsed_ms(&self) -> u128 {
-        std::time::Instant::now()
-            .duration_since(self.started)
-            .as_millis()
+        self.started.elapsed().as_millis()
     }
 }
 

@@ -107,7 +107,10 @@ impl Server {
         let accept_config = config.clone();
         // The accept loop and its connection threads are the daemon's
         // worker pool, tracked and joined by ServerHandle::finish.
-        // lint: allow(no-raw-spawn) accept loop, joined by ServerHandle::finish
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "accept loop, joined by ServerHandle::finish"
+        )]
         let accept = thread::spawn(move || {
             for stream in listener.incoming() {
                 if accept_shutdown.load(Ordering::SeqCst) {
@@ -117,7 +120,10 @@ impl Server {
                 let bus = Arc::clone(&accept_bus);
                 let shutdown = Arc::clone(&accept_shutdown);
                 let config = accept_config.clone();
-                // lint: allow(no-raw-spawn) connection worker, joined at drain
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "connection worker, joined at drain"
+                )]
                 let handle = thread::spawn(move || {
                     serve_connection(stream, &bus, &shutdown, &config, uptime)
                 });

@@ -1,33 +1,14 @@
-//! `lint.toml`: scanner configuration and the reviewed allowlist.
+//! `lint.toml`: the scanner's path lists and contract sources.
 //!
-//! Parsed by a tiny hand-rolled TOML-subset reader (sections, array-of-
-//! table headers, string and string-array values, `#` comments) — the
-//! workspace is offline, so no `toml` crate. The format is deliberately
-//! small; anything unrecognized is a hard error so a typo cannot silently
-//! disable a rule.
+//! Parsed by a tiny hand-rolled TOML-subset reader (sections, string and
+//! string-array values, `#` comments) — the workspace is offline, so no
+//! `toml` crate. The format is deliberately small; anything unrecognized
+//! is a hard error so a typo cannot silently disable a rule.
 //!
-//! The allowlist is an explicit burndown, not blanket grandfathering:
-//! every `[[allow]]` entry names one rule at one path (optionally narrowed
-//! to lines containing a substring) with a human reason, and an entry that
-//! no longer matches anything is itself reported (`unused-allow`) so stale
-//! blessings cannot accumulate.
+//! There is no path-scoped allowlist: a reviewed exception is an inline
+//! `// lint: allow(<rule>) <reason>` next to the code it justifies.
 
 use std::path::Path;
-
-/// One reviewed `[[allow]]` entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllowEntry {
-    /// Rule name the entry silences (e.g. `no-raw-spawn`).
-    pub rule: String,
-    /// Workspace-relative path prefix the entry applies to.
-    pub path: String,
-    /// Optional substring the flagged line must contain.
-    pub contains: Option<String>,
-    /// Why this occurrence is acceptable. Required.
-    pub reason: String,
-    /// 1-based lint.toml line of the `[[allow]]` header (for diagnostics).
-    pub line: usize,
-}
 
 /// `[contracts]` section: the cross-artifact sources of truth the
 /// `contract-sync` rule keeps consistent.
@@ -57,10 +38,6 @@ pub struct Config {
     /// Path prefixes (relative to the root) treated as deterministic code
     /// for `no-hashmap-iter`.
     pub deterministic_paths: Vec<String>,
-    /// Path prefixes where wall clocks are expected (bench harnesses).
-    pub wall_clock_allowed: Vec<String>,
-    /// Path prefixes blessed to spawn or scope raw threads (worker pools).
-    pub raw_spawn_allowed: Vec<String>,
     /// Files/prefixes whose every fn is a hot region for
     /// `no-alloc-hot-path` (fn-granular opt-outs via `// lint: alloc-ok`).
     pub hot_paths: Vec<String>,
@@ -71,8 +48,6 @@ pub struct Config {
     pub skip: Vec<String>,
     /// Cross-artifact contract sources, if configured.
     pub contracts: Option<Contracts>,
-    /// The reviewed burndown allowlist.
-    pub allows: Vec<AllowEntry>,
 }
 
 impl Config {
@@ -81,8 +56,7 @@ impl Config {
     /// # Errors
     ///
     /// Returns a message naming the offending line for anything outside
-    /// the accepted subset, an unknown key, or an `[[allow]]` entry
-    /// missing `rule`, `path`, or `reason`.
+    /// the accepted subset or an unknown section or key.
     pub fn parse(text: &str) -> Result<Config, String> {
         let mut config = Config::default();
         #[derive(PartialEq)]
@@ -90,27 +64,8 @@ impl Config {
             None,
             Scanner,
             Contracts,
-            Allow,
         }
         let mut section = Section::None;
-        let mut allow: Option<AllowEntry> = None;
-
-        let flush_allow =
-            |allow: &mut Option<AllowEntry>, config: &mut Config| -> Result<(), String> {
-                if let Some(entry) = allow.take() {
-                    if entry.rule.is_empty() || entry.path.is_empty() {
-                        return Err("[[allow]] entry needs both `rule` and `path`".into());
-                    }
-                    if entry.reason.is_empty() {
-                        return Err(format!(
-                            "[[allow]] entry for {} at {} needs a `reason`",
-                            entry.rule, entry.path
-                        ));
-                    }
-                    config.allows.push(entry);
-                }
-                Ok(())
-            };
 
         let mut lines = text.lines().enumerate();
         while let Some((no, raw)) = lines.next() {
@@ -130,26 +85,12 @@ impl Config {
             }
             let line = line.as_str();
             if line == "[scanner]" {
-                flush_allow(&mut allow, &mut config)?;
                 section = Section::Scanner;
                 continue;
             }
             if line == "[contracts]" {
-                flush_allow(&mut allow, &mut config)?;
                 section = Section::Contracts;
                 config.contracts.get_or_insert_with(Contracts::default);
-                continue;
-            }
-            if line == "[[allow]]" {
-                flush_allow(&mut allow, &mut config)?;
-                section = Section::Allow;
-                allow = Some(AllowEntry {
-                    rule: String::new(),
-                    path: String::new(),
-                    contains: None,
-                    reason: String::new(),
-                    line: no + 1,
-                });
                 continue;
             }
             if line.starts_with('[') {
@@ -166,8 +107,6 @@ impl Config {
                         .ok_or_else(|| format!("lint.toml line {}: expected an array", no + 1))?;
                     match key {
                         "deterministic_paths" => config.deterministic_paths = list,
-                        "wall_clock_allowed" => config.wall_clock_allowed = list,
-                        "raw_spawn_allowed" => config.raw_spawn_allowed = list,
                         "hot_paths" => config.hot_paths = list,
                         "coverage_exempt" => config.coverage_exempt = list,
                         "skip" => config.skip = list,
@@ -197,23 +136,6 @@ impl Config {
                         }
                     }
                 }
-                Section::Allow => {
-                    let s = parse_string(value)
-                        .ok_or_else(|| format!("lint.toml line {}: expected a string", no + 1))?;
-                    let entry = allow.as_mut().expect("inside [[allow]]");
-                    match key {
-                        "rule" => entry.rule = s,
-                        "path" => entry.path = s,
-                        "contains" => entry.contains = Some(s),
-                        "reason" => entry.reason = s,
-                        _ => {
-                            return Err(format!(
-                                "lint.toml line {}: unknown [[allow]] key `{key}`",
-                                no + 1
-                            ))
-                        }
-                    }
-                }
                 Section::None => {
                     return Err(format!(
                         "lint.toml line {}: key outside any section",
@@ -222,12 +144,11 @@ impl Config {
                 }
             }
         }
-        flush_allow(&mut allow, &mut config)?;
         Ok(config)
     }
 
     /// Loads and parses `root/lint.toml`. A missing file is an empty
-    /// config (every rule applies everywhere, nothing is allowlisted).
+    /// config (every rule applies everywhere).
     ///
     /// # Errors
     ///
@@ -292,25 +213,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_scanner_and_allow_sections() {
+    fn parses_the_scanner_section() {
         let text = r#"
-# reviewed allowlist
+# reviewed policy
 [scanner]
 deterministic_paths = ["crates/core", "src"]
 skip = ["target"]
-
-[[allow]]
-rule = "no-raw-spawn"
-path = "crates/sim/src/engine.rs"
-contains = "scope.spawn"
-reason = "bounded worker pool"
 "#;
         let config = Config::parse(text).unwrap();
         assert_eq!(config.deterministic_paths, vec!["crates/core", "src"]);
         assert_eq!(config.skip, vec!["target"]);
-        assert_eq!(config.allows.len(), 1);
-        assert_eq!(config.allows[0].rule, "no-raw-spawn");
-        assert_eq!(config.allows[0].contains.as_deref(), Some("scope.spawn"));
     }
 
     #[test]
@@ -333,11 +245,6 @@ bench_baseline = "crates/bench/baselines/pipeline_smoke.json"
 crate_roots = "crates"
 snapshot_schema = "crates/core/src/snapshot.rs"
 snapshot_doc = "DESIGN.md"
-
-[[allow]]
-rule = "no-wall-clock"
-path = "src/lib.rs"
-reason = "probe"
 "#;
         let config = Config::parse(text).unwrap();
         assert_eq!(config.hot_paths, vec!["crates/logs/src/view.rs"]);
@@ -353,20 +260,12 @@ reason = "probe"
             Some("crates/core/src/snapshot.rs")
         );
         assert_eq!(contracts.snapshot_doc.as_deref(), Some("DESIGN.md"));
-        assert_eq!(config.allows[0].line, 13, "[[allow]] header line recorded");
     }
 
     #[test]
     fn unknown_contracts_key_is_a_hard_error() {
         let err = Config::parse("[contracts]\nbench_cfg = \"x\"\n").unwrap_err();
         assert!(err.contains("bench_cfg"), "{err}");
-    }
-
-    #[test]
-    fn allow_without_reason_is_rejected() {
-        let text = "[[allow]]\nrule = \"no-wall-clock\"\npath = \"src/lib.rs\"\n";
-        let err = Config::parse(text).unwrap_err();
-        assert!(err.contains("reason"), "{err}");
     }
 
     #[test]

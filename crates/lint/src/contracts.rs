@@ -8,47 +8,21 @@
 //!   silently escapes the perf gate — that is an error); a baseline entry
 //!   with no config is drift in the other direction (a warning);
 //! - every workspace crate under `crate_roots` is covered by
-//!   `deterministic_paths`/`wall_clock_allowed`/`skip` or explicitly
-//!   reviewed in `coverage_exempt` — a new crate cannot silently dodge
-//!   the determinism rules;
+//!   `deterministic_paths`/`skip` or explicitly reviewed in
+//!   `coverage_exempt` — a new crate cannot silently dodge the
+//!   determinism rules;
 //! - the snapshot schema version declared in `snapshot_schema`
 //!   (`pub const SNAPSHOT_VERSION: u32 = <n>`) is described in
 //!   `snapshot_doc` as the phrase `snapshot schema version <n>` — a
 //!   version bump cannot land without touching the design doc that
-//!   specifies the persisted layout;
-//! - every `[[allow]]` entry names a real rule (a typo would silence
-//!   nothing and then read as a clean burndown).
-//!
-//! `// SAFETY:` coverage for `unsafe` stays with the dedicated
-//! `unsafe-inventory` rule; `[[allow]]` reasons are enforced even earlier,
-//! at config parse (a missing reason is a hard exit-2 error).
+//!   specifies the persisted layout.
 
 use crate::config::Config;
 use crate::diag::{Diagnostic, Level};
-use crate::rules::RULES;
 use std::path::Path;
 
-/// Runs every contract check. Bench and coverage checks are gated on
-/// their `[contracts]` keys; allow-rule validation always runs (it needs
-/// only the config itself).
+/// Runs every contract check, each gated on its `[contracts]` keys.
 pub fn contract_sync(root: &Path, config: &Config, out: &mut Vec<Diagnostic>) {
-    for entry in &config.allows {
-        if !RULES.contains(&entry.rule.as_str()) {
-            out.push(Diagnostic {
-                rule: "contract-sync",
-                level: Level::Error,
-                path: "lint.toml".into(),
-                line: entry.line,
-                col: 1,
-                message: format!(
-                    "[[allow]] entry names unknown rule `{}` (at `{}`)",
-                    entry.rule, entry.path
-                ),
-                help: format!("known rules: {}", RULES.join(", ")),
-            });
-        }
-    }
-
     let Some(contracts) = &config.contracts else {
         return;
     };
@@ -285,7 +259,6 @@ fn check_crate_coverage(root: &Path, roots: &str, config: &Config, out: &mut Vec
     crates.sort();
     let lists = [
         &config.deterministic_paths,
-        &config.wall_clock_allowed,
         &config.skip,
         &config.coverage_exempt,
     ];
@@ -302,12 +275,11 @@ fn check_crate_coverage(root: &Path, roots: &str, config: &Config, out: &mut Vec
                 line: 0,
                 col: 0,
                 message: format!(
-                    "crate `{krate}` is not covered by deterministic_paths, \
-                     wall_clock_allowed, skip, or coverage_exempt"
+                    "crate `{krate}` is not covered by deterministic_paths, skip, \
+                     or coverage_exempt"
                 ),
                 help: "decide the crate's determinism posture in lint.toml: add it to \
-                       deterministic_paths (default), wall_clock_allowed (bench code), or \
-                       coverage_exempt with review"
+                       deterministic_paths (default) or coverage_exempt with review"
                     .into(),
             });
         }
@@ -391,19 +363,5 @@ mod tests {
         assert!(out[1].message.contains("ghost"));
         assert_eq!(out[1].level, Level::Warning);
         assert_eq!(out[1].path, "base.json");
-    }
-
-    #[test]
-    fn unknown_allow_rule_is_flagged_with_its_config_line() {
-        let config = Config::parse(
-            "[[allow]]\nrule = \"no-wall-clok\"\npath = \"src/lib.rs\"\nreason = \"typo\"\n",
-        )
-        .unwrap();
-        let mut out = Vec::new();
-        contract_sync(Path::new("/nonexistent"), &config, &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].path, "lint.toml");
-        assert_eq!(out[0].line, 1);
-        assert!(out[0].message.contains("no-wall-clok"));
     }
 }

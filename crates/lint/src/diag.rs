@@ -6,7 +6,7 @@ use std::fmt;
 /// advisory tier — but they render differently (`error[...]` vs
 /// `warning[...]`, `::error` vs `::warning` in `--github` mode) so a
 /// reader can triage: errors are contract violations in code, warnings
-/// are bookkeeping drift (stale allow entries, orphaned baselines).
+/// are bookkeeping drift (orphaned baseline entries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Level {
     /// A contract violation.
@@ -91,28 +91,15 @@ fn escape_data(s: &str) -> String {
         .replace('\n', "%0A")
 }
 
-/// One `unsafe` site with its justification, for the machine-readable
-/// inventory (present even when the rule passes).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnsafeSite {
-    /// Workspace-relative path.
-    pub path: String,
-    /// 1-based line of the `unsafe` token.
-    pub line: usize,
-    /// The `// SAFETY:` text that justifies it.
-    pub safety: String,
-}
-
 /// Everything one `check` run produced.
 #[derive(Debug, Clone, Default)]
 pub struct ScanResult {
-    /// Findings not covered by a suppression comment or allowlist entry.
+    /// Findings not covered by a suppression comment.
     pub findings: Vec<Diagnostic>,
-    /// Findings that matched an `[[allow]]` entry (reported in JSON so the
-    /// burndown is visible, but they do not fail the run).
+    /// Findings silenced by a `// lint: allow(<rule>)` comment (reported
+    /// in JSON so every exception stays visible, but they do not fail the
+    /// run).
     pub allowed: Vec<Diagnostic>,
-    /// Machine-readable inventory of every justified `unsafe` block.
-    pub unsafe_inventory: Vec<UnsafeSite>,
     /// Files scanned.
     pub files_scanned: usize,
 }
@@ -154,24 +141,11 @@ impl ScanResult {
     pub fn to_json(&self) -> String {
         let findings: Vec<String> = self.findings.iter().map(diag_json).collect();
         let allowed: Vec<String> = self.allowed.iter().map(diag_json).collect();
-        let inventory: Vec<String> = self
-            .unsafe_inventory
-            .iter()
-            .map(|u| {
-                format!(
-                    "{{\"path\":{},\"line\":{},\"safety\":{}}}",
-                    json_str(&u.path),
-                    u.line,
-                    json_str(&u.safety)
-                )
-            })
-            .collect();
         format!(
-            "{{\"files_scanned\":{},\"findings\":[{}],\"allowed\":[{}],\"unsafe_inventory\":[{}]}}\n",
+            "{{\"files_scanned\":{},\"findings\":[{}],\"allowed\":[{}]}}\n",
             self.files_scanned,
             findings.join(","),
-            allowed.join(","),
-            inventory.join(",")
+            allowed.join(",")
         )
     }
 
@@ -194,11 +168,10 @@ impl ScanResult {
             out.push_str("\n\n");
         }
         out.push_str(&format!(
-            "{} file(s) scanned, {} finding(s), {} allowlisted, {} unsafe site(s) inventoried\n",
+            "{} file(s) scanned, {} finding(s), {} suppressed\n",
             self.files_scanned,
             self.findings.len(),
-            self.allowed.len(),
-            self.unsafe_inventory.len()
+            self.allowed.len()
         ));
         out
     }
@@ -210,20 +183,20 @@ mod tests {
 
     fn sample() -> Diagnostic {
         Diagnostic {
-            rule: "no-wall-clock",
+            rule: "no-float-keys",
             level: Level::Error,
             path: "src/lib.rs".into(),
             line: 7,
             col: 13,
-            message: "wall-clock read in deterministic code".into(),
-            help: "inject time or move to crates/bench".into(),
+            message: "float ordering via `partial_cmp(..).unwrap()`".into(),
+            help: "use `f64::total_cmp`".into(),
         }
     }
 
     #[test]
     fn human_rendering_is_rustc_shaped() {
         let text = sample().to_string();
-        assert!(text.starts_with("error[no-wall-clock]:"));
+        assert!(text.starts_with("error[no-float-keys]:"));
         assert!(text.contains("--> src/lib.rs:7:13"));
         assert!(text.contains("= help:"));
     }
@@ -232,7 +205,7 @@ mod tests {
     fn warning_level_renders_and_serializes() {
         let mut d = sample();
         d.level = Level::Warning;
-        assert!(d.to_string().starts_with("warning[no-wall-clock]:"));
+        assert!(d.to_string().starts_with("warning[no-float-keys]:"));
         let mut result = ScanResult::default();
         result.findings.push(d);
         assert!(result.to_json().contains("\"level\":\"warning\""));
@@ -245,7 +218,7 @@ mod tests {
         let cmd = d.to_github();
         assert!(
             cmd.starts_with(
-                "::error file=src/lib.rs,line=7,col=13,title=ssfa-lint[no-wall-clock]::"
+                "::error file=src/lib.rs,line=7,col=13,title=ssfa-lint[no-float-keys]::"
             ),
             "{cmd}"
         );
@@ -266,6 +239,6 @@ mod tests {
         let json = result.to_json();
         assert!(json.contains("\"files_scanned\":3"));
         assert!(json.contains("quote \\\" and\\nnewline"));
-        assert!(json.contains("\"unsafe_inventory\":[]"));
+        assert!(json.ends_with("\"allowed\":[]}\n"), "{json}");
     }
 }

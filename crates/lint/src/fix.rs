@@ -27,11 +27,11 @@ pub struct Edit {
     pub insert: String,
 }
 
-/// Rules the fixer never plans for: their findings live in config or
-/// cross-artifact state (lint.toml, baseline JSON), where a suppression
-/// comment is either impossible or the wrong move — config drift is fixed
-/// by fixing the config, not by blessing the drift.
-const NOFIX_RULES: [&str; 2] = ["unused-allow", "contract-sync"];
+/// Rules the fixer never plans for: their findings live in cross-artifact
+/// state (lint.toml, baseline JSON), where a suppression comment is either
+/// impossible or the wrong move — config drift is fixed by fixing the
+/// config, not by blessing the drift.
+const NOFIX_RULES: [&str; 1] = ["contract-sync"];
 
 /// Plans the suppression edits for `findings`. Diagnostics without a
 /// source line and `NOFIX_RULES` findings are skipped — deleting or
@@ -148,9 +148,13 @@ mod tests {
     fn plan_matches_indentation() {
         let dir = std::env::temp_dir().join("ssfa_lint_fix_indent_test");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("a.rs"), "fn f() {\n    thread::spawn(|| {});\n}\n").unwrap();
+        std::fs::write(
+            dir.join("a.rs"),
+            "fn f(a: f64, b: f64) {\n    a.partial_cmp(&b).unwrap();\n}\n",
+        )
+        .unwrap();
         let findings = vec![Diagnostic {
-            rule: "no-raw-spawn",
+            rule: "no-float-keys",
             level: crate::diag::Level::Error,
             path: "a.rs".into(),
             line: 2,
@@ -162,7 +166,7 @@ mod tests {
         assert_eq!(edits.len(), 1);
         assert_eq!(
             edits[0].insert,
-            "    // lint: allow(no-raw-spawn) TODO: justify"
+            "    // lint: allow(no-float-keys) TODO: justify"
         );
         std::fs::remove_dir_all(dir).ok();
     }

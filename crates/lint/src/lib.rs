@@ -6,10 +6,10 @@
 //! reproduction depends on — see [`rules`] for the list and DESIGN.md
 //! ("Static analysis & determinism guarantees") for the rationale.
 //!
-//! Findings are individually suppressible with a justification comment on
-//! or above the line, or via reviewed `[[allow]]` entries in `lint.toml`
-//! (an explicit burndown — unused entries fail the run so stale blessings
-//! cannot accumulate).
+//! It holds the contracts clippy cannot express: hash-order iteration,
+//! float ordering, hot-path allocation, fast-path bail discipline, and
+//! cross-artifact sync. Findings are individually suppressible with a
+//! justification comment on or above the line.
 
 pub mod config;
 pub mod contracts;
@@ -21,7 +21,7 @@ pub mod lexer;
 pub mod rules;
 
 pub use config::Config;
-pub use diag::{Diagnostic, Level, ScanResult, UnsafeSite};
+pub use diag::{Diagnostic, Level, ScanResult};
 
 use rules::SourceFile;
 use std::path::{Path, PathBuf};
@@ -88,14 +88,9 @@ pub fn check_workspace(root: &Path, config: &Config) -> std::io::Result<ScanResu
 
     let index = rules::HashNameIndex::build(&files);
     let mut raw: Vec<Diagnostic> = Vec::new();
-    let mut inventory: Vec<UnsafeSite> = Vec::new();
     for file in &files {
         rules::no_hashmap_iter(file, &index, config, &mut raw);
-        rules::no_wall_clock(file, config, &mut raw);
-        rules::no_unseeded_rng(file, &mut raw);
-        rules::no_raw_spawn(file, config, &mut raw);
         rules::no_float_keys(file, &mut raw);
-        rules::unsafe_inventory(file, &mut raw, &mut inventory);
     }
 
     // Item-aware families: parse fn items once, run both rules over the
@@ -107,74 +102,25 @@ pub fn check_workspace(root: &Path, config: &Config) -> std::io::Result<ScanResu
     hotpath::bail_discipline(&item_index, &mut raw);
 
     // Cross-artifact contracts (bench/baseline drift, crate coverage,
-    // allow-entry rule names).
+    // snapshot schema documentation).
     contracts::contract_sync(root, config, &mut raw);
 
-    // Apply suppression comments, then the lint.toml allowlist.
+    // Apply suppression comments.
     let by_rel: std::collections::BTreeMap<&str, &SourceFile> =
         files.iter().map(|f| (f.rel.as_str(), f)).collect();
-    let mut findings = Vec::new();
-    let mut allowed = Vec::new();
-    let mut allow_hits = vec![0usize; config.allows.len()];
-    'diag: for d in raw {
-        if let Some(file) = by_rel.get(d.path.as_str()) {
-            if rules::suppressed(file, d.rule, d.line) {
-                allowed.push(d);
-                continue;
-            }
-            for (i, entry) in config.allows.iter().enumerate() {
-                let line_text = file
-                    .stripped
-                    .code
-                    .lines()
-                    .nth(d.line - 1)
-                    .unwrap_or_default();
-                let matches = entry.rule == d.rule
-                    && Config::under(&d.path, std::slice::from_ref(&entry.path))
-                    && entry
-                        .contains
-                        .as_ref()
-                        .is_none_or(|needle| line_text.contains(needle.as_str()));
-                if matches {
-                    allow_hits[i] += 1;
-                    allowed.push(d);
-                    continue 'diag;
-                }
-            }
-        }
-        findings.push(d);
-    }
-
-    // An allow entry that matched nothing is itself a finding: the
-    // burndown list must shrink as the code improves, never fossilize.
-    // Entries naming an unknown rule are skipped here — `contract-sync`
-    // already reported the typo, which subsumes "matched nothing".
-    for (entry, hits) in config.allows.iter().zip(&allow_hits) {
-        if *hits == 0 && rules::RULES.contains(&entry.rule.as_str()) {
-            findings.push(Diagnostic {
-                rule: "unused-allow",
-                level: Level::Warning,
-                path: "lint.toml".into(),
-                line: entry.line,
-                col: 0,
-                message: format!(
-                    "[[allow]] entry for `{}` at `{}` no longer matches anything",
-                    entry.rule, entry.path
-                ),
-                help: "delete the stale entry (the violation it blessed is gone)".into(),
-            });
-        }
-    }
-
+    let (allowed, mut findings): (Vec<Diagnostic>, Vec<Diagnostic>) =
+        raw.into_iter().partition(|d| {
+            by_rel
+                .get(d.path.as_str())
+                .is_some_and(|file| rules::suppressed(file, d.rule, d.line))
+        });
     findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
-    inventory.sort_by(|a, b| (a.path.as_str(), a.line).cmp(&(b.path.as_str(), b.line)));
 
     Ok(ScanResult {
         findings,
         allowed,
-        unsafe_inventory: inventory,
         files_scanned: files.len(),
     })
 }

@@ -1,27 +1,24 @@
-//! The six determinism/concurrency rules.
+//! The token rules: `no-hashmap-iter` and `no-float-keys`.
 //!
-//! All rules work on [`crate::lexer::Stripped`] text — token-level, not AST-level
+//! Both work on [`crate::lexer::Stripped`] text — token-level, not AST-level
 //! — so they are heuristics by design: precise enough for this workspace
 //! (the fixture tests pin the behavior), cheap enough to run on every CI
-//! push, and individually suppressible where a human has looked:
+//! push, and individually suppressible where a human has looked, on the
+//! same line or the line above: `// lint: allow(<rule>) <reason>` (for
+//! `no-hashmap-iter`, `// lint: sorted <reason>` is an alias).
 //!
-//! - same line or the line above: `// lint: allow(<rule>) <reason>`
-//!   (for `no-hashmap-iter`, `// lint: sorted <reason>` is an alias);
-//! - `lint.toml` `[[allow]]` entries for reviewed, path-scoped burndown.
+//! Wall clocks, raw threads and `// SAFETY:` coverage are clippy's
+//! (root `clippy.toml` and `[workspace.lints]`); unseeded RNGs cannot be
+//! written, because the vendored `rand` has no entropy constructor.
 
 use crate::config::Config;
-use crate::diag::{Diagnostic, Level, UnsafeSite};
+use crate::diag::{Diagnostic, Level};
 use crate::lexer::Stripped;
 
-/// Names of every rule, used by `lint: allow(...)` validation and the
-/// `contract-sync` allow-entry check.
-pub const RULES: [&str; 9] = [
+/// Names of every rule `ssfa-lint` enforces.
+pub const RULES: [&str; 5] = [
     "no-hashmap-iter",
-    "no-wall-clock",
-    "no-unseeded-rng",
-    "no-raw-spawn",
     "no-float-keys",
-    "unsafe-inventory",
     "no-alloc-hot-path",
     "bail-discipline",
     "contract-sync",
@@ -303,56 +300,6 @@ fn find_for_in(line: &str) -> Option<usize> {
     Some(for_at + in_rel + 4)
 }
 
-/// `no-wall-clock`: `SystemTime::now` / `Instant::now` outside the bench
-/// harness paths. Wall-clock reads make replays and differential tests
-/// diverge; deterministic code takes time as data.
-pub fn no_wall_clock(file: &SourceFile, config: &Config, out: &mut Vec<Diagnostic>) {
-    if Config::under(&file.rel, &config.wall_clock_allowed) {
-        return;
-    }
-    scan_tokens(
-        file,
-        &["SystemTime::now", "Instant::now"],
-        out,
-        "no-wall-clock",
-        |token| format!("`{token}` reads the wall clock in deterministic code"),
-        "inject time as data (SimTime) or move the timing into crates/bench / \
-         crates/criterion; justify exceptions with `// lint: allow(no-wall-clock) <why>`",
-    );
-}
-
-/// `no-unseeded-rng`: RNG constructed from ambient entropy. Every random
-/// stream in this workspace must be reproducible from an explicit seed.
-pub fn no_unseeded_rng(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    scan_tokens(
-        file,
-        &["from_entropy", "thread_rng", "OsRng", "rand::random"],
-        out,
-        "no-unseeded-rng",
-        |token| format!("`{token}` draws ambient entropy; runs become unreproducible"),
-        "construct RNGs with an explicit seed (seed_from_u64 / from_seed); justify \
-         exceptions with `// lint: allow(no-unseeded-rng) <why>`",
-    );
-}
-
-/// `no-raw-spawn`: `thread::spawn` / `thread::scope` outside the blessed
-/// worker-pool modules. Ad-hoc threads bypass the deterministic work-queue
-/// discipline the model checker verifies.
-pub fn no_raw_spawn(file: &SourceFile, config: &Config, out: &mut Vec<Diagnostic>) {
-    if Config::under(&file.rel, &config.raw_spawn_allowed) {
-        return;
-    }
-    scan_tokens(
-        file,
-        &["thread::spawn", "thread::scope"],
-        out,
-        "no-raw-spawn",
-        |token| format!("`{token}` outside a blessed worker-pool module"),
-        "route the work through the chunk work queue (ssfa::workqueue) or bless the \
-         module in lint.toml `raw_spawn_allowed` with a reason",
-    );
-}
-
 /// `no-float-keys`: ordering floats via `partial_cmp(..).unwrap()` (or
 /// `.expect`). NaN panics aside, `partial_cmp` invites copy-paste into
 /// contexts where the comparator disagrees with itself; `f64::total_cmp`
@@ -372,87 +319,6 @@ pub fn no_float_keys(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                     help: "use `f64::total_cmp` (total, panic-free); justify exceptions \
                            with `// lint: allow(no-float-keys) <why>`"
                         .into(),
-                });
-            }
-        }
-    }
-}
-
-/// `unsafe-inventory`: every `unsafe` token needs a `// SAFETY:` comment
-/// within the three lines above it (or on its own line). Justified sites
-/// land in the machine-readable inventory; unjustified ones are findings.
-pub fn unsafe_inventory(
-    file: &SourceFile,
-    out: &mut Vec<Diagnostic>,
-    inventory: &mut Vec<UnsafeSite>,
-) {
-    for (i, line) in file.stripped.code.lines().enumerate() {
-        let lineno = i + 1;
-        let mut from = 0;
-        while let Some(pos) = line[from..].find("unsafe") {
-            let at = from + pos;
-            from = at + "unsafe".len();
-            if !is_word_boundary(line, at, "unsafe".len()) {
-                continue;
-            }
-            let safety = (lineno.saturating_sub(3)..=lineno)
-                .flat_map(|l| file.stripped.comments_on(l))
-                .find(|c| c.text.contains("SAFETY:"))
-                .map(|c| {
-                    c.text
-                        .trim_start_matches('/')
-                        .trim_start_matches('*')
-                        .trim()
-                        .to_string()
-                });
-            match safety {
-                Some(text) => inventory.push(UnsafeSite {
-                    path: file.rel.clone(),
-                    line: lineno,
-                    safety: text,
-                }),
-                None => out.push(Diagnostic {
-                    rule: "unsafe-inventory",
-                    level: Level::Error,
-                    path: file.rel.clone(),
-                    line: lineno,
-                    col: at + 1,
-                    message: "`unsafe` without a `// SAFETY:` justification".into(),
-                    help: "add a `// SAFETY: <invariant and why it holds>` comment on or \
-                           directly above the unsafe block"
-                        .into(),
-                }),
-            }
-        }
-    }
-}
-
-/// Shared token scanner for the substring-match rules.
-fn scan_tokens(
-    file: &SourceFile,
-    tokens: &[&str],
-    out: &mut Vec<Diagnostic>,
-    rule: &'static str,
-    message: impl Fn(&str) -> String,
-    help: &str,
-) {
-    for (i, line) in file.stripped.code.lines().enumerate() {
-        for token in tokens {
-            let mut from = 0;
-            while let Some(pos) = line[from..].find(token) {
-                let at = from + pos;
-                from = at + token.len();
-                if !is_word_boundary(line, at, token.len()) {
-                    continue;
-                }
-                out.push(Diagnostic {
-                    rule,
-                    level: Level::Error,
-                    path: file.rel.clone(),
-                    line: i + 1,
-                    col: at + 1,
-                    message: message(token),
-                    help: help.into(),
                 });
             }
         }
@@ -546,45 +412,16 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_in_string_literal_is_not_flagged() {
-        let f = file(
-            "src/lib.rs",
-            "fn f() { let s = \"Instant::now\"; } // Instant::now in comment\n",
-        );
-        let mut out = Vec::new();
-        no_wall_clock(&f, &Config::default(), &mut out);
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn unsafe_without_safety_is_flagged_with_safety_is_inventoried() {
-        let f = file(
-            "src/lib.rs",
-            "fn f() { unsafe { a() } }\n\
-             // SAFETY: b is sound because reasons.\n\
-             fn g() { unsafe { b() } }\n",
-        );
-        let mut out = Vec::new();
-        let mut inv = Vec::new();
-        unsafe_inventory(&f, &mut out, &mut inv);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].line, 1);
-        assert_eq!(inv.len(), 1);
-        assert_eq!(inv[0].line, 3);
-        assert!(inv[0].safety.contains("reasons"));
-    }
-
-    #[test]
     fn suppression_comment_on_line_or_above_works() {
         let f = file(
             "src/lib.rs",
-            "// lint: allow(no-raw-spawn) test fixture\n\
-             fn f() { std::thread::spawn(|| {}); }\n\
-             fn g() { std::thread::spawn(|| {}); } // lint: allow(no-raw-spawn) same line\n\
-             fn h() { std::thread::spawn(|| {}); }\n",
+            "// lint: allow(no-float-keys) test fixture\n\
+             fn f(a: f64, b: f64) { a.partial_cmp(&b).unwrap(); }\n\
+             fn g(a: f64, b: f64) { a.partial_cmp(&b).unwrap(); } // lint: allow(no-float-keys) same line\n\
+             fn h(a: f64, b: f64) { a.partial_cmp(&b).unwrap(); }\n",
         );
-        assert!(suppressed(&f, "no-raw-spawn", 2));
-        assert!(suppressed(&f, "no-raw-spawn", 3));
-        assert!(!suppressed(&f, "no-raw-spawn", 4));
+        assert!(suppressed(&f, "no-float-keys", 2));
+        assert!(suppressed(&f, "no-float-keys", 3));
+        assert!(!suppressed(&f, "no-float-keys", 4));
     }
 }

@@ -52,17 +52,17 @@ fn clean_tree_exits_zero_and_seeded_violation_exits_one_with_location() {
     // Seed one violation; the gate must go red and name the line.
     std::fs::write(
         root.join("seeded.rs"),
-        "pub fn t() {\n    std::thread::spawn(|| {});\n}\n",
+        "pub fn t(xs: &mut [f64]) {\n    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n",
     )
     .unwrap();
     let out = run(&root, &["check"]);
     assert_eq!(out.status.code(), Some(1));
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
-        text.contains("seeded.rs:2:10"),
+        text.contains("seeded.rs:2:25"),
         "missing file:line:col in\n{text}"
     );
-    assert!(text.contains("no-raw-spawn"), "{text}");
+    assert!(text.contains("no-float-keys"), "{text}");
 
     std::fs::remove_dir_all(root).ok();
 }
@@ -83,7 +83,7 @@ fn fix_dry_run_never_writes_and_apply_is_idempotent() {
     let root = scratch("fix");
     std::fs::write(
         root.join("hot.rs"),
-        "pub fn t() {\n    let t0 = std::time::Instant::now();\n    drop(t0);\n}\n",
+        "pub fn t(a: f64, b: f64) {\n    let o = a.partial_cmp(&b).unwrap();\n    drop(o);\n}\n",
     )
     .unwrap();
 
@@ -102,7 +102,7 @@ fn fix_dry_run_never_writes_and_apply_is_idempotent() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let patched = std::fs::read_to_string(root.join("hot.rs")).unwrap();
     assert!(
-        patched.contains("    // lint: allow(no-wall-clock) TODO: justify"),
+        patched.contains("    // lint: allow(no-float-keys) TODO: justify"),
         "{patched}"
     );
     let out = run(&root, &["check"]);
@@ -149,13 +149,13 @@ fn json_flag_emits_machine_readable_report() {
     let root = scratch("json");
     std::fs::write(
         root.join("bad.rs"),
-        "pub fn r() { let x = rand::random::<u64>(); drop(x); }\n",
+        "pub fn r(a: f64, b: f64) { let o = a.partial_cmp(&b).expect(\"nan\"); drop(o); }\n",
     )
     .unwrap();
     let out = run(&root, &["check", "--json"]);
     assert_eq!(out.status.code(), Some(1));
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("\"rule\":\"no-unseeded-rng\""), "{text}");
+    assert!(text.contains("\"rule\":\"no-float-keys\""), "{text}");
     assert!(text.contains("\"files_scanned\":1"), "{text}");
     std::fs::remove_dir_all(root).ok();
 }

@@ -1,6 +1,6 @@
 // Fixture: exactly one violation of each seeded contract — a hot-path
-// allocation, a fast path with no general counterpart, and a SAFETY-less
-// unsafe block (bench/baseline drift lives in bench.rs). Never compiled.
+// allocation and a fast path with no general counterpart (bench/baseline
+// drift lives in bench.rs). Never compiled.
 
 // lint: zero-alloc
 pub fn hot(id: u32) -> String {
@@ -10,8 +10,4 @@ pub fn hot(id: u32) -> String {
 // lint: fast-path(decode_general)
 pub fn decode_fast(s: &str) -> Option<u32> {
     s.strip_prefix('v')?.len().try_into().ok()
-}
-
-pub fn peek(ptr: *const u8) -> u8 {
-    unsafe { *ptr }
 }

@@ -1,6 +1,7 @@
-// Fixture: the same patterns as violations/bad.rs, every one carrying a
-// justification comment — the scanner must report zero findings here and
-// route each site through `allowed` / the unsafe inventory instead.
+// Fixture: the token-rule patterns of violations/bad.rs, every one carrying
+// a justification comment (on its own line above, or trailing on the same
+// line) — the scanner must report zero findings here and route each site
+// through `allowed` instead.
 use std::collections::HashMap;
 
 pub struct Tally {
@@ -16,26 +17,11 @@ pub fn total(t: &Tally) -> f64 {
     sum
 }
 
-pub fn stamp() -> std::time::Instant {
-    Instant::now() // lint: allow(no-wall-clock) progress display only, never in results
-}
-
-pub fn roll() -> u64 {
-    // lint: allow(no-unseeded-rng) interactive demo path, reproducibility not needed
-    let mut rng = SmallRng::from_entropy();
-    rng.next_u64()
-}
-
-pub fn offload() {
-    std::thread::spawn(|| {}); // lint: allow(no-raw-spawn) detached logger thread
-}
-
 pub fn rank(xs: &mut [f64]) {
     // lint: allow(no-float-keys) input is validated NaN-free at parse time
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }
 
-pub fn peek(ptr: *const u8) -> u8 {
-    // SAFETY: caller guarantees ptr is valid and aligned for u8.
-    unsafe { *ptr }
+pub fn rank_desc(xs: &mut [f64]) {
+    xs.sort_by(|a, b| b.partial_cmp(a).unwrap()); // lint: allow(no-float-keys) same-line form
 }

@@ -17,25 +17,8 @@ pub fn total(t: &Tally) -> f64 {
     sum
 }
 
-pub fn stamp() -> std::time::Instant {
-    Instant::now()
-}
-
-pub fn roll() -> u64 {
-    let mut rng = SmallRng::from_entropy();
-    rng.next_u64()
-}
-
-pub fn offload() {
-    std::thread::spawn(|| {});
-}
-
 pub fn rank(xs: &mut [f64]) {
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-}
-
-pub fn peek(ptr: *const u8) -> u8 {
-    unsafe { *ptr }
 }
 
 // lint: zero-alloc

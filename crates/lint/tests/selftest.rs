@@ -89,8 +89,8 @@ fn allow_fixtures_suppress_into_the_allowed_list() {
 }
 
 /// The seeded fixture plants exactly one violation per contract: a
-/// hot-path allocation, a fast path with no general counterpart,
-/// bench/baseline drift, and a SAFETY-less unsafe block.
+/// hot-path allocation, a fast path with no general counterpart, and
+/// bench/baseline drift.
 #[test]
 fn seeded_fixture_fires_each_contract_exactly_once() {
     let result = scan("seeded");
@@ -98,12 +98,7 @@ fn seeded_fixture_fires_each_contract_exactly_once() {
     rules.sort_unstable();
     assert_eq!(
         rules,
-        vec![
-            "bail-discipline",
-            "contract-sync",
-            "no-alloc-hot-path",
-            "unsafe-inventory",
-        ],
+        vec!["bail-discipline", "contract-sync", "no-alloc-hot-path",],
         "{:?}",
         result.findings
     );

@@ -141,43 +141,6 @@ impl LogBook {
         self.lines.iter()
     }
 
-    /// Iterates the lines emitted by one host.
-    pub fn lines_for_host(
-        &self,
-        host: ssfa_model::SystemId,
-    ) -> impl Iterator<Item = &LogLine> + '_ {
-        self.lines.iter().filter(move |l| l.host == host)
-    }
-
-    /// Iterates the lines within a half-open time window `[from, to)`.
-    pub fn lines_between(
-        &self,
-        from: ssfa_model::SimTime,
-        to: ssfa_model::SimTime,
-    ) -> impl Iterator<Item = &LogLine> + '_ {
-        self.lines.iter().filter(move |l| l.at >= from && l.at < to)
-    }
-
-    /// Iterates the lines whose subsystem tag starts with `prefix`
-    /// (e.g. `"raid."` for the classification-bearing events).
-    pub fn lines_with_tag_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = &'a LogLine> + 'a {
-        self.lines
-            .iter()
-            .filter(move |l| l.event.tag().starts_with(prefix))
-    }
-
-    /// Counts lines per subsystem tag.
-    pub fn count_by_tag(&self) -> std::collections::BTreeMap<&'static str, usize> {
-        let mut counts = std::collections::BTreeMap::new();
-        for line in &self.lines {
-            *counts.entry(line.event.tag()).or_insert(0) += 1;
-        }
-        counts
-    }
-
     /// Renders the whole corpus as text, one line per event. Lines are
     /// pushed straight into the output buffer via
     /// [`LogLine::render_into`] — no per-line allocation and no `fmt`
@@ -379,45 +342,6 @@ mod tests {
         let lines: Vec<_> = book.iter().cloned().collect();
         assert_eq!(lines[0], a);
         assert_eq!(lines[1], b);
-    }
-
-    #[test]
-    fn query_api_filters_correctly() {
-        use ssfa_model::SimTime;
-        let mk = |host: u32, t: u64, adapter: u8| {
-            LogLine::new(
-                SystemId(host),
-                SimTime::from_secs(t),
-                LogEvent::FciAdapterReset { adapter },
-            )
-        };
-        let mut book: LogBook = vec![
-            mk(1, 100, 1),
-            mk(2, 200, 2),
-            mk(1, 300, 3),
-            LogLine::new(
-                SystemId(1),
-                SimTime::from_secs(400),
-                LogEvent::FciDeviceTimeout {
-                    device: DeviceAddr::new(8, 24),
-                },
-            ),
-        ]
-        .into_iter()
-        .collect();
-        book.sort_chronological();
-
-        assert_eq!(book.lines_for_host(SystemId(1)).count(), 3);
-        assert_eq!(book.lines_for_host(SystemId(9)).count(), 0);
-        assert_eq!(
-            book.lines_between(SimTime::from_secs(150), SimTime::from_secs(400))
-                .count(),
-            2
-        );
-        assert_eq!(book.lines_with_tag_prefix("fci.adapter").count(), 3);
-        let by_tag = book.count_by_tag();
-        assert_eq!(by_tag["fci.adapter.reset"], 3);
-        assert_eq!(by_tag["fci.device.timeout"], 1);
     }
 
     #[test]

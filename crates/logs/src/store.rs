@@ -882,16 +882,6 @@ impl CorpusReader {
         Ok(bytes)
     }
 
-    /// Reads and parses one shard into a [`LogBook`].
-    ///
-    /// # Errors
-    ///
-    /// As [`CorpusReader::read_shard_text`], plus [`CorpusError::Log`] on
-    /// parse failure.
-    pub fn read_shard(&self, shard: usize) -> Result<LogBook, CorpusError> {
-        Ok(LogBook::from_text(&self.read_shard_text(shard)?)?)
-    }
-
     /// Walks the whole corpus validating every frame against its header
     /// checksum and its manifest record, and every segment file for
     /// trailing garbage. With `deep`, each payload is additionally parsed
@@ -1030,7 +1020,12 @@ mod tests {
                 NoiseParams::none(),
                 21,
             );
-            assert_eq!(reader.read_shard(shard).unwrap(), expected, "shard {shard}");
+            let text = reader.read_shard_text(shard).unwrap();
+            assert_eq!(
+                LogBook::from_text(&text).unwrap(),
+                expected,
+                "shard {shard}"
+            );
         }
     }
 

@@ -258,6 +258,10 @@ impl Explorer {
                 st.runs.len() - 1
             };
             let e2 = exp.clone();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the model checker serializes real threads behind its token scheduler"
+            )]
             let handle = std::thread::Builder::new()
                 .name(format!("loom-vthread-{tid}"))
                 .spawn(move || vthread_main(e2, tid, body))
@@ -377,6 +381,10 @@ where
     });
     let e2 = exp.clone();
     let f2 = Arc::clone(f);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the model checker serializes real threads behind its token scheduler"
+    )]
     let root = std::thread::Builder::new()
         .name("loom-vthread-0".to_string())
         .spawn(move || vthread_main(e2, 0, Box::new(move || f2())))

@@ -244,6 +244,10 @@ mod tests {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let map = std::sync::Arc::clone(&map);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "proves Mmap is soundly Send + Sync by reading one map from real threads"
+                )]
                 std::thread::spawn(move || map[0] + map[7])
             })
             .collect();

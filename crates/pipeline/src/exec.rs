@@ -76,6 +76,10 @@ impl Engine {
         let queue = StdChunkQueue::new(new_chunks);
         let workers = self.threads.min(new_chunks);
         let mut collected: Vec<(usize, Result<_, PipelineError>)> = Vec::with_capacity(new_chunks);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the engine's worker pool; chunks are claimed through the model-checked ChunkQueue"
+        )]
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {

@@ -494,7 +494,7 @@ macro_rules! proptest {
                 $crate::test_runner::run_cases_with(stringify!($name), $config, |__proptest_rng| {
                     $(let $arg = $crate::strategy::Strategy::generate(&($strategy), __proptest_rng);)+
                     $body
-                    #[allow(unreachable_code)]
+                    #[allow(unreachable_code, reason = "a property body may end in `return` or a panic")]
                     Ok(())
                 });
             }
@@ -507,7 +507,7 @@ macro_rules! proptest {
                 $crate::test_runner::run_cases(stringify!($name), |__proptest_rng| {
                     $(let $arg = $crate::strategy::Strategy::generate(&($strategy), __proptest_rng);)+
                     $body
-                    #[allow(unreachable_code)]
+                    #[allow(unreachable_code, reason = "a property body may end in `return` or a panic")]
                     Ok(())
                 });
             }

@@ -12,6 +12,11 @@
 //! Nothing in this workspace depends on upstream `rand`'s exact output;
 //! every calibration band and golden snapshot was produced against this
 //! implementation.
+//!
+//! There is deliberately no entropy constructor: no `from_entropy`,
+//! `thread_rng`, `OsRng`, or `rand::random`. Every random stream in the
+//! workspace must be reproducible from an explicit seed, and this API is
+//! what enforces it — an unseeded generator does not compile.
 
 #![forbid(unsafe_code)]
 
@@ -178,8 +183,8 @@ pub trait Rng: RngCore {
 
 impl<R: RngCore + ?Sized> Rng for R {}
 
-/// A generator seedable from a `u64` (the only constructor this workspace
-/// uses).
+/// A generator seedable from a `u64` — the only constructor, so every
+/// stream is reproducible from its seed.
 pub trait SeedableRng: Sized {
     /// Builds a generator whose stream is fully determined by `state`.
     fn seed_from_u64(state: u64) -> Self;

@@ -105,6 +105,10 @@ impl Simulator {
             // order, so scheduling cannot affect the output.
             let chunk = systems.len().div_ceil(threads);
             let mut collected: Vec<Vec<SystemResult>> = Vec::new();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the simulator's bounded worker pool; output is concatenated in system order"
+            )]
             std::thread::scope(|scope| {
                 let handles: Vec<_> = systems
                     .chunks(chunk)
@@ -454,7 +458,6 @@ impl Simulator {
 
     /// Applies detection lag and assembles the occurrence record. Returns
     /// `None` for failures whose detection falls outside the study window.
-    #[allow(clippy::too_many_arguments)]
     fn finish_occurrence(
         &self,
         at: SimTime,

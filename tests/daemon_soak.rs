@@ -166,11 +166,20 @@ fn faulted_multi_tenant_soak_converges_to_offline_summaries() {
     let total_a = agent_a.stream_len();
     let total_b = agent_b.stream_len();
 
-    // lint: allow(no-raw-spawn) soak harness: three concurrent agents, all joined below
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "soak harness: three concurrent agents, all joined below"
+    )]
     let run_a = std::thread::spawn(move || agent_a.run(addr));
-    // lint: allow(no-raw-spawn) soak harness: three concurrent agents, all joined below
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "soak harness: three concurrent agents, all joined below"
+    )]
     let run_b = std::thread::spawn(move || agent_b.run(addr));
-    // lint: allow(no-raw-spawn) soak harness: three concurrent agents, all joined below
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "soak harness: three concurrent agents, all joined below"
+    )]
     let run_c = std::thread::spawn(move || agent_c.run(addr));
     let report_a = run_a.join().expect("agent a").expect("tenant-a replay");
     let report_b = run_b.join().expect("agent b").expect("tenant-b replay");

@@ -1,11 +1,43 @@
 //! Tier-1 enforcement of the lint contracts: the workspace must scan
 //! clean under its own reviewed `lint.toml` policy — including the
 //! item-aware families (no-alloc-hot-path, bail-discipline,
-//! contract-sync). CI runs the binary for annotations; this test makes
-//! `cargo test` alone sufficient to catch a regression.
+//! contract-sync) — and the clippy configuration that enforces the
+//! wall-clock, raw-thread and SAFETY contracts must stay in place. CI runs
+//! both tools; this test makes `cargo test` alone sufficient to catch a
+//! policy that was quietly dropped.
 
 use ssfa_lint::{check_workspace, Config};
 use std::path::Path;
+
+/// Methods clippy's `disallowed_methods` must keep rejecting.
+const DISALLOWED_METHODS: [&str; 5] = [
+    "std::time::Instant::now",
+    "std::time::SystemTime::now",
+    "std::thread::spawn",
+    "std::thread::scope",
+    "std::thread::Builder::spawn",
+];
+
+/// `(Cargo.toml section, lint)` pairs `[workspace.lints]` must keep on.
+const WORKSPACE_LINTS: [(&str, &str); 3] = [
+    ("[workspace.lints.rust]", "unsafe_op_in_unsafe_fn"),
+    ("[workspace.lints.clippy]", "undocumented_unsafe_blocks"),
+    (
+        "[workspace.lints.clippy]",
+        "allow_attributes_without_reason",
+    ),
+];
+
+/// The body of TOML `section`: the lines after its header up to the next
+/// header, with `#` comments dropped.
+fn toml_section<'a>(text: &'a str, section: &str) -> Vec<&'a str> {
+    text.lines()
+        .skip_while(|line| line.trim() != section)
+        .skip(1)
+        .take_while(|line| !line.trim_start().starts_with('['))
+        .map(|line| line.split('#').next().unwrap_or_default().trim())
+        .collect()
+}
 
 #[test]
 fn workspace_scans_clean_under_the_reviewed_policy() {
@@ -25,8 +57,34 @@ fn workspace_scans_clean_under_the_reviewed_policy() {
         "workspace lint findings:\n{}",
         result.render_human()
     );
-    // The scan saw real code, and the unsafe inventory is still populated
-    // (every entry carries its SAFETY justification by construction).
     assert!(result.files_scanned > 100, "{}", result.files_scanned);
-    assert!(!result.unsafe_inventory.is_empty());
+
+    let clippy = std::fs::read_to_string(root.join("clippy.toml")).expect("root clippy.toml");
+    for method in DISALLOWED_METHODS {
+        assert!(
+            clippy.contains(&format!("path = \"{method}\"")),
+            "clippy.toml no longer disallows `{method}`"
+        );
+    }
+
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root Cargo.toml");
+    for (section, lint) in WORKSPACE_LINTS {
+        let on = toml_section(&manifest, section).iter().any(|line| {
+            line.split_once('=').is_some_and(|(key, level)| {
+                key.trim() == lint && matches!(level.trim(), "\"warn\"" | "\"deny\"")
+            })
+        });
+        assert!(on, "Cargo.toml {section} no longer turns on `{lint}`");
+    }
+
+    // Workspace lints reach only the crates that inherit them.
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let crate_manifest = entry.expect("crates/ entry").path().join("Cargo.toml");
+        let text = std::fs::read_to_string(&crate_manifest).expect("crate manifest");
+        assert!(
+            toml_section(&text, "[lints]").contains(&"workspace = true"),
+            "{} does not inherit [workspace.lints]",
+            crate_manifest.display()
+        );
+    }
 }
