@@ -4,10 +4,19 @@
 //!
 //! - `tests/golden/corpus_digest.txt` — FNV-1a/64 digest (plus line and
 //!   byte counts) of the rendered monolithic corpus text;
-//! - `tests/golden/table1.txt` — the `Study::table1()` rows, one per line.
+//! - `tests/golden/table1.txt` — the `Study::table1()` rows, one per line;
+//!
+//! and one of a larger run (`ANALYSIS_SCALE`, `ANALYSIS_SEED`), large
+//! enough that all six Figure 5 panels are populated:
+//!
+//! - `tests/golden/analysis.txt` — every `Study` analytic (Figures 4–7 and
+//!   10, the Finding 4 homogeneity and spread tables, per-scope TBF gap
+//!   digests) and the `FindingsReport`, all in `{:?}` so each `f64` is
+//!   pinned to its exact bits.
 //!
 //! Any intentional change to the simulator's random streams, the log
-//! renderer, or the classifier shows up here first. To regenerate after
+//! renderer, the classifier, or the analytics' summation order shows up
+//! here first. To regenerate after
 //! such a change, run:
 //!
 //! ```text
@@ -17,10 +26,15 @@
 //! then commit the updated files under `tests/golden/` together with the
 //! change that moved them (and say why in the commit message).
 
+use ssfa::core::tbf::BURST_THRESHOLD_SECS;
+use ssfa::core::{FindingsReport, Scope};
+use ssfa::model::{FailureType, SimDuration};
 use ssfa::Pipeline;
 
 const SCALE: f64 = 0.002;
 const SEED: u64 = 7;
+const ANALYSIS_SCALE: f64 = 0.015;
+const ANALYSIS_SEED: u64 = 4242;
 
 fn golden_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -80,6 +94,72 @@ fn table1_matches_golden() {
         actual.push_str(&format!("{row:?}\n"));
     }
     check_or_regenerate("table1.txt", &actual);
+}
+
+#[test]
+fn analysis_matches_golden() {
+    let (study, _, _) = Pipeline::new()
+        .scale(ANALYSIS_SCALE)
+        .seed(ANALYSIS_SEED)
+        .run()
+        .unwrap();
+    let fig5 = study.fig5_panels();
+    assert_eq!(fig5.len(), 6, "all six Figure 5 panels are populated");
+    let mut out = String::new();
+    let mut pin = |name: &str, value: String| out.push_str(&format!("{name}: {value}\n"));
+    pin(
+        "afr_by_class(true)",
+        format!("{:?}", study.afr_by_class(true)),
+    );
+    pin(
+        "afr_by_class(false)",
+        format!("{:?}", study.afr_by_class(false)),
+    );
+    pin(
+        "afr_by_environment",
+        format!("{:?}", study.afr_by_environment()),
+    );
+    pin("fig5_panels", format!("{fig5:?}"));
+    pin("fig6_panels", format!("{:?}", study.fig6_panels()));
+    pin("fig7_panels", format!("{:?}", study.fig7_panels()));
+    pin(
+        "disk_model_homogeneity(1000)",
+        format!("{:?}", study.disk_model_homogeneity(1_000.0)),
+    );
+    pin(
+        "disk_model_spread(50)",
+        format!("{:?}", study.disk_model_spread(50.0)),
+    );
+    for scope in [Scope::Shelf, Scope::RaidGroup] {
+        let corr = study.correlation(scope, SimDuration::from_years(1.0));
+        pin(&format!("correlation({scope:?}, 1y)"), format!("{corr:?}"));
+        let tbf = study.tbf(scope);
+        let gaps = FailureType::ALL
+            .into_iter()
+            .map(|ty| (format!("{ty:?}"), tbf.for_type(ty)))
+            .chain([("overall".to_string(), tbf.overall())]);
+        for (label, g) in gaps {
+            let bits: Vec<u8> = g
+                .gaps_secs
+                .iter()
+                .flat_map(|x| x.to_bits().to_le_bytes())
+                .collect();
+            pin(
+                &format!("tbf({scope:?}, {label})"),
+                format!(
+                    "gaps {} fnv1a64 {:016x} within_burst {:?}",
+                    g.len(),
+                    fnv1a64(&bits),
+                    g.fraction_within(BURST_THRESHOLD_SECS)
+                ),
+            );
+        }
+    }
+    pin(
+        "findings",
+        format!("{:?}", FindingsReport::evaluate(&study)),
+    );
+    check_or_regenerate("analysis.txt", &out);
 }
 
 #[test]
