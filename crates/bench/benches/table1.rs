@@ -1,8 +1,11 @@
-//! Regenerates the paper's Table 1 (fleet overview per class).
+//! Regenerates the paper's Table 1 (fleet overview per class), and times
+//! it next to `FindingsReport::evaluate`, the rest of the follow-up pass
+//! over a finished study.
 
 mod common;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ssfa_core::FindingsReport;
 use std::hint::black_box;
 
 fn bench_table1(c: &mut Criterion) {
@@ -14,6 +17,9 @@ fn bench_table1(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("analysis", |b| {
         b.iter(|| black_box(study.table1()));
+    });
+    group.bench_function("findings", |b| {
+        b.iter(|| black_box(FindingsReport::evaluate(black_box(&study))));
     });
     group.bench_function("end_to_end", |b| {
         b.iter(|| {

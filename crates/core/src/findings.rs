@@ -10,7 +10,7 @@ use ssfa_model::{FailureType, SimDuration, SystemClass};
 
 use crate::correlation::Scope;
 use crate::study::Study;
-use crate::tbf::BURST_THRESHOLD_SECS;
+use crate::tbf::{TbfAnalysis, BURST_THRESHOLD_SECS};
 
 /// One evaluated finding.
 #[derive(Debug, Clone)]
@@ -35,6 +35,8 @@ pub struct FindingsReport {
 impl FindingsReport {
     /// Evaluates Findings 1–11.
     pub fn evaluate(study: &Study) -> FindingsReport {
+        let shelf = study.tbf(Scope::Shelf);
+        let raid_group = study.tbf(Scope::RaidGroup);
         let findings = vec![
             finding_1(study),
             finding_2(study),
@@ -43,9 +45,9 @@ impl FindingsReport {
             finding_5(study),
             finding_6(study),
             finding_7(study),
-            finding_8(study),
-            finding_9(study),
-            finding_10(study),
+            finding_8(&shelf),
+            finding_9(&shelf, &raid_group),
+            finding_10(&raid_group),
             finding_11(study),
         ];
         FindingsReport { findings }
@@ -324,8 +326,7 @@ fn finding_7(study: &Study) -> Finding {
 
 /// Finding 8: interconnect/protocol/performance failures are much more
 /// bursty than disk failures (shelf scope).
-fn finding_8(study: &Study) -> Finding {
-    let tbf = study.tbf(Scope::Shelf);
+fn finding_8(tbf: &TbfAnalysis) -> Finding {
     let frac = |ty: FailureType| tbf.for_type(ty).fraction_within(BURST_THRESHOLD_SECS);
     let disk = frac(FailureType::Disk);
     let ic = frac(FailureType::PhysicalInterconnect);
@@ -348,15 +349,9 @@ fn finding_8(study: &Study) -> Finding {
 }
 
 /// Finding 9: RAID-group failures are less bursty than shelf failures.
-fn finding_9(study: &Study) -> Finding {
-    let shelf = study
-        .tbf(Scope::Shelf)
-        .overall()
-        .fraction_within(BURST_THRESHOLD_SECS);
-    let rg = study
-        .tbf(Scope::RaidGroup)
-        .overall()
-        .fraction_within(BURST_THRESHOLD_SECS);
+fn finding_9(shelf: &TbfAnalysis, raid_group: &TbfAnalysis) -> Finding {
+    let shelf = shelf.overall().fraction_within(BURST_THRESHOLD_SECS);
+    let rg = raid_group.overall().fraction_within(BURST_THRESHOLD_SECS);
     Finding {
         id: 9,
         title: "RAID groups spanning shelves see less bursty failures than shelves",
@@ -370,11 +365,8 @@ fn finding_9(study: &Study) -> Finding {
 }
 
 /// Finding 10: RAID-group failures still show strong temporal locality.
-fn finding_10(study: &Study) -> Finding {
-    let rg = study
-        .tbf(Scope::RaidGroup)
-        .overall()
-        .fraction_within(BURST_THRESHOLD_SECS);
+fn finding_10(raid_group: &TbfAnalysis) -> Finding {
+    let rg = raid_group.overall().fraction_within(BURST_THRESHOLD_SECS);
     Finding {
         id: 10,
         title: "RAID-group failures still exhibit strong temporal locality",

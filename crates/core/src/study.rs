@@ -160,13 +160,15 @@ impl Study {
         &self.input
     }
 
-    fn system_meta(&self, id: SystemId) -> Option<&SystemMeta> {
-        self.input.topology.systems.get(&id)
-    }
-
     /// Groups exposure and failure counts by an arbitrary key derived from
     /// each record's owning system. Records whose key function returns
-    /// `None` are excluded (from both numerator and denominator).
+    /// `None` are excluded (from both numerator and denominator), and a
+    /// key no record reaches has no entry.
+    ///
+    /// `key` is evaluated exactly once per system in the topology, not
+    /// once per record, so it must be pure. Each cell still sums its
+    /// records in canonical order, so the result is the same, bit for
+    /// bit, as accumulating record by record.
     pub fn breakdown_by<K, F>(&self, key: F) -> BTreeMap<K, AfrBreakdown>
     where
         K: Ord,
@@ -174,22 +176,31 @@ impl Study {
     {
         // Callers iterate these breakdowns (often accumulating floats), so
         // the map must iterate in key order, not hasher order.
-        let mut map: BTreeMap<K, AfrBreakdown> = BTreeMap::new();
+        let mut cell_no: BTreeMap<K, usize> = BTreeMap::new();
+        let cell_of = SystemColumn::build(&self.input.topology.systems, |id, meta| {
+            let k = key(id, meta)?;
+            let next = cell_no.len();
+            Some(*cell_no.entry(k).or_insert(next))
+        });
+        let mut cells: Vec<Option<AfrBreakdown>> = vec![None; cell_no.len()];
         for lt in &self.input.lifetimes {
-            if let Some(meta) = self.system_meta(lt.system) {
-                if let Some(k) = key(lt.system, meta) {
-                    map.entry(k).or_default().add_exposure(lt.service_years());
-                }
+            if let Some(&Some(c)) = cell_of.get(lt.system) {
+                cells[c]
+                    .get_or_insert_with(AfrBreakdown::empty)
+                    .add_exposure(lt.service_years());
             }
         }
         for rec in &self.input.failures {
-            if let Some(meta) = self.system_meta(rec.system) {
-                if let Some(k) = key(rec.system, meta) {
-                    map.entry(k).or_default().record(rec.failure_type);
-                }
+            if let Some(&Some(c)) = cell_of.get(rec.system) {
+                cells[c]
+                    .get_or_insert_with(AfrBreakdown::empty)
+                    .record(rec.failure_type);
             }
         }
-        map
+        cell_no
+            .into_iter()
+            .filter_map(|(k, c)| cells[c].take().map(|b| (k, b)))
+            .collect()
     }
 
     /// Table 1: fleet overview per system class.
@@ -212,26 +223,27 @@ impl Study {
             rows[i].systems += 1;
             rows[i].has_dual_path |= meta.paths == PathConfig::DualPath;
         }
+        let class_of =
+            SystemColumn::build(&self.input.topology.systems, |_, meta| meta.class.index());
         for shelf in self.input.topology.shelves.values() {
-            if let Some(meta) = self.system_meta(shelf.system) {
-                rows[meta.class.index()].shelves += 1;
+            if let Some(&i) = class_of.get(shelf.system) {
+                rows[i].shelves += 1;
             }
         }
         for rg in self.input.topology.raid_groups.values() {
-            if let Some(meta) = self.system_meta(rg.system) {
-                rows[meta.class.index()].raid_groups += 1;
+            if let Some(&i) = class_of.get(rg.system) {
+                rows[i].raid_groups += 1;
             }
         }
         for lt in &self.input.lifetimes {
-            if let Some(meta) = self.system_meta(lt.system) {
-                let i = meta.class.index();
+            if let Some(&i) = class_of.get(lt.system) {
                 rows[i].disks += 1;
                 rows[i].disk_years += lt.service_years();
             }
         }
         for rec in &self.input.failures {
-            if let Some(meta) = self.system_meta(rec.system) {
-                rows[meta.class.index()].counts.record(rec.failure_type);
+            if let Some(&i) = class_of.get(rec.system) {
+                rows[i].counts.record(rec.failure_type);
             }
         }
         rows
@@ -273,7 +285,7 @@ impl Study {
         PANELS
             .into_iter()
             .filter_map(|(class, shelf_model)| {
-                let mut rows: Vec<(DiskModelId, AfrBreakdown)> = env
+                let rows: Vec<(DiskModelId, AfrBreakdown)> = env
                     .iter()
                     .filter(|((c, s, _), _)| *c == class && *s == shelf_model)
                     .map(|((_, _, d), b)| (*d, b.clone()))
@@ -281,7 +293,6 @@ impl Study {
                 if rows.is_empty() {
                     return None;
                 }
-                rows.sort_by_key(|(d, _)| *d);
                 Some(Fig5Panel {
                     class,
                     shelf_model,
@@ -299,17 +310,15 @@ impl Study {
             (meta.class == SystemClass::LowEnd).then_some((meta.disk_model, meta.shelf_model))
         });
         let mut models: Vec<DiskModelId> = env.keys().map(|(d, _)| *d).collect();
-        models.sort();
         models.dedup();
         models
             .into_iter()
             .filter_map(|disk_model| {
-                let mut rows: Vec<(ShelfModel, AfrBreakdown)> = env
+                let rows: Vec<(ShelfModel, AfrBreakdown)> = env
                     .iter()
                     .filter(|((d, _), _)| *d == disk_model)
                     .map(|((_, s), b)| (*s, b.clone()))
                     .collect();
-                rows.sort_by_key(|(s, _)| *s);
                 if rows.len() < 2 {
                     return None;
                 }
@@ -353,32 +362,24 @@ impl Study {
     /// every shelf (or RAID group), starting service at its system's
     /// install time.
     pub fn group_windows(&self, scope: Scope) -> Vec<GroupWindow> {
+        let topology = &self.input.topology;
+        let installed_at = SystemColumn::build(&topology.systems, |_, meta| meta.installed_at);
+        let window = |key: u32, system: SystemId| {
+            Some(GroupWindow {
+                key,
+                in_service_from: *installed_at.get(system)?,
+            })
+        };
         match scope {
-            Scope::Shelf => self
-                .input
-                .topology
+            Scope::Shelf => topology
                 .shelves
                 .iter()
-                .filter_map(|(id, meta)| {
-                    let sys = self.system_meta(meta.system)?;
-                    Some(GroupWindow {
-                        key: id.0,
-                        in_service_from: sys.installed_at,
-                    })
-                })
+                .filter_map(|(id, meta)| window(id.0, meta.system))
                 .collect(),
-            Scope::RaidGroup => self
-                .input
-                .topology
+            Scope::RaidGroup => topology
                 .raid_groups
                 .iter()
-                .filter_map(|(id, meta)| {
-                    let sys = self.system_meta(meta.system)?;
-                    Some(GroupWindow {
-                        key: id.0,
-                        in_service_from: sys.installed_at,
-                    })
-                })
+                .filter_map(|(id, meta)| window(id.0, meta.system))
                 .collect(),
         }
     }
@@ -526,6 +527,43 @@ pub struct ModelSpread {
     pub subsystem_afr_cv: f64,
 }
 
+/// One value per system of a topology, in `SystemId` order, looked up
+/// by a record's owning system.
+///
+/// The fleet numbers its systems densely from zero, so a system's rank
+/// is usually its id: [`SystemColumn::get`] probes that slot first and
+/// falls back to a binary search, so sparse or out-of-range ids cost
+/// time, never memory.
+struct SystemColumn<T> {
+    by_rank: Vec<(SystemId, T)>,
+}
+
+impl<T> SystemColumn<T> {
+    /// Evaluates `value` once per system, in key order.
+    fn build(
+        systems: &BTreeMap<SystemId, SystemMeta>,
+        mut value: impl FnMut(SystemId, &SystemMeta) -> T,
+    ) -> SystemColumn<T> {
+        SystemColumn {
+            by_rank: systems
+                .iter()
+                .map(|(&id, meta)| (id, value(id, meta)))
+                .collect(),
+        }
+    }
+
+    /// The value of system `id`, or `None` if the topology lacks it.
+    fn get(&self, id: SystemId) -> Option<&T> {
+        match self.by_rank.get(id.index()) {
+            Some((probe, value)) if *probe == id => Some(value),
+            _ => {
+                let rank = self.by_rank.binary_search_by_key(&id, |(probe, _)| *probe);
+                rank.ok().map(|r| &self.by_rank[r].1)
+            }
+        }
+    }
+}
+
 /// Poisson two-rate test on the physical-interconnect AFRs of two
 /// breakdowns.
 fn interconnect_rate_test(a: &AfrBreakdown, b: &AfrBreakdown) -> Option<TTestResult> {
@@ -560,6 +598,245 @@ mod tests {
     fn shared_study() -> &'static Study {
         static STUDY: std::sync::OnceLock<Study> = std::sync::OnceLock::new();
         STUDY.get_or_init(|| study(0.015, 4242))
+    }
+
+    /// A hand-made input whose system ids are not dense: 0, 7, 9 and one
+    /// near `u32::MAX`; system 9 owns no records, and one lifetime, one
+    /// failure, one shelf and one RAID group name a system (123) the
+    /// topology lacks.
+    fn sparse_study() -> Study {
+        use ssfa_logs::classify::{DiskLifetime, RaidGroupMeta, ShelfMeta};
+        use ssfa_model::{
+            DeviceAddr, DiskInstanceId, FailureRecord, LayoutPolicy, LoopId, RaidGroupId, RaidType,
+            ShelfId, SimTime, SlotAddr,
+        };
+        const FAR: SystemId = SystemId(4_000_000_000);
+        let system = |class, family, shelf_model, paths| SystemMeta {
+            class,
+            disk_model: DiskModelId::new(family, 1),
+            shelf_model,
+            paths,
+            layout: LayoutPolicy::SpanShelves,
+            installed_at: SimTime::from_secs(0),
+        };
+        let mut input = AnalysisInput::default();
+        let topology = &mut input.topology;
+        for (id, meta) in [
+            (
+                SystemId(0),
+                system(
+                    SystemClass::LowEnd,
+                    'A',
+                    ShelfModel::A,
+                    PathConfig::SinglePath,
+                ),
+            ),
+            (
+                SystemId(7),
+                system(
+                    SystemClass::MidRange,
+                    'A',
+                    ShelfModel::B,
+                    PathConfig::DualPath,
+                ),
+            ),
+            (
+                SystemId(9),
+                system(
+                    SystemClass::NearLine,
+                    'I',
+                    ShelfModel::C,
+                    PathConfig::SinglePath,
+                ),
+            ),
+            (
+                FAR,
+                system(
+                    SystemClass::HighEnd,
+                    'B',
+                    ShelfModel::B,
+                    PathConfig::SinglePath,
+                ),
+            ),
+        ] {
+            topology.systems.insert(id, meta);
+        }
+        for (shelf, system) in [(0, SystemId(0)), (1, FAR), (2, SystemId(123))] {
+            let meta = ShelfMeta {
+                system,
+                model: ShelfModel::B,
+                fc_loop: LoopId(0),
+                bays: 14,
+            };
+            topology.shelves.insert(ShelfId(shelf), meta);
+        }
+        for (rg, system) in [(0, SystemId(7)), (1, SystemId(123))] {
+            let meta = RaidGroupMeta {
+                system,
+                raid_type: RaidType::Raid4,
+            };
+            topology.raid_groups.insert(RaidGroupId(rg), meta);
+        }
+        let lifetime = |disk, system, years| DiskLifetime {
+            disk: DiskInstanceId(disk),
+            model: DiskModelId::new('A', 1),
+            slot: SlotAddr {
+                shelf: ShelfId(0),
+                bay: 0,
+            },
+            system,
+            raid_group: RaidGroupId(0),
+            installed_at: SimTime::from_secs(0),
+            removed_at: SimTime::from_years(years),
+            removed_by_failure: false,
+        };
+        input.lifetimes = vec![
+            lifetime(1, SystemId(0), 2.0),
+            lifetime(2, SystemId(7), 1.0),
+            lifetime(3, SystemId(123), 5.0),
+            lifetime(4, FAR, 3.0),
+            lifetime(5, SystemId(0), 0.5),
+        ];
+        let failure = |disk, system, failure_type| FailureRecord {
+            detected_at: SimTime::from_secs(disk * 100),
+            failure_type,
+            disk: DiskInstanceId(disk),
+            system,
+            shelf: ShelfId(0),
+            raid_group: RaidGroupId(0),
+            fc_loop: LoopId(0),
+            device: DeviceAddr::new(8, 16),
+        };
+        input.failures = vec![
+            failure(1, SystemId(0), FailureType::Disk),
+            failure(2, SystemId(7), FailureType::Protocol),
+            failure(3, SystemId(123), FailureType::Performance),
+            failure(4, FAR, FailureType::Disk),
+            failure(5, SystemId(0), FailureType::PhysicalInterconnect),
+        ];
+        Study::new(input)
+    }
+
+    fn breakdown(counts: [u64; 4], disk_years: f64) -> AfrBreakdown {
+        let mut b = AfrBreakdown::empty();
+        for ty in FailureType::ALL {
+            for _ in 0..counts[ty.index()] {
+                b.record(ty);
+            }
+        }
+        b.add_exposure(disk_years);
+        b
+    }
+
+    #[test]
+    fn breakdown_by_resolves_sparse_ids_and_skips_unknown_systems() {
+        let s = sparse_study();
+        let by_class = s.breakdown_by(|_, meta| Some(meta.class));
+        let expected: BTreeMap<SystemClass, AfrBreakdown> = [
+            (SystemClass::LowEnd, breakdown([1, 1, 0, 0], 2.5)),
+            (SystemClass::MidRange, breakdown([0, 0, 1, 0], 1.0)),
+            (SystemClass::HighEnd, breakdown([1, 0, 0, 0], 3.0)),
+        ]
+        .into_iter()
+        .collect();
+        // NearLine's system owns no records, so its key has no entry.
+        assert_eq!(by_class, expected);
+
+        let by_shelf = s.breakdown_by(|_, meta| {
+            (meta.class != SystemClass::MidRange).then_some(meta.shelf_model)
+        });
+        let expected: BTreeMap<ShelfModel, AfrBreakdown> = [
+            (ShelfModel::A, breakdown([1, 1, 0, 0], 2.5)),
+            (ShelfModel::B, breakdown([1, 0, 0, 0], 3.0)),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(by_shelf, expected);
+    }
+
+    #[test]
+    fn table1_resolves_sparse_ids_and_skips_unknown_systems() {
+        let rows = sparse_study().table1();
+        let row = |class: SystemClass| &rows[class.index()];
+        let counts = |c: [u64; 4]| *breakdown(c, 0.0).counts();
+        assert_eq!(
+            *row(SystemClass::NearLine),
+            Table1Row {
+                class: SystemClass::NearLine,
+                systems: 1,
+                shelves: 0,
+                disks: 0,
+                raid_groups: 0,
+                has_dual_path: false,
+                disk_years: 0.0,
+                counts: counts([0; 4]),
+            }
+        );
+        assert_eq!(
+            *row(SystemClass::LowEnd),
+            Table1Row {
+                class: SystemClass::LowEnd,
+                systems: 1,
+                shelves: 1,
+                disks: 2,
+                raid_groups: 0,
+                has_dual_path: false,
+                disk_years: 2.5,
+                counts: counts([1, 1, 0, 0]),
+            }
+        );
+        assert_eq!(
+            *row(SystemClass::MidRange),
+            Table1Row {
+                class: SystemClass::MidRange,
+                systems: 1,
+                shelves: 0,
+                disks: 1,
+                raid_groups: 1,
+                has_dual_path: true,
+                disk_years: 1.0,
+                counts: counts([0, 0, 1, 0]),
+            }
+        );
+        assert_eq!(
+            *row(SystemClass::HighEnd),
+            Table1Row {
+                class: SystemClass::HighEnd,
+                systems: 1,
+                shelves: 1,
+                disks: 1,
+                raid_groups: 0,
+                has_dual_path: false,
+                disk_years: 3.0,
+                counts: counts([1, 0, 0, 0]),
+            }
+        );
+    }
+
+    #[test]
+    fn system_column_is_sized_by_systems_not_by_ids() {
+        let s = sparse_study();
+        let column = SystemColumn::build(&s.input().topology.systems, |id, _| id.0);
+        assert_eq!(column.by_rank.len(), 4);
+        assert!(column.by_rank.capacity() < 16, "no id-sized allocation");
+        for id in [0, 7, 9, 4_000_000_000] {
+            assert_eq!(column.get(SystemId(id)), Some(&id));
+        }
+        for id in [1, 3, 8, 123, 3_999_999_999, u32::MAX] {
+            assert_eq!(column.get(SystemId(id)), None);
+        }
+    }
+
+    #[test]
+    fn breakdown_by_evaluates_key_once_per_system() {
+        for s in [&sparse_study(), shared_study()] {
+            let calls = std::cell::Cell::new(0usize);
+            s.breakdown_by(|_, meta| {
+                calls.set(calls.get() + 1);
+                Some(meta.class)
+            });
+            assert_eq!(calls.get(), s.input().topology.systems.len());
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! component. Disk-failure gaps are additionally fitted against the
 //! paper's three candidate models.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
-use ssfa_model::{FailureRecord, FailureType, SimDuration};
+use ssfa_model::{DiskInstanceId, FailureRecord, FailureType, SimDuration, SimTime};
 use ssfa_stats::ecdf::Ecdf;
 use ssfa_stats::fit::{fit_all, FittedModel};
 use ssfa_stats::hypothesis::{chi_square_gof, ChiSquareResult};
@@ -111,34 +111,36 @@ impl TbfAnalysis {
     /// Records need not be sorted; duplicates are filtered per
     /// [`DEDUP_WINDOW`].
     pub fn compute(scope: Scope, records: &[FailureRecord]) -> TbfAnalysis {
-        // Group records by scope key — in key order (BTreeMap), so the
+        // One stable sort by (scope key, detection order) lays each group
+        // out contiguously, in key order, chronologically within — so the
         // gap-sample vectors are filled in the same order however the
         // records were produced.
-        let mut groups: BTreeMap<u32, Vec<&FailureRecord>> = BTreeMap::new();
-        for rec in records {
-            groups.entry(scope.key(rec)).or_default().push(rec);
-        }
+        let mut sorted: Vec<&FailureRecord> = records.iter().collect();
+        sorted.sort_by(|a, b| {
+            scope
+                .key(a)
+                .cmp(&scope.key(b))
+                .then_with(|| FailureRecord::chronological(a, b))
+        });
 
         let mut per_type_gaps: [Vec<f64>; 4] = Default::default();
         let mut overall_gaps: Vec<f64> = Vec::new();
+        let mut last_seen = HashMap::new();
+        let mut kept = Vec::new();
 
-        for group in groups.values_mut() {
-            group.sort_by(|a, b| FailureRecord::chronological(a, b));
-            let deduped = dedup(group);
+        for group in sorted.chunk_by(|a, b| scope.key(a) == scope.key(b)) {
+            dedup_into(group, &mut last_seen, &mut kept);
 
-            // Per-type gaps.
-            for ty in FailureType::ALL {
-                let mut last = None;
-                for rec in deduped.iter().filter(|r| r.failure_type == ty) {
-                    if let Some(prev) = last {
-                        let gap = rec.detected_at.duration_since(prev).as_secs() as f64;
-                        per_type_gaps[ty.index()].push(gap);
-                    }
-                    last = Some(rec.detected_at);
+            let mut last_of_type: [Option<SimTime>; 4] = [None; 4];
+            for rec in &kept {
+                let last = &mut last_of_type[rec.failure_type.index()];
+                if let Some(prev) = *last {
+                    let gap = rec.detected_at.duration_since(prev).as_secs() as f64;
+                    per_type_gaps[rec.failure_type.index()].push(gap);
                 }
+                *last = Some(rec.detected_at);
             }
-            // Overall gaps.
-            for pair in deduped.windows(2) {
+            for pair in kept.windows(2) {
                 let gap = pair[1]
                     .detected_at
                     .duration_since(pair[0].detected_at)
@@ -165,12 +167,16 @@ impl TbfAnalysis {
     }
 }
 
-/// Removes same-disk same-type repeats within [`DEDUP_WINDOW`] from a
-/// chronologically sorted group.
-fn dedup<'a>(sorted: &[&'a FailureRecord]) -> Vec<&'a FailureRecord> {
-    let mut last_seen: HashMap<(ssfa_model::DiskInstanceId, FailureType), ssfa_model::SimTime> =
-        HashMap::new();
-    let mut kept = Vec::with_capacity(sorted.len());
+/// Refills `kept` with one chronologically sorted group minus its
+/// same-disk same-type repeats within [`DEDUP_WINDOW`]. `last_seen` is
+/// scratch, cleared here, so one map serves every group.
+fn dedup_into<'a>(
+    sorted: &[&'a FailureRecord],
+    last_seen: &mut HashMap<(DiskInstanceId, FailureType), SimTime>,
+    kept: &mut Vec<&'a FailureRecord>,
+) {
+    last_seen.clear();
+    kept.clear();
     for &rec in sorted {
         let key = (rec.disk, rec.failure_type);
         let dup = match last_seen.get(&key) {
@@ -182,13 +188,12 @@ fn dedup<'a>(sorted: &[&'a FailureRecord]) -> Vec<&'a FailureRecord> {
             kept.push(rec);
         }
     }
-    kept
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssfa_model::{DeviceAddr, DiskInstanceId, LoopId, RaidGroupId, ShelfId, SimTime, SystemId};
+    use ssfa_model::{DeviceAddr, LoopId, RaidGroupId, ShelfId, SystemId};
 
     fn rec(t: u64, disk: u64, shelf: u32, ty: FailureType) -> FailureRecord {
         FailureRecord {
@@ -261,6 +266,40 @@ mod tests {
         ];
         let tbf = TbfAnalysis::compute(Scope::Shelf, &records);
         assert_eq!(tbf.for_type(FailureType::Disk).len(), 1);
+    }
+
+    #[test]
+    fn interleaved_unsorted_groups_match_group_then_sort() {
+        use FailureType::{Disk, Performance, PhysicalInterconnect as Ic, Protocol};
+        // Three shelves' records, interleaved and out of order. Shelf 5
+        // holds a same-second tie (disks 51 and 52 at t=1,000) and disk
+        // 51's Ic repeats: 1,600 repeats 1,000 inside the window; 87,500
+        // is within the window of that (dropped) 1,600 report, so it is
+        // dropped too; 200,000 is kept.
+        let records = vec![
+            rec(3_000, 50, 5, Ic),
+            rec(10_000, 10, 1, Disk),
+            rec(7_000, 30, 3, Performance),
+            rec(200_000, 51, 5, Ic),
+            rec(1_000, 51, 5, Ic),
+            rec(4_000, 11, 1, Protocol),
+            rec(2_000, 31, 3, Performance),
+            rec(87_500, 51, 5, Ic),
+            rec(1_000, 52, 5, Disk),
+            rec(4_000, 12, 1, Protocol),
+            rec(1_600, 51, 5, Ic),
+            rec(30_000, 13, 1, Disk),
+        ];
+        let tbf = TbfAnalysis::compute(Scope::Shelf, &records);
+        // Groups contribute in shelf order 1, 3, 5.
+        assert_eq!(tbf.for_type(Disk).gaps_secs, vec![20_000.0]);
+        assert_eq!(tbf.for_type(Ic).gaps_secs, vec![2_000.0, 197_000.0]);
+        assert_eq!(tbf.for_type(Protocol).gaps_secs, vec![0.0]);
+        assert_eq!(tbf.for_type(Performance).gaps_secs, vec![5_000.0]);
+        assert_eq!(
+            tbf.overall().gaps_secs,
+            vec![0.0, 6_000.0, 20_000.0, 5_000.0, 0.0, 2_000.0, 197_000.0]
+        );
     }
 
     #[test]
