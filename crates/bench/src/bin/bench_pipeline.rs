@@ -12,15 +12,12 @@
 //! wall time, peak resident corpus bytes, allocations per corpus line,
 //! and shard throughput per configuration.
 //!
-//! The binary installs a counting global allocator, which powers two
-//! allocation contracts on the zero-copy parse path:
-//!
-//! - a *steady-state probe*: a classifier fed the same noise-line text
-//!   twice must allocate exactly **zero** times on the second pass — the
-//!   borrowed-slice parser's happy path holds no per-line allocation;
-//! - a per-configuration `allocs_per_line` metric (measured in the
-//!   untimed counters round, so timing reps stay clean), gated against
-//!   the baseline for the pure-analysis corpus configurations.
+//! The binary installs a counting global allocator for a
+//! per-configuration `allocs_per_line` metric (measured in the untimed
+//! counters round, so timing reps stay clean), gated against the
+//! baseline for the pure-analysis corpus configurations. The absolute
+//! zero-allocation parse contract is a tier-1 test instead
+//! (`tests/parse_allocs.rs`).
 //!
 //! Modes:
 //!
@@ -33,9 +30,9 @@
 //!   fail (exit 1) if a gated configuration's streaming/monolithic
 //!   wall-time ratio regressed by more than 25% relative to the
 //!   baseline's ratio, if any streaming configuration's
-//!   peak resident corpus bytes grew at all, if a gated configuration's
-//!   allocations-per-line grew more than 10% over baseline, or if the
-//!   steady-state probe allocates at all.
+//!   peak resident corpus bytes grew at all, or if a gated
+//!   configuration's allocations-per-line grew more than 10% over
+//!   baseline.
 //!
 //! Environment knobs: `SSFA_BENCH_SCALE` (default 0.01),
 //! `SSFA_BENCH_SEED` (1988), `SSFA_BENCH_THREADS` (1),
@@ -51,8 +48,6 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use ssfa::logs::{Classifier, LogEvent, LogLine};
-use ssfa::model::{SimTime, SystemId};
 use ssfa::Pipeline;
 
 /// Wall-time regression tolerance on the streaming/monolithic ratio.
@@ -88,11 +83,9 @@ const GATED_ALLOCS: [&str; 2] = ["corpus_file", "corpus_mmap"];
 /// Allocations observed process-wide, via [`CountingAlloc`].
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-/// A [`System`]-delegating allocator that counts allocation calls, so the
-/// gate can hold the parsed hot path to zero steady-state allocations.
-/// Counters use `Relaxed` ordering: the probe and the counters round are
-/// single-threaded at the measurement boundaries, and an off-by-a-few
-/// count under concurrency would only show up in ungated diagnostics.
+/// A [`System`]-delegating allocator that counts allocation calls for the
+/// allocations-per-line gate. Counters use `Relaxed` ordering: the
+/// counters round is single-threaded at its measurement boundaries.
 struct CountingAlloc;
 
 // SAFETY: every method delegates directly to `System`, which upholds the
@@ -129,34 +122,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
-}
-
-/// The zero-allocation steady-state contract: feed one classifier the
-/// same rendered noise-event text twice and count allocations during the
-/// second pass. The first pass warms the tail scratch buffer; after that,
-/// the borrowed-slice parse path (`feed_bytes` → `LogLineRef::parse` →
-/// `feed_view`) must not touch the allocator at all. Returns the
-/// second-pass allocation count (the gate requires exactly zero).
-fn steady_state_probe() -> u64 {
-    const LINES: usize = 4096;
-    let mut one = String::new();
-    LogLine::new(
-        SystemId(7),
-        SimTime::from_secs(120_000),
-        LogEvent::FciAdapterReset { adapter: 3 },
-    )
-    .render_into(&mut one);
-    one.push('\n');
-    let text = one.repeat(LINES);
-    let mut classifier = Classifier::new();
-    classifier
-        .feed_bytes(text.as_bytes())
-        .expect("noise parses");
-    let before = allocations();
-    classifier
-        .feed_bytes(text.as_bytes())
-        .expect("noise parses");
-    allocations() - before
 }
 
 #[derive(Debug, Clone)]
@@ -450,7 +415,7 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
         .collect()
 }
 
-fn to_json(env: &BenchEnv, steady_state_allocs: u64, results: &[BenchResult]) -> String {
+fn to_json(env: &BenchEnv, results: &[BenchResult]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"ssfa-bench-pipeline/v1\",\n");
@@ -458,7 +423,6 @@ fn to_json(env: &BenchEnv, steady_state_allocs: u64, results: &[BenchResult]) ->
     let _ = writeln!(out, "  \"seed\": {},", env.seed);
     let _ = writeln!(out, "  \"threads\": {},", env.threads);
     let _ = writeln!(out, "  \"reps\": {},", env.reps);
-    let _ = writeln!(out, "  \"steady_state_allocs\": {steady_state_allocs},");
     out.push_str("  \"configs\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str("    {\n");
@@ -517,11 +481,7 @@ fn result_for<'a>(results: &'a [BenchResult], name: &str) -> &'a BenchResult {
 /// Applies the gate; returns the list of violations (empty = pass). Every
 /// violation is prefixed `[config=<name> metric=<metric>]` so a CI
 /// failure names exactly what regressed.
-fn check_against_baseline(
-    results: &[BenchResult],
-    steady_state_allocs: u64,
-    baseline: &str,
-) -> Result<Vec<String>, String> {
+fn check_against_baseline(results: &[BenchResult], baseline: &str) -> Result<Vec<String>, String> {
     let mut violations = Vec::new();
 
     // Wall gates: each gated config's ratio to the monolithic reference,
@@ -571,24 +531,14 @@ fn check_against_baseline(
             ));
         }
     }
-
-    // The steady-state contract is absolute: the warmed parse loop must
-    // never touch the allocator.
-    if steady_state_allocs > 0 {
-        violations.push(format!(
-            "[config=steady_state metric=allocs] steady-state regression: warmed \
-             noise-line parse loop made {steady_state_allocs} allocations (must be 0)"
-        ));
-    }
     Ok(violations)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let env = BenchEnv::from_env();
-    let steady_state_allocs = steady_state_probe();
     let results = run_benches(&env);
-    let json = to_json(&env, steady_state_allocs, &results);
+    let json = to_json(&env, &results);
 
     let out_path = std::env::var("SSFA_BENCH_OUT").unwrap_or_else(|_| "BENCH_pipeline.json".into());
     if let Err(err) = std::fs::write(&out_path, &json) {
@@ -608,7 +558,6 @@ fn main() -> ExitCode {
             r.allocs_per_line,
         );
     }
-    eprintln!("bench_pipeline: steady-state parse allocations: {steady_state_allocs}");
     eprintln!("bench_pipeline: wrote {out_path}");
 
     match args.first().map(String::as_str) {
@@ -637,7 +586,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            match check_against_baseline(&results, steady_state_allocs, &baseline) {
+            match check_against_baseline(&results, &baseline) {
                 Ok(violations) if violations.is_empty() => {
                     eprintln!("bench_pipeline: gate passed against {path}");
                     ExitCode::SUCCESS
@@ -667,7 +616,6 @@ mod tests {
 
     const SAMPLE: &str = r#"{
   "schema": "ssfa-bench-pipeline/v1",
-  "steady_state_allocs": 0,
   "configs": [
     {
       "name": "monolithic",
@@ -735,7 +683,7 @@ mod tests {
     }
 
     fn check(results: &[BenchResult]) -> Vec<String> {
-        check_against_baseline(results, 0, SAMPLE).unwrap()
+        check_against_baseline(results, SAMPLE).unwrap()
     }
 
     #[test]
@@ -764,7 +712,7 @@ mod tests {
             reps: 5,
             handicap_ms: 0,
         };
-        let json = to_json(&env, 0, &sample_results(21.0, 20_000));
+        let json = to_json(&env, &sample_results(21.0, 20_000));
         assert_eq!(
             baseline_number(&json, "streaming_auto", "wall_ms").unwrap(),
             21.0
@@ -781,7 +729,6 @@ mod tests {
             baseline_number(&json, "corpus_file", "allocs_per_line").unwrap(),
             4.0
         );
-        assert!(json.contains("\"steady_state_allocs\": 0"));
     }
 
     #[test]
@@ -823,22 +770,11 @@ mod tests {
             .find(|r| r.name == "corpus_mmap")
             .unwrap()
             .allocs_per_line = 4.5; // baseline 3.0 * 1.1 + 0.5 = 3.8
-        let violations = check_against_baseline(&results, 0, SAMPLE).unwrap();
+        let violations = check_against_baseline(&results, SAMPLE).unwrap();
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
             violations[0].contains("[config=corpus_mmap metric=allocs_per_line]")
                 && violations[0].contains("allocation regression"),
-            "{violations:?}"
-        );
-    }
-
-    #[test]
-    fn gate_fails_on_steady_state_allocations() {
-        let violations = check_against_baseline(&sample_results(21.0, 20_000), 7, SAMPLE).unwrap();
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(
-            violations[0].contains("[config=steady_state metric=allocs]")
-                && violations[0].contains("7 allocations"),
             "{violations:?}"
         );
     }
@@ -869,7 +805,7 @@ mod tests {
         // A pre-allocation-gate baseline (no allocs_per_line fields) must
         // be a loud configuration error, not a silent pass.
         let legacy = SAMPLE.replace("allocs_per_line", "allocs_per_line_renamed");
-        let err = check_against_baseline(&sample_results(21.0, 20_000), 0, &legacy).unwrap_err();
+        let err = check_against_baseline(&sample_results(21.0, 20_000), &legacy).unwrap_err();
         assert!(err.contains("allocs_per_line"), "{err}");
     }
 
@@ -882,12 +818,7 @@ mod tests {
             .take_while(|line| !line.contains("corpus_file"))
             .map(|line| format!("{line}\n"))
             .collect();
-        let err = check_against_baseline(&sample_results(21.0, 20_000), 0, &legacy).unwrap_err();
+        let err = check_against_baseline(&sample_results(21.0, 20_000), &legacy).unwrap_err();
         assert!(err.contains("corpus_file"), "{err}");
-    }
-
-    #[test]
-    fn steady_state_parse_loop_makes_zero_allocations() {
-        assert_eq!(steady_state_probe(), 0);
     }
 }

@@ -14,12 +14,6 @@ use std::path::Path;
 /// `contract-sync` rule keeps consistent.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Contracts {
-    /// Bench binary source whose config-name tuples must match the
-    /// baseline (e.g. `crates/bench/src/bin/bench_pipeline.rs`).
-    pub bench_configs: Option<String>,
-    /// Baseline JSON the bench gate compares against
-    /// (e.g. `crates/bench/baselines/pipeline_smoke.json`).
-    pub bench_baseline: Option<String>,
     /// Directory of workspace member crates; every crate under it must be
     /// covered by a scanner path list or `coverage_exempt`.
     pub crate_roots: Option<String>,
@@ -38,9 +32,6 @@ pub struct Config {
     /// Path prefixes (relative to the root) treated as deterministic code
     /// for `no-hashmap-iter`.
     pub deterministic_paths: Vec<String>,
-    /// Files/prefixes whose every fn is a hot region for
-    /// `no-alloc-hot-path` (fn-granular opt-outs via `// lint: alloc-ok`).
-    pub hot_paths: Vec<String>,
     /// Crates deliberately outside the determinism path lists (the
     /// `contract-sync` coverage check accepts them as reviewed).
     pub coverage_exempt: Vec<String>,
@@ -107,7 +98,6 @@ impl Config {
                         .ok_or_else(|| format!("lint.toml line {}: expected an array", no + 1))?;
                     match key {
                         "deterministic_paths" => config.deterministic_paths = list,
-                        "hot_paths" => config.hot_paths = list,
                         "coverage_exempt" => config.coverage_exempt = list,
                         "skip" => config.skip = list,
                         _ => {
@@ -123,8 +113,6 @@ impl Config {
                         .ok_or_else(|| format!("lint.toml line {}: expected a string", no + 1))?;
                     let contracts = config.contracts.as_mut().expect("inside [contracts]");
                     match key {
-                        "bench_configs" => contracts.bench_configs = Some(s),
-                        "bench_baseline" => contracts.bench_baseline = Some(s),
                         "crate_roots" => contracts.crate_roots = Some(s),
                         "snapshot_schema" => contracts.snapshot_schema = Some(s),
                         "snapshot_doc" => contracts.snapshot_doc = Some(s),
@@ -233,27 +221,19 @@ skip = ["target"]
     }
 
     #[test]
-    fn contracts_section_and_new_scanner_keys_parse() {
+    fn contracts_section_and_coverage_exemptions_parse() {
         let text = r#"
 [scanner]
-hot_paths = ["crates/logs/src/view.rs"]
 coverage_exempt = ["crates/rand"]
 
 [contracts]
-bench_configs = "crates/bench/src/bin/bench_pipeline.rs"
-bench_baseline = "crates/bench/baselines/pipeline_smoke.json"
 crate_roots = "crates"
 snapshot_schema = "crates/core/src/snapshot.rs"
 snapshot_doc = "DESIGN.md"
 "#;
         let config = Config::parse(text).unwrap();
-        assert_eq!(config.hot_paths, vec!["crates/logs/src/view.rs"]);
         assert_eq!(config.coverage_exempt, vec!["crates/rand"]);
         let contracts = config.contracts.as_ref().unwrap();
-        assert_eq!(
-            contracts.bench_configs.as_deref(),
-            Some("crates/bench/src/bin/bench_pipeline.rs")
-        );
         assert_eq!(contracts.crate_roots.as_deref(), Some("crates"));
         assert_eq!(
             contracts.snapshot_schema.as_deref(),
@@ -264,8 +244,8 @@ snapshot_doc = "DESIGN.md"
 
     #[test]
     fn unknown_contracts_key_is_a_hard_error() {
-        let err = Config::parse("[contracts]\nbench_cfg = \"x\"\n").unwrap_err();
-        assert!(err.contains("bench_cfg"), "{err}");
+        let err = Config::parse("[contracts]\nbench_configs = \"x\"\n").unwrap_err();
+        assert!(err.contains("bench_configs"), "{err}");
     }
 
     #[test]

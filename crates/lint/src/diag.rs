@@ -2,37 +2,11 @@
 
 use std::fmt;
 
-/// Finding severity. Both levels fail a `check` run — the gate has no
-/// advisory tier — but they render differently (`error[...]` vs
-/// `warning[...]`, `::error` vs `::warning` in `--github` mode) so a
-/// reader can triage: errors are contract violations in code, warnings
-/// are bookkeeping drift (orphaned baseline entries).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Level {
-    /// A contract violation.
-    #[default]
-    Error,
-    /// Bookkeeping drift.
-    Warning,
-}
-
-impl Level {
-    /// Lowercase name, used by every rendering.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Level::Error => "error",
-            Level::Warning => "warning",
-        }
-    }
-}
-
 /// One finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Rule name (e.g. `no-hashmap-iter`).
     pub rule: &'static str,
-    /// Severity (both levels fail the run).
-    pub level: Level,
     /// Workspace-relative path, `/`-separated.
     pub path: String,
     /// 1-based line.
@@ -47,13 +21,7 @@ pub struct Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{}[{}]: {}",
-            self.level.as_str(),
-            self.rule,
-            self.message
-        )?;
+        writeln!(f, "error[{}]: {}", self.rule, self.message)?;
         writeln!(f, "  --> {}:{}:{}", self.path, self.line, self.col)?;
         write!(f, "   = help: {}", self.help)
     }
@@ -64,8 +32,7 @@ impl Diagnostic {
     /// (`::error file=…,line=…,col=…,title=…::message`).
     pub fn to_github(&self) -> String {
         format!(
-            "::{} file={},line={},col={},title={}::{}",
-            self.level.as_str(),
+            "::error file={},line={},col={},title={}::{}",
             escape_property(&self.path),
             self.line,
             self.col,
@@ -123,11 +90,12 @@ fn json_str(s: &str) -> String {
     out
 }
 
+/// One finding as JSON. Every finding fails the run, so `level` is always
+/// `"error"`; the key stays for readers of the report schema.
 fn diag_json(d: &Diagnostic) -> String {
     format!(
-        "{{\"rule\":{},\"level\":{},\"path\":{},\"line\":{},\"col\":{},\"message\":{},\"help\":{}}}",
+        "{{\"rule\":{},\"level\":\"error\",\"path\":{},\"line\":{},\"col\":{},\"message\":{},\"help\":{}}}",
         json_str(d.rule),
-        json_str(d.level.as_str()),
         json_str(&d.path),
         d.line,
         d.col,
@@ -184,7 +152,6 @@ mod tests {
     fn sample() -> Diagnostic {
         Diagnostic {
             rule: "no-float-keys",
-            level: Level::Error,
             path: "src/lib.rs".into(),
             line: 7,
             col: 13,
@@ -199,16 +166,6 @@ mod tests {
         assert!(text.starts_with("error[no-float-keys]:"));
         assert!(text.contains("--> src/lib.rs:7:13"));
         assert!(text.contains("= help:"));
-    }
-
-    #[test]
-    fn warning_level_renders_and_serializes() {
-        let mut d = sample();
-        d.level = Level::Warning;
-        assert!(d.to_string().starts_with("warning[no-float-keys]:"));
-        let mut result = ScanResult::default();
-        result.findings.push(d);
-        assert!(result.to_json().contains("\"level\":\"warning\""));
     }
 
     #[test]

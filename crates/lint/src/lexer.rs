@@ -32,11 +32,6 @@ pub struct Stripped {
 }
 
 impl Stripped {
-    /// Stripped code split into lines (1-based access via `line - 1`).
-    pub fn code_lines(&self) -> Vec<&str> {
-        self.code.lines().collect()
-    }
-
     /// All comments that start on `line` (1-based).
     pub fn comments_on(&self, line: usize) -> impl Iterator<Item = &Comment> {
         self.comments.iter().filter(move |c| c.line == line)

@@ -7,21 +7,17 @@
 //! ("Static analysis & determinism guarantees") for the rationale.
 //!
 //! It holds the contracts clippy cannot express: hash-order iteration,
-//! float ordering, hot-path allocation, fast-path bail discipline, and
-//! cross-artifact sync. Findings are individually suppressible with a
-//! justification comment on or above the line.
+//! float ordering, and cross-artifact sync. Findings are individually
+//! suppressible with a justification comment on or above the line.
 
 pub mod config;
 pub mod contracts;
 pub mod diag;
-pub mod fix;
-pub mod hotpath;
-pub mod items;
 pub mod lexer;
 pub mod rules;
 
 pub use config::Config;
-pub use diag::{Diagnostic, Level, ScanResult};
+pub use diag::{Diagnostic, ScanResult};
 
 use rules::SourceFile;
 use std::path::{Path, PathBuf};
@@ -93,16 +89,8 @@ pub fn check_workspace(root: &Path, config: &Config) -> std::io::Result<ScanResu
         rules::no_float_keys(file, &mut raw);
     }
 
-    // Item-aware families: parse fn items once, run both rules over the
-    // cross-file index.
-    let item_files: Vec<(String, &lexer::Stripped)> =
-        files.iter().map(|f| (f.rel.clone(), &f.stripped)).collect();
-    let item_index = items::ItemIndex::build(&item_files);
-    hotpath::no_alloc_hot_path(&item_index, config, &mut raw);
-    hotpath::bail_discipline(&item_index, &mut raw);
-
-    // Cross-artifact contracts (bench/baseline drift, crate coverage,
-    // snapshot schema documentation).
+    // Cross-artifact contracts (crate coverage, snapshot schema
+    // documentation).
     contracts::contract_sync(root, config, &mut raw);
 
     // Apply suppression comments.

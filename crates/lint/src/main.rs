@@ -1,26 +1,23 @@
-//! CLI: `ssfa-lint check [--json]` / `ssfa-lint fix [--dry-run]`.
+//! CLI: `ssfa-lint check [--json | --github]`.
 //!
-//! Exit codes: 0 clean, 1 findings (or fix had work), 2 usage/config
-//! error. Run from the workspace root (what `cargo run -p ssfa-lint`
-//! does); `--root` overrides.
+//! Exit codes: 0 clean, 1 findings, 2 usage/config error. Run from the
+//! workspace root (what `cargo run -p ssfa-lint` does); `--root`
+//! overrides.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ssfa_lint::{check_workspace, fix, Config};
+use ssfa_lint::{check_workspace, Config};
 
 const USAGE: &str = "\
 usage: ssfa-lint <command> [options]
 
 commands:
   check           scan the workspace, print findings, exit 1 if any
-  fix             insert `// lint: allow(...)` suppression comments
-                  above every current finding (use check first!)
 
 options:
-  --json          (check) emit the machine-readable report on stdout
-  --github        (check) emit GitHub Actions ::error/::warning annotations
-  --dry-run       (fix) print planned edits without writing anything
+  --json          emit the machine-readable report on stdout
+  --github        emit GitHub Actions ::error annotations
   --root <path>   workspace root (default: current directory)
   --config <path> lint.toml path (default: <root>/lint.toml)
 ";
@@ -29,7 +26,6 @@ struct Args {
     command: String,
     json: bool,
     github: bool,
-    dry_run: bool,
     root: PathBuf,
     config: Option<PathBuf>,
 }
@@ -41,7 +37,6 @@ fn parse_args() -> Result<Args, String> {
         command,
         json: false,
         github: false,
-        dry_run: false,
         root: PathBuf::from("."),
         config: None,
     };
@@ -49,7 +44,6 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--json" => parsed.json = true,
             "--github" => parsed.github = true,
-            "--dry-run" => parsed.dry_run = true,
             "--root" => parsed.root = PathBuf::from(args.next().ok_or("--root needs a path")?),
             "--config" => {
                 parsed.config = Some(PathBuf::from(args.next().ok_or("--config needs a path")?));
@@ -89,65 +83,30 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match args.command.as_str() {
-        "check" => {
-            let result = match check_workspace(&args.root, &config) {
-                Ok(result) => result,
-                Err(e) => {
-                    eprintln!("ssfa-lint: error: scan failed: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            if args.json {
-                print!("{}", result.to_json());
-            } else if args.github {
-                print!("{}", result.render_github());
-            } else {
-                print!("{}", result.render_human());
-            }
-            if result.findings.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
+    if args.command != "check" {
+        eprintln!(
+            "ssfa-lint: error: unknown command `{}`\n\n{USAGE}",
+            args.command
+        );
+        return ExitCode::from(2);
+    }
+    let result = match check_workspace(&args.root, &config) {
+        Ok(result) => result,
+        Err(e) => {
+            eprintln!("ssfa-lint: error: scan failed: {e}");
+            return ExitCode::from(2);
         }
-        "fix" => {
-            let result = match check_workspace(&args.root, &config) {
-                Ok(result) => result,
-                Err(e) => {
-                    eprintln!("ssfa-lint: error: scan failed: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let edits = match fix::plan(&args.root, &result.findings) {
-                Ok(edits) => edits,
-                Err(e) => {
-                    eprintln!("ssfa-lint: error: fix planning failed: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            print!("{}", fix::render_plan(&args.root, &edits));
-            if args.dry_run {
-                return if edits.is_empty() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::from(1)
-                };
-            }
-            match fix::apply(&args.root, &edits) {
-                Ok(files) => {
-                    println!("fix: rewrote {files} file(s)");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("ssfa-lint: error: fix failed: {e}");
-                    ExitCode::from(2)
-                }
-            }
-        }
-        other => {
-            eprintln!("ssfa-lint: error: unknown command `{other}`\n\n{USAGE}");
-            ExitCode::from(2)
-        }
+    };
+    if args.json {
+        print!("{}", result.to_json());
+    } else if args.github {
+        print!("{}", result.render_github());
+    } else {
+        print!("{}", result.render_human());
+    }
+    if result.findings.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }

@@ -12,17 +12,11 @@
 //! written, because the vendored `rand` has no entropy constructor.
 
 use crate::config::Config;
-use crate::diag::{Diagnostic, Level};
+use crate::diag::Diagnostic;
 use crate::lexer::Stripped;
 
 /// Names of every rule `ssfa-lint` enforces.
-pub const RULES: [&str; 5] = [
-    "no-hashmap-iter",
-    "no-float-keys",
-    "no-alloc-hot-path",
-    "bail-discipline",
-    "contract-sync",
-];
+pub const RULES: [&str; 3] = ["no-hashmap-iter", "no-float-keys", "contract-sync"];
 
 /// One scanned file, lexed, with its workspace-relative path.
 #[derive(Debug)]
@@ -239,7 +233,6 @@ pub fn no_hashmap_iter(
                     if index.contains(recv) {
                         out.push(Diagnostic {
                             rule: "no-hashmap-iter",
-                            level: Level::Error,
                             path: file.rel.clone(),
                             line: lineno,
                             col: at + 1,
@@ -272,7 +265,6 @@ pub fn no_hashmap_iter(
                 {
                     out.push(Diagnostic {
                         rule: "no-hashmap-iter",
-                        level: Level::Error,
                         path: file.rel.clone(),
                         line: lineno,
                         col: pos + 1,
@@ -311,7 +303,6 @@ pub fn no_float_keys(file: &SourceFile, out: &mut Vec<Diagnostic>) {
             if tail.contains(".unwrap()") || tail.contains(".expect(") {
                 out.push(Diagnostic {
                     rule: "no-float-keys",
-                    level: Level::Error,
                     path: file.rel.clone(),
                     line: i + 1,
                     col: at + 1,

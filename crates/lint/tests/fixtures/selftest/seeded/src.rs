@@ -1,13 +1,12 @@
-// Fixture: exactly one violation of each seeded contract — a hot-path
-// allocation and a fast path with no general counterpart (bench/baseline
-// drift lives in bench.rs). Never compiled.
+// Fixture: exactly one violation of each token rule — hash-order
+// iteration and a partial float ordering (the undocumented schema bump
+// lives in snap.rs). Never compiled.
+use std::collections::HashMap;
 
-// lint: zero-alloc
-pub fn hot(id: u32) -> String {
-    id.to_string()
+pub fn total(by_disk: &HashMap<u32, f64>) -> f64 {
+    by_disk.values().sum()
 }
 
-// lint: fast-path(decode_general)
-pub fn decode_fast(s: &str) -> Option<u32> {
-    s.strip_prefix('v')?.len().try_into().ok()
+pub fn rank(xs: &mut [f64]) {
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }

@@ -20,13 +20,3 @@ pub fn total(t: &Tally) -> f64 {
 pub fn rank(xs: &mut [f64]) {
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }
-
-// lint: zero-alloc
-pub fn hot_label(id: u32) -> String {
-    id.to_string()
-}
-
-// lint: fast-path(parse_general)
-pub fn parse_fast(s: &str) -> Option<u32> {
-    s.strip_prefix("d=")?.parse().ok()
-}

@@ -1,9 +1,8 @@
-//! `lint-selftest`: the item-aware rule families prove themselves on
-//! dedicated fixtures. Every family has a firing fixture (only that rule
-//! fires, with a pinned count), a clean fixture (silent), and an allow
-//! fixture (the finding moves to the allowed list). A seeded fixture with
-//! one violation per contract pins the stable JSON and `--github`
-//! renderings as goldens.
+//! `lint-selftest`: the cross-artifact rule proves itself on dedicated
+//! fixtures — a firing fixture (only that rule fires, with a pinned
+//! count), a clean fixture (silent), and an allow fixture (the finding
+//! moves to the allowed list). A seeded fixture with one violation per
+//! rule pins the stable JSON and `--github` renderings as goldens.
 //!
 //! Re-bless goldens after an intentional output change with
 //! `SSFA_LINT_BLESS=1 cargo test -p ssfa-lint --test selftest`.
@@ -12,12 +11,7 @@ use ssfa_lint::{check_workspace, Config, ScanResult};
 use std::path::{Path, PathBuf};
 
 /// (family directory, findings expected from its firing fixture).
-/// no-alloc-hot-path fires twice: a direct token and a propagated call.
-const FAMILIES: [(&str, usize); 3] = [
-    ("no-alloc-hot-path", 2),
-    ("bail-discipline", 1),
-    ("contract-sync", 1),
-];
+const FAMILIES: [(&str, usize); 1] = [("contract-sync", 1)];
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -88,9 +82,9 @@ fn allow_fixtures_suppress_into_the_allowed_list() {
     }
 }
 
-/// The seeded fixture plants exactly one violation per contract: a
-/// hot-path allocation, a fast path with no general counterpart, and
-/// bench/baseline drift.
+/// The seeded fixture plants exactly one violation per rule: hash-order
+/// iteration, a partial float ordering, and an undocumented snapshot
+/// schema version.
 #[test]
 fn seeded_fixture_fires_each_contract_exactly_once() {
     let result = scan("seeded");
@@ -98,7 +92,7 @@ fn seeded_fixture_fires_each_contract_exactly_once() {
     rules.sort_unstable();
     assert_eq!(
         rules,
-        vec!["bail-discipline", "contract-sync", "no-alloc-hot-path",],
+        vec!["contract-sync", "no-float-keys", "no-hashmap-iter"],
         "{:?}",
         result.findings
     );

@@ -375,13 +375,11 @@ impl Classifier {
     /// [`Classifier::feed_line`], which delegates here, so both feed paths
     /// share one state machine. Only state-changing records (installs,
     /// topology, failures) copy their strings into owned storage; noise
-    /// events cost no allocation at all.
+    /// events cost no allocation at all (`tests/parse_allocs.rs`).
     ///
     /// # Errors
     ///
     /// As for [`Classifier::feed_line`].
-    // lint: alloc-ok kept state-changing records promote to owned storage;
-    // steady-state zero-alloc is enforced at runtime by the bench allocator probe
     pub fn feed_view(&mut self, line: &LogLineRef<'_>) -> Result<(), LogError> {
         let Classifier {
             topology,
@@ -549,7 +547,6 @@ impl Classifier {
     ///
     /// Returns [`LogError::Malformed`] for unparseable or non-UTF-8
     /// complete lines.
-    // lint: zero-alloc
     pub fn feed_bytes(&mut self, chunk: &[u8]) -> Result<(), LogError> {
         // Validating the whole chunk up front lets the common case split
         // lines as `&str` (`find('\n')` lowers to `memchr`) and skip the

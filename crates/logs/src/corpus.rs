@@ -47,8 +47,6 @@ impl LogError {
     /// A [`LogError::Malformed`] for a raw line, with the preview
     /// truncated to [`MALFORMED_PREVIEW_CHARS`] characters and the
     /// original byte length preserved.
-    // lint: alloc-ok error path: the bounded preview copy happens only for
-    // unparseable lines, never on well-formed steady-state input
     pub fn malformed(line_no: usize, raw: &[u8]) -> LogError {
         LogError::Malformed {
             line_no,

@@ -216,16 +216,22 @@ fn io_err(what: impl Into<String>) -> impl FnOnce(io::Error) -> CorpusError {
 /// # Errors
 ///
 /// The first I/O error from creating, writing, syncing or renaming; on
-/// error `path` is untouched (a stray `.tmp` may remain).
+/// error `path` is untouched and the `.tmp` is removed (best effort: a
+/// failed removal is not reported over the original error).
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    let mut file = File::create(&tmp)?;
-    file.write_all(bytes)?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, path)
+    let publish = || {
+        let mut file = File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&tmp, path)
+    };
+    publish().inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
 }
 
 /// One shard's record in the manifest index.
@@ -979,6 +985,20 @@ mod tests {
             .map(|entry| entry.unwrap().file_name())
             .collect();
         assert_eq!(names, ["MANIFEST"], "no .tmp may survive a publish");
+    }
+
+    #[test]
+    fn failed_write_atomic_removes_its_tmp() {
+        let tmp = TempDir::new("atomic-fail");
+        // A non-empty directory at the target path: the final rename fails.
+        let target = tmp.0.join("epoch-00002.ckpt");
+        std::fs::create_dir_all(target.join("occupant")).unwrap();
+        assert!(write_atomic(&target, b"epoch bytes\n").is_err());
+        assert!(
+            !tmp.0.join("epoch-00002.ckpt.tmp").exists(),
+            "a failed publish must not leave its .tmp behind"
+        );
+        assert!(target.join("occupant").is_dir(), "the target is untouched");
     }
 
     fn small_run() -> (Fleet, SimOutput) {

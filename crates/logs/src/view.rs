@@ -14,7 +14,8 @@
 //! lets the owned feed path reuse the view classifier. Each byte-level
 //! fast path below bails to a general counterpart (DESIGN §13); the test
 //! module holds the render round-trip property and, per fast path, the
-//! property that it returns `None` or exactly the general answer.
+//! property that it returns `None` or exactly the general answer and
+//! that its composed entry point equals the general answer alone.
 
 use ssfa_model::{
     DeviceAddr, DiskModelId, LayoutPolicy, LoopId, PathConfig, RaidGroupId, RaidType, ShelfId,
@@ -66,7 +67,6 @@ impl<'a> SlotsRef<'a> {
 
     /// Collects the members into an owned vector, for promotion to an
     /// owned [`LogEvent::CfgRaidGroup`].
-    // lint: alloc-ok the promotion boundary for owned raid-group records
     pub fn to_vec(&self) -> Vec<SlotAddr> {
         self.iter().collect()
     }
@@ -244,7 +244,6 @@ pub enum EventRef<'a> {
 /// so this only ever accepts messages where both readings agree, and the
 /// last value being space-free means trailing duplicates (which last-wins
 /// scanning would resolve differently) always take the fallback.
-// lint: fast-path(kv_scan_ascii)
 fn canonical_kv<'a, const N: usize>(msg: &'a str, keys: [&str; N]) -> Option<[Option<&'a str>; N]> {
     if msg
         .bytes()
@@ -284,7 +283,6 @@ fn kv_scan<'a, const N: usize>(msg: &'a str, keys: [&str; N]) -> [Option<&'a str
 /// slice of `char::is_whitespace`, so token boundaries match
 /// `split_whitespace` and the first `=` within a token matches
 /// `split_once('=')`.
-// lint: fast-path(kv_scan_unicode)
 fn kv_scan_ascii<'a, const N: usize>(
     msg: &'a str,
     keys: [&str; N],
@@ -352,7 +350,6 @@ fn ascii_space(c: u8) -> bool {
 /// overflow, trailing tokens — returns `None` and the caller re-reads the
 /// message through [`parse_disk_install`], so this path only ever accepts
 /// inputs where both readings agree.
-// lint: fast-path(parse_disk_install)
 fn parse_disk_install_fast(msg: &str) -> Option<EventRef<'_>> {
     let b = msg.as_bytes();
     let rest = b.strip_prefix(b"serial=")?;
@@ -620,7 +617,6 @@ impl<'a> EventRef<'a> {
 
     /// Converts the view into an owned [`LogEvent`], allocating only the
     /// fields the owned representation must hold.
-    // lint: alloc-ok the view->owned promotion for state-changing records
     pub fn to_owned(&self) -> LogEvent {
         match *self {
             EventRef::FciDeviceTimeout { device } => LogEvent::FciDeviceTimeout { device },
@@ -887,7 +883,6 @@ impl<'a> LogLineRef<'a> {
     /// trailing whitespace, a non-ASCII byte anywhere it would change
     /// tokenization — returns `None` so the general path above makes the
     /// call.
-    // lint: fast-path(LogLineRef::parse_general)
     fn parse_canonical(line: &'a str) -> Option<LogLineRef<'a>> {
         let b = line.as_bytes();
         // `trim_end` must be an identity: last byte ASCII and non-space.
@@ -943,7 +938,6 @@ impl<'a> LogLineRef<'a> {
     }
 
     /// Converts the view into an owned [`LogLine`].
-    // lint: alloc-ok delegates to EventRef::to_owned at the same boundary
     pub fn to_owned(&self) -> LogLine {
         LogLine {
             host: self.host,
@@ -1146,31 +1140,44 @@ mod tests {
             .collect()
     }
 
-    /// The bail property on one input: every `// lint: fast-path` fn in
-    /// this module returns `None` or exactly its general counterpart's
-    /// answer. The message-level pairs run on the text after `]: ` (or the
-    /// whole input when there is none) under every key set the parser
-    /// scans with.
+    /// The bail property on one input: every fast path in this module
+    /// returns `None` or exactly its general counterpart's answer, and
+    /// every composed entry point equals its general-only answer, so a
+    /// dropped fallback fails here too. The message-level checks run on
+    /// the text after `]: ` (or the whole input when there is none) under
+    /// every key set the parser scans with.
     fn assert_fast_paths_agree(line: &str) -> Result<(), TestCaseError> {
+        let general = LogLineRef::parse_general(line).map(|v| v.to_owned());
         if let Some(fast) = LogLineRef::parse_canonical(line) {
-            let general = LogLineRef::parse_general(line).map(|v| v.to_owned());
             prop_assert_eq!(
                 Some(fast.to_owned()),
-                general,
+                general.clone(),
                 "parse_canonical on {:?}",
                 line
             );
         }
+        prop_assert_eq!(
+            LogLineRef::parse(line).map(|v| v.to_owned()),
+            general,
+            "LogLineRef::parse on {:?}",
+            line
+        );
         let msg = line.split_once("]: ").map_or(line, |(_, msg)| msg);
+        let general = parse_disk_install(msg).map(|e| e.to_owned());
         if let Some(fast) = parse_disk_install_fast(msg) {
-            let general = parse_disk_install(msg).map(|e| e.to_owned());
             prop_assert_eq!(
                 Some(fast.to_owned()),
-                general,
+                general.clone(),
                 "disk install fast path on {:?}",
                 msg
             );
         }
+        prop_assert_eq!(
+            EventRef::parse(TagId::CfgDiskInstall, msg).map(|e| e.to_owned()),
+            general,
+            "cfg.disk.install parse on {:?}",
+            msg
+        );
         kv_paths_agree(
             msg,
             ["class", "disk_model", "shelf_model", "paths", "layout"],
@@ -1184,16 +1191,19 @@ mod tests {
         kv_paths_agree(msg, ["serial", "reason"])
     }
 
-    /// `canonical_kv` against the byte scan, and the byte scan against
-    /// the Unicode token scan.
+    /// `canonical_kv` against the byte scan, the byte scan against the
+    /// Unicode token scan, and the composed `kv_scan` against the Unicode
+    /// token scan alone.
     fn kv_paths_agree<const N: usize>(msg: &str, keys: [&str; N]) -> Result<(), TestCaseError> {
+        let general = kv_scan_unicode(msg, keys);
         let bytes = kv_scan_ascii(msg, keys);
         if let Some(fast) = bytes {
-            prop_assert_eq!(fast, kv_scan_unicode(msg, keys), "byte scan on {:?}", msg);
+            prop_assert_eq!(fast, general, "byte scan on {:?}", msg);
         }
         if let Some(fast) = canonical_kv(msg, keys) {
             prop_assert_eq!(Some(fast), bytes, "canonical_kv on {:?}", msg);
         }
+        prop_assert_eq!(kv_scan(msg, keys), general, "kv_scan on {:?}", msg);
         Ok(())
     }
 
