@@ -18,8 +18,8 @@
 //! pin is the schema: [`SNAPSHOT_VERSION`] leads the image, and a
 //! mismatch is refused with a typed, pinned-`Display` error rather than
 //! a garbage decode. Bumping the version is a contract change: the
-//! `ssfa-lint` contract-sync rule requires the documented schema in
-//! DESIGN §15 to name the same version this module compiles with.
+//! tier-1 test `tests/lint_selfscan.rs` requires DESIGN §15 to name the
+//! same version this module compiles with.
 //!
 //! Decoding is defensive throughout: every read is bounds-checked
 //! (`Truncated`), every enum/bool/char byte is range-checked

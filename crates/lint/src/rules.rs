@@ -216,7 +216,7 @@ pub fn no_hashmap_iter(
     out: &mut Vec<Diagnostic>,
 ) {
     if !config.deterministic_paths.is_empty()
-        && !Config::under(&file.rel, &config.deterministic_paths)
+        && !Config::under(&file.rel, config.deterministic_paths)
     {
         return;
     }

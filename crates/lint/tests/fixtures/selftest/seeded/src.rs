@@ -1,6 +1,6 @@
 // Fixture: exactly one violation of each token rule — hash-order
-// iteration and a partial float ordering (the undocumented schema bump
-// lives in snap.rs). Never compiled.
+// iteration and a partial float ordering (the crate missing from the
+// policy is crates/stray). Never compiled.
 use std::collections::HashMap;
 
 pub fn total(by_disk: &HashMap<u32, f64>) -> f64 {

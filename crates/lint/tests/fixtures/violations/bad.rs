@@ -1,5 +1,5 @@
-// Fixture: one unsuppressed violation of every rule. Never compiled —
-// fed to the scanner by crates/lint/tests/scanner.rs.
+// Fixture: unsuppressed violations of both token rules (crates/stray is
+// the contract-sync one). Never compiled; scanned by tests/scanner.rs.
 use std::collections::HashMap;
 
 pub struct Tally {

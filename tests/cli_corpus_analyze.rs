@@ -1,6 +1,7 @@
 //! A successful `ssfa corpus analyze`, end to end through the CLI: build a
-//! tiny corpus, analyze it through both disk-backed sources, and resume it
-//! from a checkpoint. The refusals live in `tests/cli_usage.rs`.
+//! tiny corpus, verify every frame, analyze it through both disk-backed
+//! sources, resume it from a checkpoint, and verify that checkpoint. The
+//! refusals live in `tests/cli_usage.rs`.
 //!
 //! The last stdout line is the stats line
 //! `"{shards} shards in {chunks} chunks, peak resident shard …"`; scripts
@@ -45,6 +46,14 @@ fn ssfa_ok(args: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("stdout is UTF-8")
 }
 
+/// A `verify` subcommand's whole stdout is one `verified <dir>: …` line.
+fn assert_verified(stdout: &str, dir: &str) {
+    assert!(
+        stdout.starts_with(&format!("verified {dir}: ")) && stdout.lines().count() == 1,
+        "unexpected verify output: {stdout:?}"
+    );
+}
+
 fn analyze(corpus: &Path, extra: &[&str]) -> String {
     let mut args = vec![
         "corpus",
@@ -77,6 +86,7 @@ fn corpus_analyze_agrees_across_sources_and_resume() {
     ssfa_ok(&[
         "corpus", "build", "--out", dir, "--scale", "0.002", "--seed", "7",
     ]);
+    assert_verified(&ssfa_ok(&["corpus", "verify", dir, "--deep"]), dir);
 
     let file = analyze(&corpus.0, &["--source", "file"]);
     let mmap = analyze(&corpus.0, &["--source", "mmap"]);
@@ -102,6 +112,7 @@ fn corpus_analyze_agrees_across_sources_and_resume() {
 
     let ckpt_dir = ckpt.0.to_str().unwrap();
     let cold = analyze(&corpus.0, &["--resume", ckpt_dir]);
+    assert_verified(&ssfa_ok(&["checkpoint", "verify", ckpt_dir]), ckpt_dir);
     let warm = analyze(&corpus.0, &["--resume", ckpt_dir]);
     assert_eq!(
         report_only(&cold),

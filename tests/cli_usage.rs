@@ -20,33 +20,6 @@ fn ssfad(args: &[&str]) -> Output {
         .expect("spawn ssfad")
 }
 
-/// `CARGO_BIN_EXE_<name>` only exists for the package that owns the
-/// binary, so the linter's binary is located next to `ssfa` (same target
-/// profile dir) after a freshness check — a stale or missing binary is
-/// rebuilt once per test process (a no-op when already fresh).
-fn ssfa_lint(args: &[&str]) -> Output {
-    static BUILD: std::sync::Once = std::sync::Once::new();
-    BUILD.call_once(|| {
-        let mut cmd = Command::new(env!("CARGO"));
-        cmd.args(["build", "-q", "-p", "ssfa-lint", "--bin", "ssfa-lint"]);
-        if env!("CARGO_BIN_EXE_ssfa").contains("release") {
-            cmd.arg("--release");
-        }
-        let status = cmd.status().expect("spawn cargo build");
-        assert!(status.success(), "building ssfa-lint failed");
-    });
-    let mut bin = std::path::PathBuf::from(env!("CARGO_BIN_EXE_ssfa"));
-    bin.set_file_name(if cfg!(windows) {
-        "ssfa-lint.exe"
-    } else {
-        "ssfa-lint"
-    });
-    Command::new(bin)
-        .args(args)
-        .output()
-        .expect("spawn ssfa-lint")
-}
-
 fn assert_usage_refusal(out: &Output, binary: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
@@ -82,8 +55,6 @@ fn unknown_commands_and_subcommands_exit_2_with_usage() {
     assert_usage_refusal(&ssfa(&["agent", "frobnicate"]), "ssfa");
     assert_usage_refusal(&ssfad(&[]), "ssfad");
     assert_usage_refusal(&ssfad(&["frobnicate"]), "ssfad");
-    assert_usage_refusal(&ssfa_lint(&[]), "ssfa-lint");
-    assert_usage_refusal(&ssfa_lint(&["frobnicate"]), "ssfa-lint");
 }
 
 #[test]
@@ -98,9 +69,6 @@ fn unknown_flags_exit_2_with_usage() {
     assert_usage_refusal(&ssfa(&["agent", "replay", "dir", "--frobnicate"]), "ssfa");
     assert_usage_refusal(&ssfad(&["serve", "--frobnicate"]), "ssfad");
     assert_usage_refusal(&ssfad(&["status"]), "ssfad");
-    assert_usage_refusal(&ssfa_lint(&["check", "--frobnicate"]), "ssfa-lint");
-    assert_usage_refusal(&ssfa_lint(&["check", "--json", "--github"]), "ssfa-lint");
-    assert_usage_refusal(&ssfa_lint(&["check", "--root"]), "ssfa-lint");
 }
 
 #[test]

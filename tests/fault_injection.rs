@@ -13,9 +13,6 @@
 //! 4. **Isolation**: a deliberately panicking shard worker is retried
 //!    once, then quarantined with the panic message — without killing the
 //!    other workers or the run.
-//!
-//! The CI fault matrix drives `ci_matrix_point` over
-//! `{rate} × {threads}` via `SSFA_FAULT_RATE` / `SSFA_FAULT_THREADS`.
 
 use std::collections::BTreeSet;
 
@@ -289,41 +286,6 @@ fn strict_mode_worker_error_carries_the_panic_message() {
             );
         }
         other => panic!("expected PipelineError::Worker, got {other:?}"),
-    }
-}
-
-/// The CI fault-matrix entry point: one `(rate, threads)` cell per job,
-/// parametrized via environment so the matrix needs no per-cell test code.
-#[test]
-fn ci_matrix_point() {
-    let rate: f64 = std::env::var("SSFA_FAULT_RATE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1e-4);
-    let threads: usize = std::env::var("SSFA_FAULT_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let seed = 7;
-    if rate == 0.0 {
-        let (strict, _, _) = pipeline(seed).run().unwrap();
-        let (lenient, _, health) = pipeline(seed).threads(threads).lenient().run().unwrap();
-        assert_eq!(
-            lenient.input(),
-            strict.input(),
-            "rate 0 must be bit-identical to strict"
-        );
-        assert!(health.is_clean(), "{health}");
-    } else {
-        let spec = FaultSpec::uniform(rate);
-        let (_, _, health) = pipeline(seed)
-            .threads(threads)
-            .lenient()
-            .faults(spec.clone())
-            .run()
-            .unwrap();
-        assert_exact_accounting(&health, &format!("matrix rate {rate}, {threads} threads"));
-        assert_eq!(health.ledger, external_ledger(seed, &spec));
     }
 }
 
