@@ -8,9 +8,7 @@
 //! and compares the empirical `P(2)` against the theoretical value; a
 //! large excess means failures are positively correlated.
 
-use std::collections::HashMap;
-
-use ssfa_model::{FailureRecord, FailureType, SimDuration, SimTime};
+use ssfa_model::{FailureRecord, FailureType, HashIndex, SimDuration, SimTime};
 use ssfa_stats::special::std_normal_quantile;
 
 use crate::tbf::DEDUP_WINDOW;
@@ -118,16 +116,17 @@ pub fn correlation_by_type(
         .collect();
 
     // Count failures per (group, type) within the group's first `window`.
-    let window_of: HashMap<u32, SimTime> = eligible
+    let window_of: HashIndex<u32, SimTime> = eligible
         .iter()
         .map(|g| (g.key, g.in_service_from))
         .collect();
-    let mut counts: HashMap<(u32, FailureType), u32> = HashMap::new();
+    let mut counts: HashIndex<(u32, FailureType), u32> = HashIndex::new();
 
     // Dedup same-disk same-type repeats, mirroring the TBF analysis.
     let mut sorted: Vec<&FailureRecord> = records.iter().collect();
     sorted.sort_by(|a, b| FailureRecord::chronological(a, b));
-    let mut last_seen: HashMap<(ssfa_model::DiskInstanceId, FailureType), SimTime> = HashMap::new();
+    let mut last_seen: HashIndex<(ssfa_model::DiskInstanceId, FailureType), SimTime> =
+        HashIndex::new();
     for rec in sorted {
         let dedup_key = (rec.disk, rec.failure_type);
         let dup = match last_seen.get(&dedup_key) {

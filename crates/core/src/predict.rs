@@ -10,10 +10,10 @@
 //! within an `accumulation` window; [`evaluate_predictor`] scores alarms
 //! against the corpus's actual disk failures.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use ssfa_logs::{AnalysisInput, LogBook, LogEvent};
-use ssfa_model::{DeviceAddr, FailureType, SimDuration, SimTime, SystemId};
+use ssfa_model::{DeviceAddr, FailureType, HashIndex, SimDuration, SimTime, SystemId};
 
 /// A threshold predictor over per-device medium-error counts.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,8 +117,8 @@ pub fn evaluate_predictor(
     predictor: PrecursorPredictor,
 ) -> PredictionEval {
     // --- Raise alarms ------------------------------------------------------
-    let mut recent: HashMap<(SystemId, DeviceAddr), Vec<SimTime>> = HashMap::new();
-    let mut cooldown_until: HashMap<(SystemId, DeviceAddr), SimTime> = HashMap::new();
+    let mut recent: HashIndex<(SystemId, DeviceAddr), Vec<SimTime>> = HashIndex::new();
+    let mut cooldown_until: HashIndex<(SystemId, DeviceAddr), SimTime> = HashIndex::new();
     let mut alarms: Vec<Alarm> = Vec::new();
 
     for line in book {
@@ -166,7 +166,7 @@ pub fn evaluate_predictor(
     let mut true_positives = 0usize;
     let mut false_positives = 0usize;
     let mut lead_times_hours = Vec::new();
-    let mut detected: HashMap<(SystemId, DeviceAddr, SimTime), bool> = HashMap::new();
+    let mut detected: HashIndex<(SystemId, DeviceAddr, SimTime), bool> = HashIndex::new();
 
     for alarm in &alarms {
         let key = (alarm.system, alarm.device);

@@ -11,10 +11,10 @@
 //! the independence prediction — quantifying exactly how much the standard
 //! model underestimates data-loss risk on bursty, correlated failures.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use ssfa_logs::AnalysisInput;
-use ssfa_model::{FailureType, RaidType, SimDuration, SimTime};
+use ssfa_model::{FailureType, HashIndex, RaidType, SimDuration, SimTime};
 
 use crate::tbf::DEDUP_WINDOW;
 
@@ -106,7 +106,7 @@ pub fn raid_data_loss_risk(
     failure_set: RiskFailureSet,
 ) -> Vec<RaidRiskResult> {
     // Group failures (deduplicated per disk+type) by RAID group.
-    let mut per_group: HashMap<u32, Vec<(SimTime, u64)>> = HashMap::new();
+    let mut per_group: HashIndex<u32, Vec<(SimTime, u64)>> = HashIndex::new();
     {
         let mut sorted: Vec<_> = input
             .failures
@@ -114,7 +114,7 @@ pub fn raid_data_loss_risk(
             .filter(|r| failure_set.includes(r.failure_type))
             .collect();
         sorted.sort_by(|a, b| ssfa_model::FailureRecord::chronological(a, b));
-        let mut last_seen: HashMap<(u64, FailureType), SimTime> = HashMap::new();
+        let mut last_seen: HashIndex<(u64, FailureType), SimTime> = HashIndex::new();
         for rec in sorted {
             let key = (rec.disk.0, rec.failure_type);
             let dup = last_seen

@@ -8,9 +8,7 @@
 //! component. Disk-failure gaps are additionally fitted against the
 //! paper's three candidate models.
 
-use std::collections::HashMap;
-
-use ssfa_model::{DiskInstanceId, FailureRecord, FailureType, SimDuration, SimTime};
+use ssfa_model::{DiskInstanceId, FailureRecord, FailureType, HashIndex, SimDuration, SimTime};
 use ssfa_stats::ecdf::Ecdf;
 use ssfa_stats::fit::{fit_all, FittedModel};
 use ssfa_stats::hypothesis::{chi_square_gof, ChiSquareResult};
@@ -125,7 +123,7 @@ impl TbfAnalysis {
 
         let mut per_type_gaps: [Vec<f64>; 4] = Default::default();
         let mut overall_gaps: Vec<f64> = Vec::new();
-        let mut last_seen = HashMap::new();
+        let mut last_seen = HashIndex::new();
         let mut kept = Vec::new();
 
         for group in sorted.chunk_by(|a, b| scope.key(a) == scope.key(b)) {
@@ -172,7 +170,7 @@ impl TbfAnalysis {
 /// scratch, cleared here, so one map serves every group.
 fn dedup_into<'a>(
     sorted: &[&'a FailureRecord],
-    last_seen: &mut HashMap<(DiskInstanceId, FailureType), SimTime>,
+    last_seen: &mut HashIndex<(DiskInstanceId, FailureType), SimTime>,
     kept: &mut Vec<&'a FailureRecord>,
 ) {
     last_seen.clear();

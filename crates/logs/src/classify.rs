@@ -7,11 +7,11 @@
 //! events generated by lower layers" recognizes the RAID-layer events that
 //! tag each storage subsystem failure with its type (paper §2.5).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use ssfa_model::{
-    DeviceAddr, DiskInstanceId, DiskModelId, FailureRecord, FailureType, LayoutPolicy, LoopId,
-    PathConfig, RaidGroupId, RaidType, ShelfId, ShelfModel, SimTime, SlotAddr, SystemClass,
+    DeviceAddr, DiskInstanceId, DiskModelId, FailureRecord, FailureType, HashIndex, LayoutPolicy,
+    LoopId, PathConfig, RaidGroupId, RaidType, ShelfId, ShelfModel, SimTime, SlotAddr, SystemClass,
     SystemId,
 };
 
@@ -300,7 +300,7 @@ pub struct Classifier {
     /// Device → slot → RAID group lookups; dropped at finish.
     placement: Placement,
     lifetimes: Vec<DiskLifetime>,
-    open: HashMap<DiskInstanceId, usize>,
+    open: HashIndex<DiskInstanceId, usize>,
     failures: Vec<FailureRecord>,
     /// Partial trailing line carried between [`Classifier::feed_bytes`]
     /// calls.

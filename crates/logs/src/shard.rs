@@ -25,13 +25,11 @@
 //! noise enabled: a disk emits the same noise lines whether its system is
 //! rendered alone or as part of the full corpus.
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ssfa_model::time::SECS_PER_YEAR;
-use ssfa_model::{Fleet, SimDuration, SimTime, SystemId};
+use ssfa_model::{Fleet, HashIndex, SimDuration, SimTime, SystemId};
 use ssfa_sim::rng::derive;
 use ssfa_sim::{RemovalReason, SimOutput};
 
@@ -66,7 +64,7 @@ impl ShardPlan {
     /// Panics if the output references a system the fleet does not have
     /// (which would mean the output came from a different fleet).
     pub fn new(fleet: &Fleet, output: &SimOutput) -> ShardPlan {
-        let shard_of: HashMap<SystemId, usize> = fleet
+        let shard_of: HashIndex<SystemId, usize> = fleet
             .systems()
             .iter()
             .enumerate()

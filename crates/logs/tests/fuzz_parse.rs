@@ -12,9 +12,9 @@ use ssfa_logs::{
 /// A tiny but complete rendered corpus for shard-boundary fuzzing:
 /// topology, a disk install/remove cycle, and RAID failure events.
 fn sample_corpus_text(seed: u64) -> String {
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     use std::sync::{Mutex, OnceLock};
-    static CACHE: OnceLock<Mutex<HashMap<u64, String>>> = OnceLock::new();
+    static CACHE: OnceLock<Mutex<BTreeMap<u64, String>>> = OnceLock::new();
     let cache = CACHE.get_or_init(Mutex::default);
     if let Some(text) = cache.lock().unwrap().get(&seed) {
         return text.clone();

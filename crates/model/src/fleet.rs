@@ -7,7 +7,7 @@
 //! are managed by the simulator, which allocates fresh
 //! [`DiskInstanceId`]s beyond the initial range.
 
-use std::collections::HashMap;
+use crate::hash_index::HashIndex;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -118,7 +118,7 @@ pub struct Fleet {
     loops: Vec<FcLoop>,
     raid_groups: Vec<RaidGroup>,
     initial_disks: Vec<DiskInstall>,
-    slot_to_group: HashMap<SlotAddr, RaidGroupId>,
+    slot_to_group: HashIndex<SlotAddr, RaidGroupId>,
     disk_catalog: crate::disk::DiskCatalog,
     shelf_catalog: crate::shelf::ShelfCatalog,
 }
@@ -141,7 +141,7 @@ impl Fleet {
             loops: Vec::new(),
             raid_groups: Vec::new(),
             initial_disks: Vec::new(),
-            slot_to_group: HashMap::new(),
+            slot_to_group: HashIndex::new(),
             disk_catalog: config.disk_catalog.clone(),
             shelf_catalog: config.shelf_catalog.clone(),
         };

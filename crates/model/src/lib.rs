@@ -29,6 +29,7 @@ pub mod config;
 pub mod disk;
 pub mod failure;
 pub mod fleet;
+pub mod hash_index;
 pub mod id;
 pub mod layout;
 pub mod raid;
@@ -40,6 +41,7 @@ pub use config::{ClassConfig, FleetConfig};
 pub use disk::{DiskCatalog, DiskFamily, DiskModelId, DiskModelSpec, DiskType};
 pub use failure::{FailureCounts, FailureRecord, FailureType};
 pub use fleet::{DiskInstall, FcLoop, Fleet, FleetClassStats, RaidGroup, Shelf, StorageSystem};
+pub use hash_index::HashIndex;
 pub use id::{DeviceAddr, DiskInstanceId, LoopId, RaidGroupId, ShelfId, SlotAddr, SystemId};
 pub use layout::LayoutPolicy;
 pub use raid::RaidType;

@@ -8,7 +8,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use ssfa_model::{
-    DiskInstanceId, FailureType, Fleet, PathConfig, SimDuration, SimTime, SlotAddr, StorageSystem,
+    DiskInstanceId, FailureType, Fleet, HashIndex, PathConfig, SimDuration, SimTime, SlotAddr,
+    StorageSystem,
 };
 
 use crate::background::{poisson_process_times, resolve_replacements, span_at, ServiceSpan};
@@ -88,7 +89,7 @@ impl Simulator {
     pub fn run_parallel(&self, fleet: &Fleet, seed: u64, threads: usize) -> SimOutput {
         assert!(threads > 0, "need at least one worker thread");
         let study_end = SimTime::study_end();
-        let initial_by_slot: std::collections::HashMap<SlotAddr, DiskInstanceId> = fleet
+        let initial_by_slot: HashIndex<SlotAddr, DiskInstanceId> = fleet
             .initial_disks()
             .iter()
             .map(|d| (d.slot, d.id))
@@ -169,7 +170,7 @@ impl Simulator {
         sys: &StorageSystem,
         seed: u64,
         study_end: SimTime,
-        initial_by_slot: &std::collections::HashMap<SlotAddr, DiskInstanceId>,
+        initial_by_slot: &HashIndex<SlotAddr, DiskInstanceId>,
     ) -> SystemResult {
         let mut result = SystemResult::default();
         let install = sys.installed_at;
@@ -684,12 +685,11 @@ mod tests {
     #[test]
     fn disk_lifetimes_partition_slot_time() {
         let (_, out) = small_output(11);
-        use std::collections::HashMap;
-        let mut by_slot: HashMap<_, Vec<&DiskRecord>> = HashMap::new();
+        let mut by_slot: std::collections::BTreeMap<_, Vec<&DiskRecord>> =
+            std::collections::BTreeMap::new();
         for d in out.disks() {
             by_slot.entry(d.slot).or_default().push(d);
         }
-        // lint: sorted test-only per-slot assertions; order cannot affect the checks
         for (slot, mut recs) in by_slot {
             recs.sort_by_key(|d| d.installed_at);
             for pair in recs.windows(2) {

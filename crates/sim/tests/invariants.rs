@@ -58,13 +58,12 @@ proptest! {
 
         // Exposure equals the per-slot union of lifetimes: no slot can
         // accumulate more service time than the study window.
-        use std::collections::HashMap;
-        let mut per_slot: HashMap<_, f64> = HashMap::new();
+        use std::collections::BTreeMap;
+        let mut per_slot: BTreeMap<_, f64> = BTreeMap::new();
         for d in out.disks() {
             *per_slot.entry(d.slot).or_default() += d.service_years();
         }
         let window_years = study_end.as_years();
-        // lint: sorted independent per-entry property assertions; no accumulation across entries
         for (slot, years) in per_slot {
             prop_assert!(years <= window_years + 1e-9, "{slot}: {years} yr");
         }

@@ -198,9 +198,9 @@ fn corrupt_shard_quarantine_is_identical_for_borrowed_and_owned_paths() {
 }
 
 /// Rebuilding the same `(fleet, seed)` corpus twice yields byte-identical
-/// directories — the determinism contract the `ssfa-lint` rules of
-/// `tests/lint_selfscan.rs` enforce statically, checked dynamically at the
-/// corpus level.
+/// directories — the determinism contract that clippy's `disallowed_types`
+/// ban on hash containers enforces statically (DESIGN §9), checked
+/// dynamically at the corpus level.
 #[test]
 fn corpus_builds_are_reproducible_byte_for_byte() {
     let a = TempDir::new("repro-a");

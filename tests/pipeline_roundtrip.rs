@@ -71,6 +71,11 @@ fn pipeline_is_deterministic_and_seed_sensitive() {
     let (a, _, _) = pipeline().run().expect("run a");
     let (b, _, _) = pipeline().run().expect("run b");
     assert_eq!(a.input().failures, b.input().failures);
+    // Debug output is part of the result: no hasher seed may reach it.
+    assert_eq!(
+        format!("{:?}", pipeline().build_fleet()),
+        format!("{:?}", pipeline().build_fleet())
+    );
 
     let (c, _, _) = ssfa::Pipeline::new()
         .scale(0.003)
@@ -107,7 +112,7 @@ fn table1_composition_tracks_fleet_scale() {
     let (study, _, _) = pipeline().run().expect("pipeline");
     let rows = study.table1();
     // Low-end systems are by far the most numerous class (paper Table 1).
-    let by_class: std::collections::HashMap<_, _> = rows.iter().map(|r| (r.class, r)).collect();
+    let by_class: std::collections::BTreeMap<_, _> = rows.iter().map(|r| (r.class, r)).collect();
     assert!(by_class[&SystemClass::LowEnd].systems > by_class[&SystemClass::NearLine].systems * 2);
     // Disk counts dominated by near-line / mid-range / high-end.
     assert!(by_class[&SystemClass::MidRange].disks > by_class[&SystemClass::LowEnd].disks);

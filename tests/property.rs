@@ -179,7 +179,7 @@ proptest! {
             })
             .collect();
         let tbf = TbfAnalysis::compute(Scope::Shelf, &records);
-        let groups: std::collections::HashSet<u32> =
+        let groups: std::collections::BTreeSet<u32> =
             records.iter().map(|r| r.shelf.0).collect();
         prop_assert!(tbf.overall().len() <= n.saturating_sub(groups.len()));
         // All gaps non-negative and finite.
