@@ -27,20 +27,18 @@
 //! - `--check <baseline>` — run the benches, then gate against the
 //!   baseline. Every violation names the exact configuration and metric
 //!   as a `[config=<name> metric=<metric>]` prefix. The gates:
-//!   fail (exit 1) if a gated configuration's streaming/monolithic
-//!   wall-time ratio regressed by more than 25% relative to the
-//!   baseline's ratio, if any streaming configuration's
-//!   peak resident corpus bytes grew at all, or if a gated
-//!   configuration's allocations-per-line grew more than 10% over
+//!   fail (exit 1) if the baseline was recorded at other run parameters
+//!   (a `[metric=params]` violation naming the field), if a gated
+//!   configuration's streaming/monolithic wall-time ratio regressed by
+//!   more than 25% relative to the baseline's ratio, if any streaming
+//!   configuration's peak resident corpus bytes grew at all, or if a
+//!   gated configuration's allocations-per-line grew more than 10% over
 //!   baseline.
 //!
-//! Environment knobs: `SSFA_BENCH_SCALE` (default 0.01),
-//! `SSFA_BENCH_SEED` (1988), `SSFA_BENCH_THREADS` (1),
-//! `SSFA_BENCH_REPS` (5; the median wall time is reported),
-//! `SSFA_BENCH_OUT` (default `BENCH_pipeline.json`), and
-//! `SSFA_BENCH_HANDICAP_STREAMING_MS` (sleeps inside every timed
-//! streaming-path rep — exists so CI's gate can be proven to fail on a
-//! synthetic slowdown).
+//! The run parameters are fixed: scale 0.01, seed 1988, one thread and
+//! five reps (the median wall time is reported), the values the CI
+//! baseline records. The one environment knob is `SSFA_BENCH_OUT`, the
+//! output path (default `BENCH_pipeline.json`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -49,6 +47,28 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use ssfa::Pipeline;
+
+/// Fleet scale of every configuration: the scale-0.01 smoke fleet.
+const SCALE: f64 = 0.01;
+
+/// Fleet and render seed.
+const SEED: u64 = 1988;
+
+/// Worker threads of every streaming configuration.
+const THREADS: usize = 1;
+
+/// Timed rounds per configuration; the median is reported.
+const REPS: usize = 5;
+
+/// The run parameters a baseline records, checked by `--check`: a
+/// baseline's limits only mean something at the parameters it was
+/// recorded at.
+const PARAMS: [(&str, f64); 4] = [
+    ("scale", SCALE),
+    ("seed", SEED as f64),
+    ("threads", THREADS as f64),
+    ("reps", REPS as f64),
+];
 
 /// Wall-time regression tolerance on the streaming/monolithic ratio.
 const WALL_RATIO_TOLERANCE: f64 = 1.25;
@@ -134,40 +154,6 @@ struct BenchResult {
     chunks: u64,
     shards_per_sec: f64,
     allocs_per_line: f64,
-}
-
-struct BenchEnv {
-    scale: f64,
-    seed: u64,
-    threads: usize,
-    reps: usize,
-    handicap_ms: u64,
-}
-
-fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-impl BenchEnv {
-    fn from_env() -> BenchEnv {
-        BenchEnv {
-            scale: env_parse("SSFA_BENCH_SCALE", 0.01),
-            seed: env_parse("SSFA_BENCH_SEED", 1988),
-            threads: env_parse("SSFA_BENCH_THREADS", 1),
-            reps: env_parse("SSFA_BENCH_REPS", 5).max(1),
-            handicap_ms: env_parse("SSFA_BENCH_HANDICAP_STREAMING_MS", 0),
-        }
-    }
-
-    fn pipeline(&self) -> Pipeline {
-        Pipeline::new()
-            .scale(self.scale)
-            .seed(self.seed)
-            .threads(self.threads)
-    }
 }
 
 /// A scratch corpus directory, built once per bench process and removed
@@ -259,7 +245,7 @@ fn stream_counters(stats: ssfa::StreamStats, health: &ssfa::RunHealth) -> Counte
     }
 }
 
-/// Runs all configurations interleaved: one warmup round, then `reps`
+/// Runs all configurations interleaved: one warmup round, then [`REPS`]
 /// rounds that time each configuration once per round, reporting the
 /// per-configuration median. Interleaving matters because the headline
 /// gates are *ratios* between configurations — a machine-wide slow phase
@@ -268,8 +254,8 @@ fn stream_counters(stats: ssfa::StreamStats, health: &ssfa::RunHealth) -> Counte
 /// it cancels out. The warmup round doubles as the allocation-counting
 /// round (per-rep counting would perturb the timed reps for nothing:
 /// allocation counts are deterministic for a given `(scale, seed)`).
-fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
-    let base = env.pipeline();
+fn run_benches() -> Vec<BenchResult> {
+    let base = Pipeline::new().scale(SCALE).seed(SEED).threads(THREADS);
 
     // Monolithic peak residency is the whole parsed corpus; it is
     // deterministic, so measure it once outside the timed rounds. The
@@ -295,7 +281,7 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
     // of the same (scale, seed) run: built once, outside every timed rep,
     // which is the subsystem's whole point — the timed region is pure
     // disk-to-study analysis.
-    let corpus_dir = CorpusDirGuard::build(&base, env.seed);
+    let corpus_dir = CorpusDirGuard::build(&base, SEED);
     let corpus_file = ssfa::FileSource::open(&corpus_dir.0).expect("bench corpus opens");
     let corpus_mmap = ssfa::MmapSource::open(&corpus_dir.0).expect("bench corpus maps");
 
@@ -309,10 +295,9 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
     let corpus_resume = ssfa::FileSource::open(&corpus_dir.0).expect("bench corpus opens");
 
     type Runner<'a> = Box<dyn FnMut() -> Counters + 'a>;
-    let mut configs: Vec<(&'static str, bool, Runner)> = vec![
+    let mut configs: Vec<(&'static str, Runner)> = vec![
         (
             "monolithic",
-            false,
             Box::new(move || {
                 std::hint::black_box(p_mono.run_monolithic().unwrap());
                 mono_counters
@@ -320,7 +305,6 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
         ),
         (
             "streaming_chunk1",
-            true,
             Box::new(move || {
                 let (study, stats, health) = p_chunk1.run().unwrap();
                 std::hint::black_box(study);
@@ -329,7 +313,6 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
         ),
         (
             "streaming_auto",
-            true,
             Box::new(move || {
                 let (study, stats, health) = p_auto.run().unwrap();
                 std::hint::black_box(study);
@@ -338,7 +321,6 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
         ),
         (
             "corpus_file",
-            true,
             Box::new(move || {
                 let (study, stats, health) = p_corpus_file.run_source(&corpus_file).unwrap();
                 std::hint::black_box(study);
@@ -347,7 +329,6 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
         ),
         (
             "corpus_mmap",
-            true,
             Box::new(move || {
                 let (study, stats, health) = p_corpus_mmap.run_source(&corpus_mmap).unwrap();
                 std::hint::black_box(study);
@@ -356,7 +337,6 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
         ),
         (
             "corpus_resume",
-            true,
             Box::new(move || {
                 resume_stage.restore();
                 let (study, stats, health) = p_resume
@@ -370,22 +350,19 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
 
     let mut counters: Vec<Counters> = Vec::with_capacity(configs.len());
     let mut allocs_per_line: Vec<f64> = Vec::with_capacity(configs.len());
-    for (_, _, run) in &mut configs {
+    for (_, run) in &mut configs {
         let before = allocations();
         counters.push(run());
         allocs_per_line.push((allocations() - before) as f64 / corpus_lines as f64);
     }
-    let mut walls: Vec<Vec<f64>> = vec![Vec::with_capacity(env.reps); configs.len()];
-    for _ in 0..env.reps {
-        for (i, (_, streaming, run)) in configs.iter_mut().enumerate() {
+    let mut walls: Vec<Vec<f64>> = vec![Vec::with_capacity(REPS); configs.len()];
+    for _ in 0..REPS {
+        for (i, (_, run)) in configs.iter_mut().enumerate() {
             #[expect(
                 clippy::disallowed_methods,
                 reason = "the perf gate measures wall time"
             )]
             let t = Instant::now();
-            if *streaming && env.handicap_ms > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(env.handicap_ms));
-            }
             run();
             walls[i].push(t.elapsed().as_secs_f64() * 1e3);
         }
@@ -397,7 +374,7 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
         .zip(allocs_per_line)
         .zip(walls)
         .map(
-            |((((name, _, _), counters), allocs_per_line), mut config_walls)| {
+            |((((name, _), counters), allocs_per_line), mut config_walls)| {
                 config_walls.sort_by(|a, b| a.total_cmp(b));
                 let wall_ms = config_walls[config_walls.len() / 2];
                 BenchResult {
@@ -415,14 +392,13 @@ fn run_benches(env: &BenchEnv) -> Vec<BenchResult> {
         .collect()
 }
 
-fn to_json(env: &BenchEnv, results: &[BenchResult]) -> String {
+fn to_json(results: &[BenchResult]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"ssfa-bench-pipeline/v1\",\n");
-    let _ = writeln!(out, "  \"scale\": {},", env.scale);
-    let _ = writeln!(out, "  \"seed\": {},", env.seed);
-    let _ = writeln!(out, "  \"threads\": {},", env.threads);
-    let _ = writeln!(out, "  \"reps\": {},", env.reps);
+    for (key, value) in PARAMS {
+        let _ = writeln!(out, "  \"{key}\": {value},");
+    }
     out.push_str("  \"configs\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str("    {\n");
@@ -479,10 +455,27 @@ fn result_for<'a>(results: &'a [BenchResult], name: &str) -> &'a BenchResult {
 }
 
 /// Applies the gate; returns the list of violations (empty = pass). Every
-/// violation is prefixed `[config=<name> metric=<metric>]` so a CI
-/// failure names exactly what regressed.
+/// violation is prefixed `[config=<name> metric=<metric>]`, or
+/// `[metric=params]` for a run-parameter mismatch, so a CI failure names
+/// exactly what regressed.
 fn check_against_baseline(results: &[BenchResult], baseline: &str) -> Result<Vec<String>, String> {
+    // Run parameters first: a baseline recorded at another scale, seed,
+    // thread count or rep count has limits that say nothing about this
+    // run, so a mismatch is reported alone.
     let mut violations = Vec::new();
+    for (key, current) in PARAMS {
+        let recorded =
+            extract_number(baseline, key).ok_or_else(|| format!("baseline is missing {key}"))?;
+        if recorded != current {
+            violations.push(format!(
+                "[metric=params] baseline was recorded at {key} {recorded}, \
+                 this run uses {key} {current}"
+            ));
+        }
+    }
+    if !violations.is_empty() {
+        return Ok(violations);
+    }
 
     // Wall gates: each gated config's ratio to the monolithic reference,
     // compared ratio-to-ratio so machine speed cancels out.
@@ -536,9 +529,8 @@ fn check_against_baseline(results: &[BenchResult], baseline: &str) -> Result<Vec
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let env = BenchEnv::from_env();
-    let results = run_benches(&env);
-    let json = to_json(&env, &results);
+    let results = run_benches();
+    let json = to_json(&results);
 
     let out_path = std::env::var("SSFA_BENCH_OUT").unwrap_or_else(|_| "BENCH_pipeline.json".into());
     if let Err(err) = std::fs::write(&out_path, &json) {
@@ -616,6 +608,10 @@ mod tests {
 
     const SAMPLE: &str = r#"{
   "schema": "ssfa-bench-pipeline/v1",
+  "scale": 0.01,
+  "seed": 1988,
+  "threads": 1,
+  "reps": 5,
   "configs": [
     {
       "name": "monolithic",
@@ -705,14 +701,7 @@ mod tests {
 
     #[test]
     fn round_trips_through_its_own_writer() {
-        let env = BenchEnv {
-            scale: 0.01,
-            seed: 1988,
-            threads: 1,
-            reps: 5,
-            handicap_ms: 0,
-        };
-        let json = to_json(&env, &sample_results(21.0, 20_000));
+        let json = to_json(&sample_results(21.0, 20_000));
         assert_eq!(
             baseline_number(&json, "streaming_auto", "wall_ms").unwrap(),
             21.0
@@ -820,5 +809,31 @@ mod tests {
             .collect();
         let err = check_against_baseline(&sample_results(21.0, 20_000), &legacy).unwrap_err();
         assert!(err.contains("corpus_file"), "{err}");
+    }
+
+    #[test]
+    fn gate_rejects_a_baseline_recorded_at_other_parameters() {
+        // A baseline from another run shape must not gate this one, even
+        // when every metric would pass against it.
+        for (line, other) in [
+            ("\"scale\": 0.01,", "\"scale\": 0.004,"),
+            ("\"seed\": 1988,", "\"seed\": 7,"),
+            ("\"threads\": 1,", "\"threads\": 4,"),
+            ("\"reps\": 5,", "\"reps\": 3,"),
+        ] {
+            let foreign = SAMPLE.replace(line, other);
+            let key = line.split('"').nth(1).unwrap();
+            let violations =
+                check_against_baseline(&sample_results(21.0, 20_000), &foreign).unwrap();
+            assert_eq!(violations.len(), 1, "{key}: {violations:?}");
+            assert!(
+                violations[0].starts_with("[metric=params]")
+                    && violations[0].contains(&format!("recorded at {key} ")),
+                "{key}: {violations:?}"
+            );
+        }
+        let unrecorded = SAMPLE.replace("\"reps\": 5,\n", "");
+        let err = check_against_baseline(&sample_results(21.0, 20_000), &unrecorded).unwrap_err();
+        assert!(err.contains("reps"), "{err}");
     }
 }

@@ -3,7 +3,7 @@
 //! 1. **Granularity identity**: chunk size 1 (the legacy one-shard work
 //!    units), the auto byte-budget policy, and a single whole-fleet chunk
 //!    all produce bit-identical studies — and identical `RunHealth` line
-//!    counters.
+//!    counters. This is a slice of the engine grid (`tests/grid/mod.rs`).
 //! 2. **Degenerate bounds**: chunk size ≥ fleet collapses to exactly one
 //!    chunk; chunk size 1 gives one chunk per shard.
 //! 3. **Blast radius**: a panicking system inside a multi-system chunk
@@ -11,8 +11,11 @@
 //!    lost, with the exact rendered line count, and the rest of the fleet
 //!    still merges.
 
+mod grid;
+
 use std::collections::BTreeSet;
 
+use grid::{cross, run_grid, Case};
 use ssfa::logs::{render_system_log, NoiseParams, ShardPlan};
 use ssfa::prelude::*;
 use ssfa::Pipeline;
@@ -24,41 +27,14 @@ fn pipeline() -> Pipeline {
     Pipeline::new().scale(SCALE).seed(SEED)
 }
 
+/// Every run is held to the monolithic reference: the same input, clean
+/// health, every chunk completed and exactly the reference's lines seen.
 #[test]
 fn every_chunk_granularity_is_bit_identical() {
-    let (legacy, _, legacy_health) = pipeline().threads(2).chunk_systems(1).run().unwrap();
-    let (auto, _, auto_health) = pipeline().threads(2).run().unwrap();
-    let (whole, _, whole_health) = pipeline()
-        .threads(2)
-        .chunk_systems(1_000_000)
-        .run()
-        .unwrap();
-
-    assert_eq!(
-        auto.input(),
-        legacy.input(),
-        "auto chunking diverged from chunk size 1"
-    );
-    assert_eq!(
-        whole.input(),
-        legacy.input(),
-        "whole-fleet chunk diverged from chunk size 1"
-    );
-    for (health, what) in [
-        (&auto_health, "auto"),
-        (&whole_health, "whole-fleet"),
-        (&legacy_health, "legacy"),
-    ] {
-        assert!(health.is_clean(), "{what} chunking reported loss: {health}");
-        assert_eq!(
-            health.lines_seen, legacy_health.lines_seen,
-            "{what} line count diverged"
-        );
-        assert_eq!(
-            health.chunks_processed, health.chunks_total,
-            "{what}: {health}"
-        );
-    }
+    run_grid(&[Case {
+        sim: cross(&[2], &[Some(1), None, Some(1_000_000)]),
+        ..Case::new(SCALE, SEED)
+    }]);
 }
 
 #[test]

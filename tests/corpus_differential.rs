@@ -1,101 +1,37 @@
 //! The corpus differential suite: disk-backed analysis must be
-//! bit-identical to in-memory analysis.
+//! bit-identical to in-memory analysis, and degrade identically.
 //!
-//! For every grid point — scales {0.001, 0.01} × seeds {1988, 2008} ×
-//! threads {1, 4} — a corpus is built once to a temp directory
-//! (`CorpusWriter`), then the staged engine runs the same configuration
-//! over three sources: the in-memory [`ssfa::pipeline::SimSource`], the
-//! buffered [`ssfa::FileSource`], and the zero-copy [`ssfa::MmapSource`].
-//! All three Table 1 reports must be byte-identical.
-//!
-//! This extends `tests/engine_grid.rs`'s golden pinning to disk: the
-//! scale-0.002 / seed-7 corpus must reproduce the *pre-refactor* golden
-//! (`tests/golden/table1.txt`) through both disk-backed sources. The
-//! golden file is deliberately NOT regenerated — it predates the corpus
-//! subsystem entirely, so a match proves the disk round trip changed no
-//! observable output.
+//! The two grid tests are slices of the engine grid (`tests/grid/mod.rs`):
+//! a corpus is built and deep-verified once per fleet, then the staged
+//! engine runs each configuration over the in-memory
+//! [`ssfa::pipeline::SimSource`], the buffered [`ssfa::FileSource`] and
+//! the zero-copy [`ssfa::MmapSource`], and every run must equal its
+//! siblings and the monolithic reference. The scale-0.002 / seed-7 corpus
+//! must also reproduce the *pre-refactor* golden
+//! (`tests/golden/table1.txt`), which predates the corpus subsystem and is
+//! deliberately NOT regenerated, so a match proves the disk round trip
+//! changed no observable output.
 
-use std::path::PathBuf;
+mod grid;
 
+use grid::{cross, run_grid, table1, Case, TempDir};
 use ssfa::logs::{CorpusReader, CorpusWriter};
-use ssfa::pipeline::{SimSource, Source};
 use ssfa::{FileSource, MmapSource, Pipeline};
 
-/// A self-deleting scratch directory under the system temp dir.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir =
-            std::env::temp_dir().join(format!("ssfa-corpus-diff-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn table1(study: &ssfa::core::Study) -> String {
-    let mut out = String::new();
-    for row in study.table1() {
-        out.push_str(&format!("{row:?}\n"));
-    }
-    out
-}
-
-/// Runs `pipeline` over `source` and renders the Table 1 report.
-fn report(pipeline: &Pipeline, source: &dyn Source) -> String {
-    let (study, _, health) = pipeline.run_source(source).expect("clean corpus analyzes");
-    assert!(health.is_clean(), "clean corpus lost data: {health}");
-    table1(&study)
-}
-
+/// Scales {0.001, 0.01} × seeds {1988, 2008} × threads {1, 4}, every
+/// point through all three sources.
 #[test]
 fn disk_backed_sources_match_sim_source_across_the_grid() {
-    for scale in [0.001, 0.01] {
-        for seed in [1988u64, 2008] {
-            let tmp = TempDir::new(&format!("grid-{scale}-{seed}"));
-            let base = Pipeline::new().scale(scale).seed(seed);
-            let fleet = base.build_fleet();
-            let output = base.simulate(&fleet);
-            let style = ssfa::logs::CascadeStyle::RaidOnly; // the Pipeline default
-            CorpusWriter::new(&tmp.0)
-                .write(&fleet, &output, style, seed)
-                .expect("corpus builds");
-
-            // The corpus is read-verified once up front, exactly as the
-            // CLI's `corpus verify` would.
-            CorpusReader::open(&tmp.0)
-                .expect("manifest parses")
-                .verify(true)
-                .expect("fresh corpus verifies deeply");
-
-            let sim = SimSource::new(&fleet, &output, style, seed);
-            let file = FileSource::open(&tmp.0).expect("file source opens");
-            let mmap = MmapSource::open(&tmp.0).expect("mmap source opens");
-            assert_eq!(file.shard_count(), fleet.systems().len());
-            assert_eq!(mmap.shard_count(), fleet.systems().len());
-
-            for threads in [1, 4] {
-                let pipeline = base.clone().threads(threads);
-                let expected = report(&pipeline, &sim);
-                assert_eq!(
-                    report(&pipeline, &file),
-                    expected,
-                    "FileSource diverged (scale={scale}, seed={seed}, threads={threads})"
-                );
-                assert_eq!(
-                    report(&pipeline, &mmap),
-                    expected,
-                    "MmapSource diverged (scale={scale}, seed={seed}, threads={threads})"
-                );
-            }
-        }
-    }
+    let points = cross(&[1, 4], &[None]);
+    let cases: Vec<Case> = [(0.001, 1988), (0.001, 2008), (0.01, 1988), (0.01, 2008)]
+        .into_iter()
+        .map(|(scale, seed)| Case {
+            sim: points.clone(),
+            disk: points.clone(),
+            ..Case::new(scale, seed)
+        })
+        .collect();
+    run_grid(&cases);
 }
 
 /// The disk-backed extension of `tests/engine_grid.rs`: the corpus round
@@ -103,34 +39,10 @@ fn disk_backed_sources_match_sim_source_across_the_grid() {
 /// both disk-backed sources, under both chunking policies.
 #[test]
 fn disk_backed_sources_match_the_pre_refactor_golden() {
-    let golden_path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/table1.txt");
-    let golden = std::fs::read_to_string(&golden_path)
-        .unwrap_or_else(|e| panic!("missing golden file {} ({e})", golden_path.display()));
-
-    let tmp = TempDir::new("golden");
-    let base = Pipeline::new().scale(0.002).seed(7);
-    let fleet = base.build_fleet();
-    let output = base.simulate(&fleet);
-    CorpusWriter::new(&tmp.0)
-        .write(&fleet, &output, ssfa::logs::CascadeStyle::RaidOnly, 7)
-        .expect("corpus builds");
-
-    let file = FileSource::open(&tmp.0).expect("file source opens");
-    let mmap = MmapSource::open(&tmp.0).expect("mmap source opens");
-    for fixed_chunks in [false, true] {
-        let mut pipeline = base.clone().threads(4);
-        if fixed_chunks {
-            pipeline = pipeline.chunk_systems(1);
-        }
-        for (name, source) in [("file", &file as &dyn Source), ("mmap", &mmap)] {
-            assert_eq!(
-                report(&pipeline, source),
-                golden,
-                "{name} source diverged from golden (chunk-1={fixed_chunks})"
-            );
-        }
-    }
+    run_grid(&[Case {
+        disk: cross(&[4], &[Some(1), None]),
+        ..Case::new(0.002, 7)
+    }]);
 }
 
 /// The borrowed/owned accounting differential: a corrupt shard must
