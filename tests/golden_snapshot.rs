@@ -5,6 +5,9 @@
 //! - `tests/golden/corpus_digest.txt` — FNV-1a/64 digest (plus line and
 //!   byte counts) of the rendered monolithic corpus text;
 //! - `tests/golden/table1.txt` — the `Study::table1()` rows, one per line;
+//! - `tests/golden/corpus_files.txt` — FNV-1a/64 and length of every file
+//!   `CorpusWriter` writes for that run (each segment and `MANIFEST`), at
+//!   the default packing and at 8 shards per segment;
 //!
 //! and one of a larger run (`ANALYSIS_SCALE`, `ANALYSIS_SEED`), large
 //! enough that all six Figure 5 panels are populated:
@@ -26,8 +29,11 @@
 //! then commit the updated files under `tests/golden/` together with the
 //! change that moved them (and say why in the commit message).
 
+use std::path::PathBuf;
+
 use ssfa::core::tbf::BURST_THRESHOLD_SECS;
 use ssfa::core::{FindingsReport, Scope};
+use ssfa::logs::{CascadeStyle, CorpusWriter};
 use ssfa::model::{FailureType, SimDuration};
 use ssfa::Pipeline;
 
@@ -84,6 +90,56 @@ fn corpus_digest_matches_golden() {
         text.len(),
     );
     check_or_regenerate("corpus_digest.txt", &actual);
+}
+
+/// A self-deleting scratch directory under the system temp dir.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("ssfa-golden-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[test]
+fn corpus_files_match_golden() {
+    let pipeline = Pipeline::new().scale(SCALE).seed(SEED);
+    let fleet = pipeline.build_fleet();
+    let output = pipeline.simulate(&fleet);
+    let mut actual = String::new();
+    for (label, segment_shards) in [("default", None), ("segment_shards 8", Some(8))] {
+        let tmp = TempDir::new(&label.replace(' ', "-"));
+        let mut writer = CorpusWriter::new(&tmp.0).param("scale", format!("{SCALE}"));
+        if let Some(n) = segment_shards {
+            writer = writer.segment_shards(n);
+        }
+        writer
+            .write(&fleet, &output, CascadeStyle::RaidOnly, SEED)
+            .unwrap();
+        let mut names: Vec<String> = std::fs::read_dir(&tmp.0)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        actual.push_str(&format!("[{label}]\n"));
+        for name in names {
+            let bytes = std::fs::read(tmp.0.join(&name)).unwrap();
+            actual.push_str(&format!(
+                "{name} fnv1a64 {:016x} bytes {}\n",
+                fnv1a64(&bytes),
+                bytes.len()
+            ));
+        }
+    }
+    check_or_regenerate("corpus_files.txt", &actual);
 }
 
 #[test]
