@@ -33,9 +33,10 @@
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use ssfa_model::Fleet;
+use ssfa_model::{run_ordered, Fleet};
 use ssfa_sim::SimOutput;
 
 use crate::cascade::CascadeStyle;
@@ -605,20 +606,41 @@ impl CorpusWriter {
     /// noise stream keyed by `seed` — the same parameters the in-memory
     /// `SimSource` uses.
     ///
-    /// The manifest is written last, with [`write_atomic`], so a
-    /// crashed build leaves a directory that readers reject as missing
-    /// its manifest rather than a silently short corpus.
+    /// Segment files are independent, so they are written in parallel:
+    /// one worker per available core (at most one per segment) claims a
+    /// segment, renders, frames and writes its shards, and syncs the file.
+    /// The bytes of every file do not depend on the worker count. The
+    /// manifest is written last, on the calling thread, with
+    /// [`write_atomic`], so a crashed build leaves a directory that
+    /// readers reject as missing its manifest rather than a silently short
+    /// corpus.
     ///
     /// # Errors
     ///
     /// [`CorpusError::AlreadyExists`] if `dir` already holds a manifest,
-    /// otherwise [`CorpusError::Io`] on filesystem failures.
+    /// otherwise [`CorpusError::Io`] on filesystem failures. When several
+    /// segments fail, the error is the lowest segment's — the one a
+    /// segment-by-segment build stops at — and no manifest is published.
     pub fn write(
         &self,
         fleet: &Fleet,
         output: &SimOutput,
         style: CascadeStyle,
         seed: u64,
+    ) -> Result<CorpusSummary, CorpusError> {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.write_with_workers(fleet, output, style, seed, workers)
+    }
+
+    /// [`CorpusWriter::write`] on `workers` writer threads (capped at the
+    /// segment count).
+    pub(crate) fn write_with_workers(
+        &self,
+        fleet: &Fleet,
+        output: &SimOutput,
+        style: CascadeStyle,
+        seed: u64,
+        workers: usize,
     ) -> Result<CorpusSummary, CorpusError> {
         let manifest_path = self.dir.join(MANIFEST_NAME);
         if manifest_path.exists() {
@@ -631,31 +653,61 @@ impl CorpusWriter {
 
         let plan = ShardPlan::new(fleet, output);
         let n = plan.shard_count();
-        let mut entries = Vec::with_capacity(n);
-        let mut lines_total = 0u64;
+        let segments = n.div_ceil(self.segment_shards);
+        let written = run_ordered(segments, workers, |segment| {
+            let shards = segment * self.segment_shards..n.min((segment + 1) * self.segment_shards);
+            self.write_segment(fleet, output, &plan, style, seed, segment, shards)
+        })?;
+        let mut shards = Vec::with_capacity(n);
+        let mut lines = 0u64;
+        for (entries, segment_lines) in written {
+            shards.extend(entries);
+            lines += segment_lines;
+        }
+
+        let manifest = Manifest {
+            seed,
+            style,
+            segment_shards: self.segment_shards,
+            params: self.params.clone(),
+            total_payload_bytes: shards.iter().map(|e| e.payload_len).sum(),
+            shards,
+            segments,
+        };
+        write_atomic(&manifest_path, manifest.to_text().as_bytes())
+            .map_err(io_err(format!("publish {}", manifest_path.display())))?;
+
+        Ok(CorpusSummary {
+            shards: manifest.shards.len(),
+            segments: manifest.segments,
+            payload_bytes: manifest.total_payload_bytes,
+            lines,
+        })
+    }
+
+    /// Renders `shards` into segment file `segment`, then flushes and
+    /// syncs it. Returns the shards' manifest entries and their total
+    /// line count.
+    fn write_segment(
+        &self,
+        fleet: &Fleet,
+        output: &SimOutput,
+        plan: &ShardPlan,
+        style: CascadeStyle,
+        seed: u64,
+        segment: usize,
+        shards: Range<usize>,
+    ) -> Result<(Vec<ShardEntry>, u64), CorpusError> {
+        let path = self.dir.join(segment_file_name(segment));
+        let file = File::create(&path).map_err(io_err(format!("create {}", path.display())))?;
+        let mut writer = BufWriter::new(file);
+        let mut entries = Vec::with_capacity(shards.len());
+        let mut lines = 0u64;
+        let mut offset = 0u64;
         let mut frame_buf = Vec::new();
-        let mut segment: Option<(usize, BufWriter<File>, u64)> = None;
-
-        for shard in 0..n {
-            let seg_index = shard / self.segment_shards;
-            if segment.as_ref().map(|(i, _, _)| *i) != Some(seg_index) {
-                self.finish_segment(segment.take())?;
-                let path = self.dir.join(segment_file_name(seg_index));
-                let file =
-                    File::create(&path).map_err(io_err(format!("create {}", path.display())))?;
-                segment = Some((seg_index, BufWriter::new(file), 0));
-            }
-            let (_, writer, offset) = segment.as_mut().expect("segment just opened");
-
-            let book = render_system_log(
-                fleet,
-                output,
-                &plan,
-                shard,
-                style,
-                NoiseParams::none(),
-                seed,
-            );
+        for shard in shards {
+            let book =
+                render_system_log(fleet, output, plan, shard, style, NoiseParams::none(), seed);
             let text = book.to_text();
             let system_id = fleet.systems()[shard].id.0;
             frame_buf.clear();
@@ -669,56 +721,23 @@ impl CorpusWriter {
                 .write_all(&frame_buf)
                 .map_err(io_err(format!("write shard {shard}")))?;
             entries.push(ShardEntry {
-                segment: seg_index,
-                offset: *offset,
+                segment,
+                offset,
                 payload_len: header.payload_len,
                 line_count: header.line_count,
                 system_id,
                 checksum: header.checksum,
             });
-            *offset += header.frame_len();
-            lines_total += header.line_count;
+            offset += header.frame_len();
+            lines += header.line_count;
         }
-        self.finish_segment(segment.take())?;
-
-        let manifest = Manifest {
-            seed,
-            style,
-            segment_shards: self.segment_shards,
-            params: self.params.clone(),
-            shards: entries,
-            segments: n.div_ceil(self.segment_shards),
-            total_payload_bytes: 0, // recomputed below
-        };
-        let manifest = Manifest {
-            total_payload_bytes: manifest.shards.iter().map(|e| e.payload_len).sum(),
-            ..manifest
-        };
-        write_atomic(&manifest_path, manifest.to_text().as_bytes())
-            .map_err(io_err(format!("publish {}", manifest_path.display())))?;
-
-        Ok(CorpusSummary {
-            shards: manifest.shards.len(),
-            segments: manifest.segments,
-            payload_bytes: manifest.total_payload_bytes,
-            lines: lines_total,
-        })
-    }
-
-    /// Flushes and syncs a finished segment file.
-    fn finish_segment(
-        &self,
-        segment: Option<(usize, BufWriter<File>, u64)>,
-    ) -> Result<(), CorpusError> {
-        if let Some((index, writer, _)) = segment {
-            let file = writer.into_inner().map_err(|e| CorpusError::Io {
-                what: format!("flush segment {index}"),
-                source: e.into_error(),
-            })?;
-            file.sync_all()
-                .map_err(io_err(format!("sync segment {index}")))?;
-        }
-        Ok(())
+        let file = writer.into_inner().map_err(|e| CorpusError::Io {
+            what: format!("flush segment {segment}"),
+            source: e.into_error(),
+        })?;
+        file.sync_all()
+            .map_err(io_err(format!("sync segment {segment}")))?;
+        Ok((entries, lines))
     }
 }
 
@@ -1079,30 +1098,78 @@ mod tests {
         assert!(matches!(err, CorpusError::AlreadyExists { .. }), "{err}");
     }
 
+    /// Every file of a corpus directory, sorted by name.
+    fn corpus_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().into_string().unwrap();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
     #[test]
     fn corpus_bytes_are_deterministic() {
-        let tmp_a = TempDir::new("det-a");
-        let tmp_b = TempDir::new("det-b");
+        // Identical for any writer worker count, down to every segment
+        // file and the manifest.
         let (fleet, out) = small_run();
-        for dir in [&tmp_a.0, &tmp_b.0] {
-            CorpusWriter::new(dir)
-                .segment_shards(5)
-                .write(&fleet, &out, CascadeStyle::RaidOnly, 21)
-                .unwrap();
+        let builds: Vec<_> = [1, 2, 4]
+            .into_iter()
+            .map(|workers| {
+                let tmp = TempDir::new(&format!("det-{workers}"));
+                let summary = CorpusWriter::new(&tmp.0)
+                    .segment_shards(5)
+                    .write_with_workers(&fleet, &out, CascadeStyle::RaidOnly, 21, workers)
+                    .unwrap();
+                (workers, summary, corpus_files(&tmp.0))
+            })
+            .collect();
+        let (_, summary_1, files_1) = &builds[0];
+        assert!(summary_1.segments >= 4, "{} segments", summary_1.segments);
+        assert_eq!(files_1.len(), summary_1.segments + 1, "segments + MANIFEST");
+        for (workers, summary, files) in &builds[1..] {
+            assert_eq!(summary, summary_1, "{workers} workers");
+            assert_eq!(files.len(), files_1.len(), "{workers} workers");
+            for ((name_1, bytes_1), (name, bytes)) in files_1.iter().zip(files) {
+                assert_eq!(name, name_1);
+                assert!(bytes == bytes_1, "{name} differs on {workers} workers");
+            }
         }
-        let names: Vec<String> = {
-            let mut names: Vec<String> = std::fs::read_dir(&tmp_a.0)
-                .unwrap()
-                .map(|e| e.unwrap().file_name().into_string().unwrap())
-                .collect();
-            names.sort();
-            names
-        };
-        assert!(names.contains(&MANIFEST_NAME.to_owned()));
-        for name in names {
-            let a = std::fs::read(tmp_a.0.join(&name)).unwrap();
-            let b = std::fs::read(tmp_b.0.join(&name)).unwrap();
-            assert_eq!(a, b, "{name} differs between identical builds");
+    }
+
+    #[test]
+    fn a_failed_segment_fails_the_build_as_a_serial_write_would() {
+        // A directory planted at segment 2's path fails its create; with
+        // any worker count the build reports that error and publishes no
+        // manifest.
+        let tmp = TempDir::new("segment-fail");
+        let (fleet, out) = small_run();
+        let planted = tmp.0.join(segment_file_name(2));
+        let mut errors = Vec::new();
+        for workers in [1, 2, 4] {
+            let _ = std::fs::remove_dir_all(&tmp.0);
+            std::fs::create_dir_all(&planted).unwrap();
+            let err = CorpusWriter::new(&tmp.0)
+                .segment_shards(8)
+                .write_with_workers(&fleet, &out, CascadeStyle::RaidOnly, 21, workers)
+                .unwrap_err();
+            let CorpusError::Io { what, .. } = &err else {
+                panic!("expected an i/o error, got {err}");
+            };
+            assert_eq!(*what, format!("create {}", planted.display()));
+            assert!(!tmp.0.join(MANIFEST_NAME).exists(), "{workers} workers");
+            if workers == 1 {
+                assert!(
+                    !tmp.0.join(segment_file_name(3)).exists(),
+                    "a serial build claims no segment after the failed one"
+                );
+            }
+            errors.push(err.to_string());
         }
+        assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
     }
 }

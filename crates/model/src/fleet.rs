@@ -7,8 +7,6 @@
 //! are managed by the simulator, which allocates fresh
 //! [`DiskInstanceId`]s beyond the initial range.
 
-use crate::hash_index::HashIndex;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -118,7 +116,9 @@ pub struct Fleet {
     loops: Vec<FcLoop>,
     raid_groups: Vec<RaidGroup>,
     initial_disks: Vec<DiskInstall>,
-    slot_to_group: HashIndex<SlotAddr, RaidGroupId>,
+    /// `initial_disks[disk_starts[i]..disk_starts[i + 1]]` are system
+    /// `i`'s initial disks; one entry per system plus a leading 0.
+    disk_starts: Vec<usize>,
     disk_catalog: crate::disk::DiskCatalog,
     shelf_catalog: crate::shelf::ShelfCatalog,
 }
@@ -141,7 +141,7 @@ impl Fleet {
             loops: Vec::new(),
             raid_groups: Vec::new(),
             initial_disks: Vec::new(),
-            slot_to_group: HashIndex::new(),
+            disk_starts: vec![0],
             disk_catalog: config.disk_catalog.clone(),
             shelf_catalog: config.shelf_catalog.clone(),
         };
@@ -220,7 +220,6 @@ impl Fleet {
                     RaidType::Raid4
                 };
                 for slot in &slots {
-                    self.slot_to_group.insert(*slot, rg_id);
                     self.initial_disks.push(DiskInstall {
                         id: DiskInstanceId(self.initial_disks.len() as u64),
                         model: disk_model,
@@ -250,6 +249,7 @@ impl Fleet {
             loops: loop_ids,
             raid_groups: raid_group_ids,
         });
+        self.disk_starts.push(self.initial_disks.len());
     }
 
     /// All systems, indexed by [`SystemId`].
@@ -273,8 +273,21 @@ impl Fleet {
     }
 
     /// The initial disk population (instance ids `0..disk_count()`).
+    ///
+    /// Each system's initial disks form one contiguous id range, in system
+    /// order, with exactly one disk per slot of the system's shelves (which
+    /// have consecutive [`ShelfId`]s and one bay count);
+    /// [`Fleet::initial_disks_of`] returns that range. Within it disks
+    /// follow the RAID layout, not bay order.
     pub fn initial_disks(&self) -> &[DiskInstall] {
         &self.initial_disks
+    }
+
+    /// The initial disks of one system: a contiguous slice of
+    /// [`Fleet::initial_disks`].
+    pub fn initial_disks_of(&self, system: &StorageSystem) -> &[DiskInstall] {
+        let i = system.id.index();
+        &self.initial_disks[self.disk_starts[i]..self.disk_starts[i + 1]]
     }
 
     /// Number of initially-installed disks.
@@ -302,9 +315,14 @@ impl Fleet {
         &self.raid_groups[id.index()]
     }
 
-    /// RAID group that a slot belongs to.
+    /// RAID group that a slot belongs to: a scan of the owning system's
+    /// initial disks.
     pub fn raid_group_of(&self, slot: SlotAddr) -> Option<RaidGroupId> {
-        self.slot_to_group.get(&slot).copied()
+        let shelf = self.shelves.get(slot.shelf.index())?;
+        self.initial_disks_of(self.system(shelf.system))
+            .iter()
+            .find(|disk| disk.slot == slot)
+            .map(|disk| disk.raid_group)
     }
 
     /// Device address of a slot as printed in logs.
@@ -448,6 +466,51 @@ mod tests {
         for (i, disk) in fleet.initial_disks().iter().enumerate() {
             assert_eq!(disk.id.index(), i);
             assert_eq!(fleet.raid_group_of(disk.slot), Some(disk.raid_group));
+        }
+        let shelf = fleet.shelves()[0];
+        let past_last_bay = SlotAddr {
+            shelf: shelf.id,
+            bay: shelf.bays,
+        };
+        let past_last_shelf = SlotAddr {
+            shelf: ShelfId(fleet.shelves().len() as u32),
+            bay: 0,
+        };
+        assert_eq!(fleet.raid_group_of(past_last_bay), None);
+        assert_eq!(fleet.raid_group_of(past_last_shelf), None);
+    }
+
+    #[test]
+    fn each_system_owns_one_contiguous_range_of_initial_disks() {
+        for scale in [0.002, 0.01] {
+            let fleet = Fleet::build(&FleetConfig::paper().scaled(scale), 5);
+            let mut next_id = 0;
+            for sys in fleet.systems() {
+                let disks = fleet.initial_disks_of(sys);
+                let first = sys.shelves[0].index();
+                for (rank, shelf) in sys.shelves.iter().enumerate() {
+                    assert_eq!(shelf.index(), first + rank, "{} shelf ids", sys.id);
+                }
+                let bays: Vec<usize> = sys
+                    .shelves
+                    .iter()
+                    .map(|&s| usize::from(fleet.shelf(s).bays))
+                    .collect();
+                assert!(bays.iter().all(|&b| b == bays[0]), "{} bay counts", sys.id);
+                let mut installs: Vec<Vec<u32>> = bays.iter().map(|&b| vec![0; b]).collect();
+                for disk in disks {
+                    assert_eq!(disk.id.index(), next_id, "{} disk ids", sys.id);
+                    next_id += 1;
+                    assert_eq!(fleet.shelf(disk.slot.shelf).system, sys.id);
+                    installs[disk.slot.shelf.index() - first][usize::from(disk.slot.bay)] += 1;
+                }
+                assert!(
+                    installs.iter().flatten().all(|&n| n == 1),
+                    "{}: every slot needs exactly one initial disk",
+                    sys.id
+                );
+            }
+            assert_eq!(next_id, fleet.disk_count(), "scale {scale}");
         }
     }
 

@@ -99,3 +99,18 @@ impl<K: Ord + fmt::Debug, V: fmt::Debug> fmt::Debug for HashIndex<K, V> {
         fmt::Debug::fmt(&self.0.iter().collect::<BTreeMap<_, _>>(), f)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn debug_lists_entries_in_key_order_whatever_the_insert_order() {
+        let keys = [17u32, 3, 250, 42, 9, 1000, 0];
+        let forward: HashIndex<u32, u32> = keys.iter().map(|&k| (k, k * 2)).collect();
+        let backward: HashIndex<u32, u32> = keys.iter().rev().map(|&k| (k, k * 2)).collect();
+        let expected = "{0: 0, 3: 6, 9: 18, 17: 34, 42: 84, 250: 500, 1000: 2000}";
+        assert_eq!(format!("{forward:?}"), expected);
+        assert_eq!(format!("{backward:?}"), expected);
+    }
+}

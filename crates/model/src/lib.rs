@@ -32,6 +32,7 @@ pub mod fleet;
 pub mod hash_index;
 pub mod id;
 pub mod layout;
+pub mod ordered;
 pub mod raid;
 pub mod shelf;
 pub mod time;
@@ -44,6 +45,7 @@ pub use fleet::{DiskInstall, FcLoop, Fleet, FleetClassStats, RaidGroup, Shelf, S
 pub use hash_index::HashIndex;
 pub use id::{DeviceAddr, DiskInstanceId, LoopId, RaidGroupId, ShelfId, SlotAddr, SystemId};
 pub use layout::LayoutPolicy;
+pub use ordered::run_ordered;
 pub use raid::RaidType;
 pub use shelf::{ShelfCatalog, ShelfModel, ShelfModelSpec};
 pub use time::{CivilDateTime, SimDuration, SimTime};

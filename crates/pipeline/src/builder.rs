@@ -386,7 +386,7 @@ impl Pipeline {
             self.epoch_chunks,
             writer.manifest().epochs.len(),
         );
-        let mut sink = CheckpointSink::new(writer, epochs, corpus);
+        let mut sink = CheckpointSink::new(writer, epochs, corpus, first_chunk);
         self.run_engine(source, fold, first_chunk, |chunk, fold| {
             sink.on_chunk(chunk, fold)
         })

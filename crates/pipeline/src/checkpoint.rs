@@ -129,17 +129,27 @@ pub(crate) struct CheckpointSink<'a> {
     corpus: &'a Manifest,
     epochs: Vec<Epoch>,
     next: usize,
+    /// The chunk the fold must absorb next; an epoch's snapshot matches
+    /// its shard range only if every chunk before it was seen, in order.
+    next_chunk: usize,
 }
 
 impl<'a> CheckpointSink<'a> {
     /// Wraps `writer` to durably record `epochs` (in order) as the run
-    /// reaches them, digesting shard ranges against `corpus`.
-    pub(crate) fn new(writer: CheckpointWriter, epochs: Vec<Epoch>, corpus: &'a Manifest) -> Self {
+    /// reaches them, digesting shard ranges against `corpus`. The run
+    /// starts at `first_chunk`.
+    pub(crate) fn new(
+        writer: CheckpointWriter,
+        epochs: Vec<Epoch>,
+        corpus: &'a Manifest,
+        first_chunk: usize,
+    ) -> Self {
         CheckpointSink {
             writer,
             corpus,
             epochs,
             next: 0,
+            next_chunk: first_chunk,
         }
     }
 
@@ -148,10 +158,19 @@ impl<'a> CheckpointSink<'a> {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::Checkpoint`] if the epoch frame or manifest
-    /// cannot be persisted — the run aborts rather than silently losing
-    /// durability.
+    /// [`PipelineError::ChunkOrder`] if `chunk` is not the chunk after the
+    /// last one seen, so no epoch is published over a fold that skipped or
+    /// reordered chunks; [`PipelineError::Checkpoint`] if the epoch frame
+    /// or manifest cannot be persisted — the run aborts rather than
+    /// silently losing durability.
     pub(crate) fn on_chunk(&mut self, chunk: usize, fold: &StudyFold) -> Result<(), PipelineError> {
+        if chunk != self.next_chunk {
+            return Err(PipelineError::ChunkOrder {
+                expected: self.next_chunk,
+                received: chunk,
+            });
+        }
+        self.next_chunk += 1;
         let Some(epoch) = self.epochs.get(self.next) else {
             return Ok(());
         };
@@ -164,5 +183,106 @@ impl<'a> CheckpointSink<'a> {
             .write_epoch(epoch.shards.clone(), epoch.chunks.len(), digest, &payload)?;
         self.next += 1;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ssfa_logs::store::ShardEntry;
+    use ssfa_logs::CascadeStyle;
+
+    /// A four-shard corpus manifest, one shard per chunk.
+    fn corpus() -> Manifest {
+        let shards = (0..4)
+            .map(|i| ShardEntry {
+                segment: 0,
+                offset: i * 100,
+                payload_len: 64,
+                line_count: 3,
+                system_id: i as u32,
+                checksum: 0x1000 + i,
+            })
+            .collect();
+        Manifest {
+            seed: 7,
+            style: CascadeStyle::RaidOnly,
+            segment_shards: 4,
+            params: Vec::new(),
+            shards,
+            segments: 1,
+            total_payload_bytes: 256,
+        }
+    }
+
+    /// Two epochs of two chunks each over `corpus()`, from `first_chunk`.
+    fn sink<'a>(
+        dir: &std::path::Path,
+        corpus: &'a Manifest,
+        first_chunk: usize,
+    ) -> CheckpointSink<'a> {
+        let _ = std::fs::remove_dir_all(dir);
+        let writer = CheckpointWriter::create(dir, 1, 7, CascadeStyle::RaidOnly).unwrap();
+        let epochs = [0..2, 2..4]
+            .into_iter()
+            .enumerate()
+            .filter(|(_, chunks)| chunks.start >= first_chunk)
+            .map(|(index, chunks)| Epoch {
+                index,
+                shards: chunks.clone(),
+                chunks,
+            })
+            .collect();
+        CheckpointSink::new(writer, epochs, corpus, first_chunk)
+    }
+
+    #[test]
+    fn an_out_of_order_chunk_is_refused_and_publishes_no_epoch() {
+        let dir = std::env::temp_dir().join(format!("ssfa-sink-order-{}", std::process::id()));
+        let corpus = corpus();
+        let fold = StudyFold::new();
+
+        let mut in_order = sink(&dir, &corpus, 0);
+        for chunk in 0..4 {
+            in_order.on_chunk(chunk, &fold).unwrap();
+        }
+        assert_eq!(in_order.writer.manifest().epochs.len(), 2);
+
+        // Chunk 1 never arrives: chunk 2 would otherwise not close an
+        // epoch, but chunk 3 would publish epoch 1 over a fold missing 1.
+        let mut skipped = sink(&dir, &corpus, 0);
+        skipped.on_chunk(0, &fold).unwrap();
+        let err = skipped.on_chunk(2, &fold).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PipelineError::ChunkOrder {
+                    expected: 1,
+                    received: 2
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "chunks folded out of order: expected chunk 1, received chunk 2"
+        );
+        assert!(skipped.writer.manifest().epochs.is_empty());
+
+        // A resume starts at its first chunk; chunk 1 would re-fold the
+        // restored epoch.
+        let mut resumed = sink(&dir, &corpus, 2);
+        let err = resumed.on_chunk(1, &fold).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PipelineError::ChunkOrder {
+                    expected: 2,
+                    received: 1
+                }
+            ),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,6 +19,14 @@ pub enum PipelineError {
     Checkpoint(CheckpointError),
     /// A checkpointed fold snapshot failed to encode or restore.
     Snapshot(SnapshotError),
+    /// The fold absorbed chunks out of order, so no checkpoint epoch may
+    /// be published over it.
+    ChunkOrder {
+        /// The chunk the fold had to absorb next.
+        expected: usize,
+        /// The chunk it was handed.
+        received: usize,
+    },
 }
 
 /// Best-effort extraction of a panic payload's message: `panic!("...")`
@@ -40,6 +48,10 @@ impl std::fmt::Display for PipelineError {
             PipelineError::Worker { what } => write!(f, "pipeline worker died: {what}"),
             PipelineError::Checkpoint(e) => write!(f, "checkpoint store failed: {e}"),
             PipelineError::Snapshot(e) => write!(f, "checkpoint snapshot failed: {e}"),
+            PipelineError::ChunkOrder { expected, received } => write!(
+                f,
+                "chunks folded out of order: expected chunk {expected}, received chunk {received}"
+            ),
         }
     }
 }
@@ -48,7 +60,7 @@ impl std::error::Error for PipelineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PipelineError::Log(e) => Some(e),
-            PipelineError::Worker { .. } => None,
+            PipelineError::Worker { .. } | PipelineError::ChunkOrder { .. } => None,
             PipelineError::Checkpoint(e) => Some(e),
             PipelineError::Snapshot(e) => Some(e),
         }

@@ -4,12 +4,14 @@
 //! deterministically from the run seed and the system's index — so results
 //! are exactly reproducible for a (fleet, seed) pair.
 
+use std::convert::Infallible;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use ssfa_model::{
-    DiskInstanceId, FailureType, Fleet, HashIndex, PathConfig, SimDuration, SimTime, SlotAddr,
-    StorageSystem,
+    run_ordered, DiskInstall, DiskInstanceId, FailureType, Fleet, PathConfig, SimDuration, SimTime,
+    SlotAddr, StorageSystem,
 };
 
 use crate::background::{poisson_process_times, resolve_replacements, span_at, ServiceSpan};
@@ -24,16 +26,22 @@ pub struct Simulator {
     calibration: Calibration,
 }
 
-/// High bit marking a system-local replacement-disk id before the
+/// Systems per work item of [`Simulator::run_parallel`]: small enough
+/// that two workers stay balanced although fleet order puts the large
+/// systems last, large enough that claiming costs nothing.
+const SYSTEMS_PER_CHUNK: usize = 64;
+
+/// High bit marking a chunk-local replacement-disk id before the
 /// deterministic global renumbering pass.
 const LOCAL_REPLACEMENT_FLAG: u64 = 1 << 63;
 
-/// Per-system simulation output with system-local replacement ids.
+/// One chunk's simulation output, its systems in order, with chunk-local
+/// replacement ids.
 #[derive(Debug, Default)]
-struct SystemResult {
+struct ChunkResult {
     occurrences: Vec<FailureOccurrence>,
     disks: Vec<DiskRecord>,
-    /// Number of replacement instances allocated by this system.
+    /// Number of replacement instances allocated by the chunk's systems.
     replacements: u64,
 }
 
@@ -52,6 +60,8 @@ struct SlotInfo {
     device: ssfa_model::DeviceAddr,
     raid_group: ssfa_model::RaidGroupId,
     fc_loop: ssfa_model::LoopId,
+    /// The disk installed when the system entered the field.
+    initial: DiskInstanceId,
 }
 
 impl Simulator {
@@ -78,8 +88,12 @@ impl Simulator {
 
     /// Runs the simulation across `threads` worker threads.
     ///
-    /// Output is bit-identical for any thread count: every system draws
-    /// from RNG streams derived only from `(seed, system index)`, and
+    /// Workers claim chunks of 64 systems in fleet order through
+    /// [`run_ordered`], so the large systems late in the fleet do not
+    /// strand one worker, and chunk results are concatenated in system
+    /// order; [`Simulator::run`] is the same path on one thread. Output is
+    /// bit-identical for any thread count: every system draws from RNG
+    /// streams derived only from `(seed, system index)`, and
     /// replacement-disk instance ids are assigned by a deterministic
     /// post-pass in system order.
     ///
@@ -89,61 +103,27 @@ impl Simulator {
     pub fn run_parallel(&self, fleet: &Fleet, seed: u64, threads: usize) -> SimOutput {
         assert!(threads > 0, "need at least one worker thread");
         let study_end = SimTime::study_end();
-        let initial_by_slot: HashIndex<SlotAddr, DiskInstanceId> = fleet
-            .initial_disks()
-            .iter()
-            .map(|d| (d.slot, d.id))
-            .collect();
-
         let systems = fleet.systems();
-        let mut results: Vec<SystemResult> = if threads == 1 || systems.len() < 2 {
-            systems
-                .iter()
-                .map(|sys| self.simulate_system(fleet, sys, seed, study_end, &initial_by_slot))
-                .collect()
-        } else {
-            // Contiguous chunks per worker; results concatenated in system
-            // order, so scheduling cannot affect the output.
-            let chunk = systems.len().div_ceil(threads);
-            let mut collected: Vec<Vec<SystemResult>> = Vec::new();
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the simulator's bounded worker pool; output is concatenated in system order"
-            )]
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = systems
-                    .chunks(chunk)
-                    .map(|chunk_systems| {
-                        let initial_by_slot = &initial_by_slot;
-                        scope.spawn(move || {
-                            chunk_systems
-                                .iter()
-                                .map(|sys| {
-                                    self.simulate_system(
-                                        fleet,
-                                        sys,
-                                        seed,
-                                        study_end,
-                                        initial_by_slot,
-                                    )
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    collected.push(handle.join().expect("simulation worker panicked"));
+        let Ok(mut chunks) = run_ordered(
+            systems.len().div_ceil(SYSTEMS_PER_CHUNK),
+            threads,
+            |chunk| {
+                let start = chunk * SYSTEMS_PER_CHUNK;
+                let end = (start + SYSTEMS_PER_CHUNK).min(systems.len());
+                let mut result = ChunkResult::default();
+                for sys in &systems[start..end] {
+                    self.simulate_system(fleet, sys, seed, study_end, &mut result);
                 }
-            });
-            collected.into_iter().flatten().collect()
-        };
+                Ok::<_, Infallible>(result)
+            },
+        );
 
         // Deterministic replacement-id assignment: prefix sums over the
-        // per-system replacement counts, in system order.
-        let mut occurrences = Vec::new();
-        let mut disks = Vec::new();
+        // per-chunk replacement counts, in system order.
+        let mut occurrences = Vec::with_capacity(chunks.iter().map(|c| c.occurrences.len()).sum());
+        let mut disks = Vec::with_capacity(chunks.iter().map(|c| c.disks.len()).sum());
         let mut base = fleet.disk_count() as u64;
-        for result in &mut results {
+        for result in &mut chunks {
             let remap = |id: DiskInstanceId| -> DiskInstanceId {
                 if id.0 & LOCAL_REPLACEMENT_FLAG != 0 {
                     DiskInstanceId(base + (id.0 & !LOCAL_REPLACEMENT_FLAG))
@@ -164,24 +144,24 @@ impl Simulator {
         SimOutput::new(occurrences, disks)
     }
 
+    /// Simulates one system, appending its output to `result`.
     fn simulate_system(
         &self,
         fleet: &Fleet,
         sys: &StorageSystem,
         seed: u64,
         study_end: SimTime,
-        initial_by_slot: &HashIndex<SlotAddr, DiskInstanceId>,
-    ) -> SystemResult {
-        let mut result = SystemResult::default();
+        result: &mut ChunkResult,
+    ) {
         let install = sys.installed_at;
         if install >= study_end {
-            return result;
+            return;
         }
-        let SystemResult {
+        let ChunkResult {
             occurrences,
             disks,
             replacements: next_local,
-        } = &mut result;
+        } = result;
         let window = (install, study_end);
         let cal = &self.calibration;
         let mut bg_rng = stream_rng(seed, STREAM_BACKGROUND, sys.id.0 as u64);
@@ -246,23 +226,38 @@ impl Simulator {
         };
 
         // --- Slot inventory ----------------------------------------------
-        // Slots indexed system-locally; shelves/loops reference ranges of
-        // this vector.
-        let mut slots: Vec<SlotInfo> = Vec::new();
-        let mut shelf_slot_ranges: Vec<(usize, usize)> = Vec::new();
+        // Slots indexed system-locally, shelf rank × bays + bay; shelves
+        // and loops reference ranges of this vector. A system's shelves
+        // have consecutive ids and one bay count, and its initial disks are
+        // one contiguous range (in RAID layout order), which is scattered
+        // here into slot order.
+        let first_shelf = sys.shelves[0].index();
+        let bays = usize::from(fleet.shelf(sys.shelves[0]).bays);
+        let mut installs: Vec<Option<&DiskInstall>> = vec![None; sys.shelves.len() * bays];
+        for disk in fleet.initial_disks_of(sys) {
+            installs[(disk.slot.shelf.index() - first_shelf) * bays + usize::from(disk.slot.bay)] =
+                Some(disk);
+        }
+        let mut slots: Vec<SlotInfo> = Vec::with_capacity(installs.len());
+        let mut shelf_slot_ranges: Vec<(usize, usize)> = Vec::with_capacity(sys.shelves.len());
         for &shelf_id in &sys.shelves {
             let shelf = fleet.shelf(shelf_id);
             let start = slots.len();
             for bay in 0..shelf.bays {
-                let addr = SlotAddr {
-                    shelf: shelf_id,
-                    bay,
-                };
+                let install = installs[slots.len()].expect("every slot has an initial disk");
+                debug_assert_eq!(
+                    install.slot,
+                    SlotAddr {
+                        shelf: shelf_id,
+                        bay
+                    }
+                );
                 slots.push(SlotInfo {
-                    addr,
+                    addr: install.slot,
                     device: shelf.device_addr(bay),
-                    raid_group: fleet.raid_group_of(addr).expect("every slot in a group"),
+                    raid_group: install.raid_group,
                     fc_loop: shelf.fc_loop,
+                    initial: install.id,
                 });
             }
             shelf_slot_ranges.push((start, slots.len()));
@@ -371,15 +366,12 @@ impl Simulator {
             let spans = resolve_replacements(install, study_end, replacement_delay, &mut times);
             disk_cands[slot_idx].sort_unstable_by_key(|(t, _)| *t);
 
-            let initial_id = *initial_by_slot
-                .get(&slot.addr)
-                .expect("slot has an install");
             let mut ids = Vec::with_capacity(spans.len());
             for (i, span) in spans.iter().enumerate() {
                 let id = if i == 0 {
-                    initial_id
+                    slot.initial
                 } else {
-                    // System-local replacement id; the run-level post-pass
+                    // Chunk-local replacement id; the run-level post-pass
                     // rewrites it into the global instance-id space.
                     let id = DiskInstanceId(LOCAL_REPLACEMENT_FLAG | *next_local);
                     *next_local += 1;
@@ -454,7 +446,6 @@ impl Simulator {
                 occurrences.push(occ);
             }
         }
-        result
     }
 
     /// Applies detection lag and assembles the occurrence record. Returns
@@ -523,17 +514,32 @@ mod tests {
 
     #[test]
     fn parallel_output_is_bit_identical_to_serial() {
-        let fleet = Fleet::build(&FleetConfig::paper().scaled(0.004), 77);
-        let sim = Simulator::default();
-        let serial = sim.run(&fleet, 77);
-        for threads in [2, 3, 8] {
-            let parallel = sim.run_parallel(&fleet, 77, threads);
-            assert_eq!(
-                serial.occurrences(),
-                parallel.occurrences(),
-                "{threads} threads"
+        let one_system = FleetConfig::paper()
+            .scaled(0.0001)
+            .only_classes(&[SystemClass::HighEnd]);
+        for (config, seed) in [(FleetConfig::paper().scaled(0.004), 77), (one_system, 76)] {
+            let fleet = Fleet::build(&config, seed);
+            let systems = fleet.systems().len();
+            assert!(
+                !systems.is_multiple_of(SYSTEMS_PER_CHUNK),
+                "{systems} systems leave no partial chunk"
             );
-            assert_eq!(serial.disks(), parallel.disks(), "{threads} threads");
+            let sim = Simulator::default();
+            let serial = sim.run(&fleet, seed);
+            assert!(!serial.disks().is_empty());
+            for threads in [2, 3, 4, 8] {
+                let parallel = sim.run_parallel(&fleet, seed, threads);
+                assert_eq!(
+                    serial.occurrences(),
+                    parallel.occurrences(),
+                    "{systems} systems, {threads} threads"
+                );
+                assert_eq!(
+                    serial.disks(),
+                    parallel.disks(),
+                    "{systems} systems, {threads} threads"
+                );
+            }
         }
     }
 
