@@ -129,24 +129,226 @@ pub struct Topology {
     pub raid_groups: BTreeMap<RaidGroupId, RaidGroupMeta>,
 }
 
+/// Shelves, counted from the first one a classifier saw, that get a dense
+/// slot → RAID-group row. A shelf further away, or below the first, is
+/// kept in the spill map.
+const DENSE_SHELVES: u64 = 1024;
+/// Bays per dense shelf row. Every shelf model in the study has 14 bays;
+/// a bay at or past this stride is kept in the spill map.
+const DENSE_BAYS: u8 = 16;
+/// Systems, counted from the first one a classifier saw, that get a
+/// dense device table. Others are kept in the spill map.
+const DENSE_SYSTEMS: u64 = 1024;
+/// Adapters per system that get a dense target table; an adapter first
+/// seen after this many is kept in the spill map.
+const DENSE_ADAPTERS: usize = 16;
+
+/// The dense slot of `id` in a table based at the first id seen: `id −
+/// base` when that is below `cap`, else `None` (the spill), as it is for
+/// ids below the base and before any base exists.
+#[inline]
+fn dense_offset(base: Option<u64>, id: u64, cap: u64) -> Option<usize> {
+    let offset = id.checked_sub(base?)?;
+    (offset < cap).then_some(offset as usize)
+}
+
 /// The classifier's placement index: device → slot → RAID group, the
 /// lookups that place each RAID-layer event in its subsystem (paper
 /// §2.5). Only classification reads it, so it lives and dies with the
 /// [`Classifier`] and never reaches an [`AnalysisInput`].
+///
+/// Both lookups are dense tables over ids offset from the first id seen,
+/// because a classifier is fed contiguous systems (a chunk, or one frame)
+/// whose fleet-assigned ids are contiguous too. Each table grows only to
+/// the highest offset written. Ids past a fixed cap, or below the first,
+/// go to an ordered spill map instead, so a table never outgrows its cap
+/// however far apart the ids are: hostile ids cost time, never memory
+/// (DESIGN §13.5). A key's home never moves, so every write still
+/// replaces the last one for its key, as a map's would.
 #[derive(Debug, Default)]
 struct Placement {
     /// Slot → RAID group membership.
-    slot_to_group: BTreeMap<SlotAddr, RaidGroupId>,
+    slot_to_group: SlotGroups,
     /// (system, device address) → slot.
-    device_to_slot: BTreeMap<(SystemId, DeviceAddr), SlotAddr>,
+    device_to_slot: DeviceSlots,
+}
+
+/// Slot → RAID group: row `shelf − base`, column `bay`.
+#[derive(Debug, Default)]
+struct SlotGroups {
+    /// The first shelf seen; rows are offsets from it.
+    base: Option<u64>,
+    /// Row-major `(shelf − base) × DENSE_BAYS + bay`.
+    dense: Vec<Option<RaidGroupId>>,
+    /// Slots outside the dense rows.
+    spill: BTreeMap<SlotAddr, RaidGroupId>,
+}
+
+impl SlotGroups {
+    /// The dense index of `slot`, or `None` when it lives in the spill.
+    #[inline]
+    fn index(&self, slot: SlotAddr) -> Option<usize> {
+        let row = dense_offset(self.base, slot.shelf.0.into(), DENSE_SHELVES)?;
+        (slot.bay < DENSE_BAYS).then(|| row * DENSE_BAYS as usize + slot.bay as usize)
+    }
+
+    fn insert(&mut self, slot: SlotAddr, rg: RaidGroupId) {
+        self.base.get_or_insert(slot.shelf.0.into());
+        match self.index(slot) {
+            Some(i) => {
+                if i >= self.dense.len() {
+                    // Whole rows, so one shelf's bays grow the table once.
+                    let row_end = (i / DENSE_BAYS as usize + 1) * DENSE_BAYS as usize;
+                    self.dense.resize(row_end, None);
+                }
+                self.dense[i] = Some(rg);
+            }
+            None => {
+                self.spill.insert(slot, rg);
+            }
+        }
+    }
+
+    #[inline]
+    fn get(&self, slot: SlotAddr) -> Option<RaidGroupId> {
+        match self.index(slot) {
+            Some(i) => self.dense.get(i).copied().flatten(),
+            None => self.spill.get(&slot).copied(),
+        }
+    }
+}
+
+/// (system, adapter, target) → slot, keyed by system first: the
+/// monolithic corpus interleaves systems line by line, and a per-system
+/// table keeps each system's devices apart whatever the line order.
+#[derive(Debug, Default)]
+struct DeviceSlots {
+    /// The first system seen; `systems` is indexed by offsets from it.
+    base: Option<u64>,
+    /// Per system offset, its adapters in first-seen order.
+    systems: Vec<Vec<AdapterTargets>>,
+    /// Devices outside the dense tables.
+    spill: BTreeMap<(SystemId, DeviceAddr), SlotAddr>,
+}
+
+/// One adapter's targets → slot, grown to the highest target written.
+#[derive(Debug)]
+struct AdapterTargets {
+    adapter: u8,
+    targets: Vec<Option<SlotAddr>>,
+}
+
+impl DeviceSlots {
+    /// The dense offset of `host`, or `None` when it lives in the spill.
+    #[inline]
+    fn offset(&self, host: SystemId) -> Option<usize> {
+        dense_offset(self.base, host.0.into(), DENSE_SYSTEMS)
+    }
+
+    fn insert(&mut self, host: SystemId, device: DeviceAddr, slot: SlotAddr) {
+        self.base.get_or_insert(host.0.into());
+        let Some(offset) = self.offset(host) else {
+            self.spill.insert((host, device), slot);
+            return;
+        };
+        if offset >= self.systems.len() {
+            self.systems.resize_with(offset + 1, Vec::new);
+        }
+        let adapters = &mut self.systems[offset];
+        let lane = match adapters.iter().position(|a| a.adapter == device.adapter) {
+            Some(lane) => lane,
+            None if adapters.len() < DENSE_ADAPTERS => {
+                adapters.push(AdapterTargets {
+                    adapter: device.adapter,
+                    targets: Vec::new(),
+                });
+                adapters.len() - 1
+            }
+            // Lanes are never removed, so an adapter that finds them
+            // full now always will: its devices stay in the spill.
+            None => {
+                self.spill.insert((host, device), slot);
+                return;
+            }
+        };
+        let targets = &mut adapters[lane].targets;
+        let t = device.target as usize;
+        if t >= targets.len() {
+            targets.resize(t + 1, None);
+        }
+        targets[t] = Some(slot);
+    }
+
+    #[inline]
+    fn get(&self, host: SystemId, device: DeviceAddr) -> Option<SlotAddr> {
+        let dense = self
+            .offset(host)
+            .and_then(|offset| self.systems.get(offset))
+            .and_then(|adapters| adapters.iter().find(|a| a.adapter == device.adapter));
+        match dense {
+            Some(lane) => lane.targets.get(device.target as usize).copied().flatten(),
+            None => self.spill.get(&(host, device)).copied(),
+        }
+    }
+}
+
+/// Disk instances, counted from the first one a classifier saw, that get
+/// a dense open-lifetime entry. Replacement disks, whose ids the fleet
+/// assigns after every initial disk, usually land in the spill.
+const DENSE_DISKS: u64 = 16 * 1024;
+
+/// Open lifetimes: disk instance → index into the classifier's
+/// `lifetimes`, dense over ids offset from the first disk seen, with a
+/// hash spill for the rest (the same home-never-moves rule as
+/// [`Placement`]).
+#[derive(Debug, Default)]
+struct OpenDisks {
+    /// The first disk seen; `dense` is indexed by offsets from it.
+    base: Option<u64>,
+    /// Lifetime index per offset; `usize::MAX` when closed or never open.
+    dense: Vec<usize>,
+    /// Disks outside the dense range.
+    spill: HashIndex<DiskInstanceId, usize>,
+}
+
+impl OpenDisks {
+    #[inline]
+    fn offset(&self, disk: DiskInstanceId) -> Option<usize> {
+        dense_offset(self.base, disk.0, DENSE_DISKS)
+    }
+
+    fn insert(&mut self, disk: DiskInstanceId, lifetime: usize) {
+        self.base.get_or_insert(disk.0);
+        match self.offset(disk) {
+            Some(i) => {
+                if i >= self.dense.len() {
+                    self.dense.resize(i + 1, usize::MAX);
+                }
+                self.dense[i] = lifetime;
+            }
+            None => {
+                self.spill.insert(disk, lifetime);
+            }
+        }
+    }
+
+    fn remove(&mut self, disk: DiskInstanceId) -> Option<usize> {
+        match self.offset(disk) {
+            Some(i) => {
+                let entry = self.dense.get_mut(i)?;
+                let lifetime = std::mem::replace(entry, usize::MAX);
+                (lifetime != usize::MAX).then_some(lifetime)
+            }
+            None => self.spill.remove(&disk),
+        }
+    }
 }
 
 impl Placement {
     /// The RAID group a slot belongs to.
     fn group_of(&self, slot: SlotAddr) -> Result<RaidGroupId, LogError> {
         self.slot_to_group
-            .get(&slot)
-            .copied()
+            .get(slot)
             .ok_or_else(|| LogError::MissingTopology {
                 what: format!("raid group of {slot}"),
             })
@@ -160,9 +362,8 @@ impl Placement {
         device: DeviceAddr,
     ) -> Result<(SlotAddr, RaidGroupId, LoopId), LogError> {
         let slot =
-            *self
-                .device_to_slot
-                .get(&(host, device))
+            self.device_to_slot
+                .get(host, device)
                 .ok_or_else(|| LogError::MissingTopology {
                     what: format!("device {device} on sys-{}", host.0),
                 })?;
@@ -300,7 +501,8 @@ pub struct Classifier {
     /// Device → slot → RAID group lookups; dropped at finish.
     placement: Placement,
     lifetimes: Vec<DiskLifetime>,
-    open: HashIndex<DiskInstanceId, usize>,
+    /// Lifetimes not yet closed by a removal.
+    open: OpenDisks,
     failures: Vec<FailureRecord>,
     /// Partial trailing line carried between [`Classifier::feed_bytes`]
     /// calls.
@@ -426,12 +628,15 @@ impl Classifier {
                         bays: *bays,
                     },
                 );
-                // Pre-register the device address of every bay of this shelf.
+                // Pre-register the device address of every bay of this
+                // shelf. Targets are `u8`: a position past 15 wraps.
                 for bay in 0..*bays {
-                    let device = DeviceAddr::new(*adapter, position * 16 + bay);
-                    placement
-                        .device_to_slot
-                        .insert((line.host, device), SlotAddr { shelf: *shelf, bay });
+                    let target = position.wrapping_mul(16).wrapping_add(bay);
+                    placement.device_to_slot.insert(
+                        line.host,
+                        DeviceAddr::new(*adapter, target),
+                        SlotAddr { shelf: *shelf, bay },
+                    );
                 }
             }
             EventRef::CfgRaidGroup {
@@ -461,7 +666,7 @@ impl Classifier {
                         what: format!("serial {serial}"),
                     }
                 })?;
-                placement.device_to_slot.insert((line.host, *device), *slot);
+                placement.device_to_slot.insert(line.host, *device, *slot);
                 let rg = placement.group_of(*slot)?;
                 open.insert(disk, lifetimes.len());
                 lifetimes.push(DiskLifetime {
@@ -481,7 +686,7 @@ impl Classifier {
                         what: format!("serial {serial}"),
                     }
                 })?;
-                if let Some(idx) = open.remove(&disk) {
+                if let Some(idx) = open.remove(disk) {
                     lifetimes[idx].removed_at = line.at;
                     lifetimes[idx].removed_by_failure = *reason == "failed";
                 }
@@ -883,6 +1088,365 @@ mod tests {
         let book: LogBook = lines.into_iter().collect();
         let input = classify(&book).unwrap();
         assert!(input.failures.is_empty());
+    }
+
+    /// The timestamp of every hand-made line below.
+    const AT: &str = "Thu Jul 13 11:55:43 PDT 2006";
+
+    fn at() -> SimTime {
+        SimTime::from_secs(79_876_543)
+    }
+
+    /// One hand-made corpus line.
+    fn text_line(host: u32, tag: &str, message: &str) -> String {
+        format!("sys-{host} {AT} [{tag}]: {message}\n")
+    }
+
+    fn cfg_system(host: u32) -> String {
+        text_line(
+            host,
+            "cfg.system:info",
+            "class=lowend disk_model=D-2 shelf_model=A paths=1 layout=span-shelves",
+        )
+    }
+
+    fn cfg_shelf(
+        host: u32,
+        shelf: u32,
+        fc_loop: u32,
+        adapter: u8,
+        position: u8,
+        bays: u8,
+    ) -> String {
+        text_line(
+            host,
+            "cfg.shelf:info",
+            &format!(
+                "shelf={shelf} model=A loop={fc_loop} adapter={adapter} position={position} \
+                 bays={bays}"
+            ),
+        )
+    }
+
+    fn cfg_raidgroup(host: u32, rg: u32, slots: &str) -> String {
+        text_line(
+            host,
+            "cfg.raidgroup:info",
+            &format!("rg={rg} type=RAID4 slots={slots}"),
+        )
+    }
+
+    fn install(host: u32, disk: u64, shelf: u32, bay: u8, device: &str) -> String {
+        let serial = DiskInstanceId(disk).serial();
+        text_line(
+            host,
+            "cfg.disk.install:info",
+            &format!("serial={serial} model=D-2 shelf={shelf} bay={bay} device={device}"),
+        )
+    }
+
+    fn disk_failed(host: u32, disk: u64, device: &str) -> String {
+        let serial = DiskInstanceId(disk).serial();
+        text_line(
+            host,
+            "raid.config.filesystem.disk.failed:error",
+            &format!("File system Disk {device} S/N [{serial}] has failed."),
+        )
+    }
+
+    /// Feeds `lines` as one text fragment and finishes.
+    fn classify_text(
+        strictness: Strictness,
+        lines: &[String],
+    ) -> Result<(AnalysisInput, ShardHealth), LogError> {
+        let mut classifier = Classifier::with_strictness(strictness);
+        classifier.feed_bytes(lines.concat().as_bytes())?;
+        classifier.finish_with_health()
+    }
+
+    /// A `Disk` failure record at [`at`].
+    fn failed(
+        disk: u64,
+        host: u32,
+        shelf: u32,
+        rg: u32,
+        fc_loop: u32,
+        device: DeviceAddr,
+    ) -> FailureRecord {
+        FailureRecord {
+            detected_at: at(),
+            failure_type: FailureType::Disk,
+            disk: DiskInstanceId(disk),
+            system: SystemId(host),
+            shelf: ShelfId(shelf),
+            raid_group: RaidGroupId(rg),
+            fc_loop: LoopId(fc_loop),
+            device,
+        }
+    }
+
+    /// Shelf 7 comes first and fixes the dense base; shelf 0 lies below
+    /// it and shelf 4,000,000,000 past the cap, so both resolve through
+    /// the spill.
+    #[test]
+    fn shelves_below_and_far_past_the_first_resolve() {
+        const FAR: u32 = 4_000_000_000;
+        let lines = [
+            cfg_system(3),
+            cfg_shelf(3, 7, 70, 8, 0, 2),
+            cfg_shelf(3, 0, 71, 9, 0, 2),
+            cfg_shelf(3, FAR, 72, 10, 0, 2),
+            cfg_raidgroup(3, 1, "7:0,7:1"),
+            cfg_raidgroup(3, 2, "0:0,0:1"),
+            cfg_raidgroup(3, 3, &format!("{FAR}:0,{FAR}:1")),
+            install(3, 10, 7, 1, "8.1"),
+            install(3, 11, 0, 1, "9.1"),
+            install(3, 12, FAR, 1, "10.1"),
+            disk_failed(3, 10, "8.1"),
+            disk_failed(3, 11, "9.1"),
+            disk_failed(3, 12, "10.1"),
+        ];
+        let (input, health) = classify_text(Strictness::Strict, &lines).unwrap();
+        assert_eq!(
+            input.failures,
+            vec![
+                failed(10, 3, 7, 1, 70, DeviceAddr::new(8, 1)),
+                failed(11, 3, 0, 2, 71, DeviceAddr::new(9, 1)),
+                failed(12, 3, FAR, 3, 72, DeviceAddr::new(10, 1)),
+            ]
+        );
+        let groups: Vec<RaidGroupId> = input.lifetimes.iter().map(|l| l.raid_group).collect();
+        assert_eq!(groups, [RaidGroupId(1), RaidGroupId(2), RaidGroupId(3)]);
+        assert_eq!(health.lines_seen, lines.len() as u64);
+        assert!(health.is_clean());
+    }
+
+    /// A 20-bay shelf: bays 16 and up fall outside the dense row stride,
+    /// so they must not alias the next shelf's first bays.
+    #[test]
+    fn bays_past_the_dense_stride_resolve() {
+        let lines = [
+            cfg_system(1),
+            cfg_shelf(1, 40, 5, 8, 0, 20),
+            cfg_shelf(1, 41, 6, 9, 0, 2),
+            cfg_raidgroup(1, 6, "40:15,40:16"),
+            cfg_raidgroup(1, 7, "40:17,40:19"),
+            cfg_raidgroup(1, 8, "41:0,41:1"),
+            disk_failed(1, 1, "8.15"),
+            disk_failed(1, 2, "8.16"),
+            disk_failed(1, 3, "8.19"),
+            disk_failed(1, 4, "9.0"),
+        ];
+        let (input, _) = classify_text(Strictness::Strict, &lines).unwrap();
+        assert_eq!(
+            input.failures,
+            vec![
+                failed(1, 1, 40, 6, 5, DeviceAddr::new(8, 15)),
+                failed(2, 1, 40, 6, 5, DeviceAddr::new(8, 16)),
+                failed(3, 1, 40, 7, 5, DeviceAddr::new(8, 19)),
+                failed(4, 1, 41, 8, 6, DeviceAddr::new(9, 0)),
+            ]
+        );
+    }
+
+    /// Targets are `u8`: position 16 wraps bay 1 to target 1, in debug
+    /// builds as in release.
+    #[test]
+    fn positions_past_15_wrap_their_targets() {
+        let lines = [
+            cfg_shelf(1, 40, 5, 8, 16, 2),
+            cfg_raidgroup(1, 6, "40:0,40:1"),
+            disk_failed(1, 1, "8.1"),
+        ];
+        let (input, _) = classify_text(Strictness::Strict, &lines).unwrap();
+        assert_eq!(
+            input.failures,
+            vec![failed(1, 1, 40, 6, 5, DeviceAddr::new(8, 1))]
+        );
+    }
+
+    /// One system with more adapters than the dense cap: the adapters
+    /// first seen after the cap resolve through the spill.
+    #[test]
+    fn adapters_past_the_dense_cap_resolve() {
+        let n = DENSE_ADAPTERS as u8 + 3;
+        let mut lines = vec![cfg_system(2)];
+        for a in 0..n {
+            let shelf = 100 + a as u32;
+            lines.push(cfg_shelf(2, shelf, 500 + a as u32, a, 1, 1));
+            lines.push(cfg_raidgroup(2, 900 + a as u32, &format!("{shelf}:0")));
+        }
+        for a in 0..n {
+            lines.push(disk_failed(2, a as u64, &format!("{a}.16")));
+        }
+        let (input, _) = classify_text(Strictness::Strict, &lines).unwrap();
+        let expected: Vec<FailureRecord> = (0..n)
+            .map(|a| {
+                let a32 = a as u32;
+                failed(
+                    a as u64,
+                    2,
+                    100 + a32,
+                    900 + a32,
+                    500 + a32,
+                    DeviceAddr::new(a, 16),
+                )
+            })
+            .collect();
+        assert_eq!(input.failures, expected);
+    }
+
+    /// Three systems whose lines alternate and whose devices share one
+    /// address: systems 4 and 5 get dense tables (4 comes first), system
+    /// 3 lies below the first and spills, and each failure resolves in
+    /// its own system.
+    #[test]
+    fn interleaved_systems_keep_their_devices_apart() {
+        let lines = [
+            cfg_system(4),
+            cfg_system(5),
+            cfg_system(3),
+            cfg_shelf(4, 40, 2, 8, 0, 2),
+            cfg_shelf(5, 50, 1, 8, 0, 2),
+            cfg_shelf(3, 30, 3, 8, 0, 2),
+            cfg_raidgroup(5, 51, "50:0,50:1"),
+            cfg_raidgroup(3, 31, "30:0,30:1"),
+            cfg_raidgroup(4, 41, "40:0,40:1"),
+            install(4, 400, 40, 0, "8.0"),
+            install(5, 500, 50, 0, "8.0"),
+            install(3, 300, 30, 0, "8.0"),
+            disk_failed(5, 500, "8.0"),
+            disk_failed(4, 400, "8.0"),
+            disk_failed(3, 300, "8.0"),
+            disk_failed(5, 501, "8.1"),
+        ];
+        let (input, _) = classify_text(Strictness::Strict, &lines).unwrap();
+        assert_eq!(
+            input.failures,
+            vec![
+                failed(300, 3, 30, 31, 3, DeviceAddr::new(8, 0)),
+                failed(400, 4, 40, 41, 2, DeviceAddr::new(8, 0)),
+                failed(500, 5, 50, 51, 1, DeviceAddr::new(8, 0)),
+                failed(501, 5, 50, 51, 1, DeviceAddr::new(8, 1)),
+            ]
+        );
+    }
+
+    /// The shelf record maps device 8.0 to bay 0; a later install puts it
+    /// at bay 3, and the last write wins.
+    #[test]
+    fn a_later_install_redefines_a_device() {
+        let lines = [
+            cfg_system(1),
+            cfg_shelf(1, 10, 5, 8, 0, 4),
+            cfg_raidgroup(1, 1, "10:0,10:1"),
+            cfg_raidgroup(1, 2, "10:2,10:3"),
+            install(1, 7, 10, 3, "8.0"),
+            disk_failed(1, 7, "8.0"),
+        ];
+        let (input, _) = classify_text(Strictness::Strict, &lines).unwrap();
+        assert_eq!(
+            input.failures,
+            vec![failed(7, 1, 10, 2, 5, DeviceAddr::new(8, 0))]
+        );
+    }
+
+    /// Removals close lifetimes wherever the disk id lies: the first
+    /// disk fixes the dense base, one lies below it and one past the cap.
+    /// A disk installed twice keeps its first lifetime open: the removal
+    /// closes the later one, as a map's last write would.
+    #[test]
+    fn removals_close_lifetimes_across_the_dense_range() {
+        let far = 1_000 + DENSE_DISKS + 5;
+        let remove = |disk: u64, reason: &str| {
+            let serial = DiskInstanceId(disk).serial();
+            text_line(
+                1,
+                "cfg.disk.remove:info",
+                &format!("serial={serial} reason={reason}"),
+            )
+        };
+        let lines = [
+            cfg_shelf(1, 10, 5, 8, 0, 4),
+            cfg_raidgroup(1, 1, "10:0,10:1,10:2,10:3"),
+            install(1, 1_000, 10, 0, "8.0"),
+            install(1, 10, 10, 1, "8.1"),
+            install(1, far, 10, 2, "8.2"),
+            install(1, 1_000, 10, 3, "8.3"),
+            remove(10, "failed"),
+            remove(far, "study_end"),
+            remove(1_000, "failed"),
+            // Already closed: a no-op.
+            remove(1_000, "study_end"),
+        ];
+        let (input, health) = classify_text(Strictness::Strict, &lines).unwrap();
+        let closed: Vec<(u64, u8, bool, bool)> = input
+            .lifetimes
+            .iter()
+            .map(|l| {
+                let open = l.removed_at == SimTime::study_end();
+                (l.disk.0, l.slot.bay, open, l.removed_by_failure)
+            })
+            .collect();
+        assert_eq!(
+            closed,
+            [
+                (10, 1, false, true),
+                (1_000, 0, true, false),
+                (1_000, 3, false, true),
+                (far, 2, false, false),
+            ]
+        );
+        assert!(health.is_clean());
+    }
+
+    /// RAID events before any topology: strict mode names what is
+    /// missing, lenient mode skips and counts each line.
+    #[test]
+    fn raid_events_before_topology_are_missing_topology() {
+        let missing = |lines: &[String]| match classify_text(Strictness::Strict, lines) {
+            Err(LogError::MissingTopology { what }) => what,
+            other => panic!("expected MissingTopology, got {other:?}"),
+        };
+        // No device at all.
+        let early = disk_failed(1, 7, "8.16");
+        assert_eq!(
+            missing(std::slice::from_ref(&early)),
+            "device 8.16 on sys-1"
+        );
+        // A device whose slot has no RAID group.
+        let no_group = [cfg_shelf(1, 10, 5, 8, 1, 1), early.clone()];
+        assert_eq!(missing(&no_group), "raid group of shelf-10/bay0");
+        // An install into a slot with no RAID group.
+        assert_eq!(
+            missing(&[install(1, 7, 10, 0, "8.16")]),
+            "raid group of shelf-10/bay0"
+        );
+        // A device and group whose shelf no record declared.
+        let no_shelf = [
+            cfg_raidgroup(1, 1, "10:0"),
+            install(1, 7, 10, 0, "8.16"),
+            early.clone(),
+        ];
+        assert_eq!(missing(&no_shelf), "shelf shelf-10");
+
+        let mut lenient = vec![early.clone(), early.clone()];
+        lenient.extend(cfg_lines().iter().map(|l| format!("{l}\n")));
+        lenient.push(disk_failed(1, 100, "8.16"));
+        lenient.push(disk_failed(1, 100, "9.16"));
+        let (input, health) = classify_text(Strictness::Lenient, &lenient).unwrap();
+        assert_eq!(
+            health,
+            ShardHealth {
+                lines_seen: 8,
+                malformed_skipped: 0,
+                missing_topology_skipped: 3,
+            }
+        );
+        assert_eq!(
+            input.failures,
+            vec![failed(100, 1, 10, 3, 5, DeviceAddr::new(8, 16))]
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ssfa_model::time::SECS_PER_YEAR;
-use ssfa_model::{Fleet, HashIndex, SimDuration, SimTime, SystemId};
+use ssfa_model::{Fleet, SimDuration, SimTime};
 use ssfa_sim::rng::derive;
 use ssfa_sim::{RemovalReason, SimOutput};
 
@@ -62,28 +62,28 @@ impl ShardPlan {
     /// # Panics
     ///
     /// Panics if the output references a system the fleet does not have
-    /// (which would mean the output came from a different fleet).
+    /// (which would mean the output came from a different fleet), or if
+    /// the fleet's system ids are not its indices.
     pub fn new(fleet: &Fleet, output: &SimOutput) -> ShardPlan {
-        let shard_of: HashIndex<SystemId, usize> = fleet
-            .systems()
-            .iter()
-            .enumerate()
-            .map(|(i, sys)| (sys.id, i))
-            .collect();
+        // `Fleet` assigns `SystemId(i)` to its `i`-th system, so a system's
+        // id is its shard index.
+        for (i, sys) in fleet.systems().iter().enumerate() {
+            assert_eq!(sys.id.index(), i, "fleet system ids are not dense");
+        }
         let n = fleet.systems().len();
         let mut disks = vec![Vec::new(); n];
         let mut occurrences = vec![Vec::new(); n];
         for (i, disk) in output.disks().iter().enumerate() {
-            let shard = *shard_of
-                .get(&disk.system)
-                .expect("disk from an unknown system");
-            disks[shard].push(u32::try_from(i).expect("disk index fits in u32"));
+            disks
+                .get_mut(disk.system.index())
+                .expect("disk from an unknown system")
+                .push(u32::try_from(i).expect("disk index fits in u32"));
         }
         for (i, occ) in output.occurrences().iter().enumerate() {
-            let shard = *shard_of
-                .get(&occ.system)
-                .expect("occurrence from an unknown system");
-            occurrences[shard].push(u32::try_from(i).expect("occurrence index fits in u32"));
+            occurrences
+                .get_mut(occ.system.index())
+                .expect("occurrence from an unknown system")
+                .push(u32::try_from(i).expect("occurrence index fits in u32"));
         }
         ShardPlan { disks, occurrences }
     }

@@ -13,9 +13,10 @@
 //! `LogLineRef::parse(..).map(to_owned)`, and [`LogLineRef::from_owned`]
 //! lets the owned feed path reuse the view classifier. Each byte-level
 //! fast path below bails to a general counterpart (DESIGN §13); the test
-//! module holds the render round-trip property and, per fast path, the
+//! module holds the render round-trip property, per fast path the
 //! property that it returns `None` or exactly the general answer and
-//! that its composed entry point equals the general answer alone.
+//! that its composed entry point equals the general answer alone, and
+//! the coverage property that every rendered line takes the fast paths.
 
 use ssfa_model::{
     DeviceAddr, DiskModelId, LayoutPolicy, LoopId, PathConfig, RaidGroupId, RaidType, ShelfId,
@@ -371,7 +372,7 @@ fn parse_disk_install_fast(msg: &str) -> Option<EventRef<'_>> {
     };
     let (cap, b) = strip_u8(b)?;
     let b = b.strip_prefix(b" shelf=")?;
-    let (shelf, b) = strip_u16(b)?;
+    let (shelf, b) = strip_u32(b)?;
     let b = b.strip_prefix(b" bay=")?;
     let (bay, b) = strip_u8(b)?;
     let b = b.strip_prefix(b" device=")?;
@@ -385,7 +386,7 @@ fn parse_disk_install_fast(msg: &str) -> Option<EventRef<'_>> {
         serial,
         model: DiskModelId::new(family, cap),
         slot: SlotAddr {
-            shelf: ShelfId(shelf.into()),
+            shelf: ShelfId(shelf),
             bay,
         },
         device: DeviceAddr::new(adapter, target),
@@ -436,8 +437,8 @@ fn valid_uint(b: &[u8], max: u64) -> bool {
 /// the fallback parser makes the accept/reject call.
 #[inline]
 fn strip_u8(b: &[u8]) -> Option<(u8, &[u8])> {
-    let (v, rest) = strip_u16(b)?;
-    (v <= u8::MAX as u16).then_some((v as u8, rest))
+    let (v, rest) = strip_u32(b)?;
+    Some((u8::try_from(v).ok()?, rest))
 }
 
 /// Strips a leading plain-digit `u32` (no sign), bailing on overflow.
@@ -456,24 +457,6 @@ fn strip_u32(b: &[u8]) -> Option<(u32, &[u8])> {
         return None;
     }
     Some((v as u32, &b[i..]))
-}
-
-/// Strips a leading plain-digit `u16` (no sign), bailing on overflow.
-#[inline]
-fn strip_u16(b: &[u8]) -> Option<(u16, &[u8])> {
-    let mut v: u32 = 0;
-    let mut i = 0;
-    while i < b.len() && b[i].is_ascii_digit() {
-        v = v * 10 + (b[i] - b'0') as u32;
-        if v > u16::MAX as u32 {
-            return None;
-        }
-        i += 1;
-    }
-    if i == 0 {
-        return None;
-    }
-    Some((v as u16, &b[i..]))
 }
 
 fn device_after(msg: &str, prefix: &str) -> Option<DeviceAddr> {
@@ -965,16 +948,35 @@ mod tests {
     use proptest::prelude::*;
     use ssfa_model::{CivilDateTime, DiskInstanceId};
 
+    /// A `u32` id over the type's full range: uniform, with one draw in
+    /// two landing on an edge — 0, either side of `u16::MAX`, or
+    /// `u32::MAX`.
+    fn id_u32() -> impl Strategy<Value = u32> {
+        (0usize..8, 0u32..=u32::MAX).prop_map(|(pick, v)| {
+            [0, u16::MAX as u32, u16::MAX as u32 + 1, u32::MAX]
+                .get(pick)
+                .copied()
+                .unwrap_or(v)
+        })
+    }
+
+    /// A `u8` field over its full range, with the same edge weighting: 0,
+    /// 15 and 16 (the dense bay stride), 255.
+    fn id_u8() -> impl Strategy<Value = u8> {
+        (0usize..8, 0u8..=u8::MAX)
+            .prop_map(|(pick, v)| [0, 15, 16, u8::MAX].get(pick).copied().unwrap_or(v))
+    }
+
     /// Generated events of all 18 variants: `kind` picks the variant and
     /// the remaining draws fill its fields across their full ranges.
     fn arb_event() -> impl Strategy<Value = LogEvent> {
         (
             0usize..18,
-            (0u8..=255, 0u8..=255, 0u8..=255),
+            (id_u8(), id_u8(), id_u8()),
             0u64..36u64.pow(8),
-            (0u64..u64::MAX, 0u32..u32::MAX, 0u32..u32::MAX),
+            (0u64..u64::MAX, id_u32(), id_u32()),
             (0usize..4, 0usize..6, b'A'..=b'Z', 1u8..=255),
-            vec((0u32..u32::MAX, 0u8..=255), 1..5),
+            vec((id_u32(), id_u8()), 1..5),
         )
             .prop_map(
                 |(
@@ -1211,7 +1213,7 @@ mod tests {
         /// Render then parse is the identity, for every variant.
         #[test]
         fn every_rendered_line_parses_back_to_itself(
-            host in 0u32..u32::MAX,
+            host in id_u32(),
             secs in 0u64..400_000_000,
             event in arb_event(),
         ) {
@@ -1287,6 +1289,55 @@ mod tests {
                     assert_fast_paths_agree(&format!("{}{repl}{}", &line[..idx], &line[idx + 1..]))?;
                 }
             }
+        }
+    }
+
+    proptest! {
+        // Enough cases that every variant, installs included, meets
+        // shelves past `u16::MAX` many times over.
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Fast-path coverage: the renderer's own output never needs a
+        /// fallback. `parse_canonical` accepts every rendered line, the
+        /// fused decoder every rendered install, and `canonical_kv` every
+        /// rendered `k=v` message, with every id drawn over its type's
+        /// full range.
+        #[test]
+        fn every_rendered_line_takes_the_fast_paths(
+            host in id_u32(),
+            secs in 0u64..400_000_000,
+            event in arb_event(),
+        ) {
+            let line = LogLine::new(SystemId(host), SimTime::from_secs(secs), event);
+            let text = line.to_string();
+            prop_assert_eq!(
+                LogLineRef::parse_canonical(&text).map(|v| v.to_owned()),
+                Some(line.clone()),
+                "parse_canonical bailed on {:?}",
+                text
+            );
+            let (_, msg) = text.split_once("]: ").expect("rendered separator");
+            let fast = match line.event {
+                LogEvent::CfgDiskInstall { .. } => parse_disk_install_fast(msg).is_some(),
+                LogEvent::CfgSystem { .. } => canonical_kv(
+                    msg,
+                    ["class", "disk_model", "shelf_model", "paths", "layout"],
+                )
+                .is_some(),
+                LogEvent::CfgShelf { .. } => canonical_kv(
+                    msg,
+                    ["shelf", "model", "loop", "adapter", "position", "bays"],
+                )
+                .is_some(),
+                LogEvent::CfgRaidGroup { .. } => {
+                    canonical_kv(msg, ["rg", "type", "slots"]).is_some()
+                }
+                LogEvent::CfgDiskRemove { .. } => {
+                    canonical_kv(msg, ["serial", "reason"]).is_some()
+                }
+                _ => true,
+            };
+            prop_assert!(fast, "a message fast path bailed on {:?}", msg);
         }
     }
 

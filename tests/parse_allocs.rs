@@ -13,6 +13,10 @@
 //! - A warmed classifier's second `feed_bytes` pass over noise lines
 //!   makes zero allocations, whole and in odd-sized fragments that split
 //!   lines (the tail-reuse path).
+//! - `Classifier::new` makes zero allocations (the daemon makes one per
+//!   frame), and ids far apart cost a classifier no memory for the gap
+//!   between them: two shelves 4,000,000,000 apart, with their RAID
+//!   groups, allocate at most [`GAP_BYTES_LIMIT`] bytes.
 //!
 //! Every parse is also checked against the expected line, so a parser
 //! that stopped allocating by rejecting everything fails too.
@@ -26,34 +30,42 @@ use ssfa::model::{
     RaidType, ShelfId, ShelfModel, SimTime, SlotAddr, SystemClass, SystemId,
 };
 
+/// The most a classifier may allocate for two shelves, however far apart
+/// their ids are.
+const GAP_BYTES_LIMIT: u64 = 64 * 1024;
+
 thread_local! {
     /// Allocator calls made by this thread. `const`-initialized and
     /// `Drop`-free, so touching it from inside the allocator never
     /// allocates or registers a destructor.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those calls asked for (a `realloc` counts its new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // `try_with` rather than `with`: a thread being torn down may still
     // free memory after its locals are gone.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
-/// A [`System`]-delegating allocator that counts allocation calls (a
-/// `realloc` is one allocator round trip, so it counts too).
+/// A [`System`]-delegating allocator that counts allocation calls and
+/// the bytes they ask for (a `realloc` is one allocator round trip, so it
+/// counts too).
 struct CountingAlloc;
 
 // SAFETY: every method delegates directly to `System`, which upholds the
 // `GlobalAlloc` contract; the counter has no effect on the memory returned.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: forwarded verbatim to `System::alloc`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: forwarded verbatim to `System::alloc_zeroed`.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -64,7 +76,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: forwarded verbatim to `System::realloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -79,6 +91,14 @@ fn counting<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let before = ALLOCS.with(Cell::get);
     let result = f();
     (result, ALLOCS.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns its result with the bytes it allocated on this
+/// thread.
+fn counting_bytes<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = BYTES.with(Cell::get);
+    let result = f();
+    (result, BYTES.with(Cell::get) - before)
 }
 
 fn device() -> DeviceAddr {
@@ -316,5 +336,58 @@ fn warmed_classifier_feeds_noise_without_allocating() {
         feed_fragments(&mut classifier, &text, fragment);
         let ((), allocs) = counting(|| feed_fragments(&mut classifier, &text, fragment));
         assert_eq!(allocs, 0, "second pass in {fragment}-byte fragments");
+    }
+}
+
+#[test]
+fn creating_a_classifier_does_not_allocate() {
+    let (classifier, allocs) = counting(Classifier::new);
+    assert_eq!(allocs, 0, "Classifier::new allocated");
+    drop(classifier);
+}
+
+/// Two 14-bay shelves 4,000,000,000 ids apart, each with a RAID group, in
+/// both orders: the classifier's memory follows what the lines declare,
+/// not the distance between their ids.
+#[test]
+fn far_apart_shelf_ids_cost_no_memory_for_the_gap() {
+    let shelf_lines = |shelf: u32| {
+        let slots = (0..14).map(|bay| SlotAddr {
+            shelf: ShelfId(shelf),
+            bay,
+        });
+        let mut text = String::new();
+        for event in [
+            LogEvent::CfgShelf {
+                shelf: ShelfId(shelf),
+                model: ShelfModel::C,
+                fc_loop: LoopId(shelf),
+                adapter: 9,
+                position: 0,
+                bays: 14,
+            },
+            LogEvent::CfgRaidGroup {
+                rg: RaidGroupId(shelf),
+                raid_type: RaidType::Raid6,
+                slots: slots.collect(),
+            },
+        ] {
+            line(event).render_into(&mut text);
+            text.push('\n');
+        }
+        text
+    };
+    for shelves in [[0, 4_000_000_000], [4_000_000_000, 0]] {
+        let text: String = shelves.map(shelf_lines).concat();
+        let mut classifier = Classifier::new();
+        let (fed, bytes) = counting_bytes(|| classifier.feed_bytes(text.as_bytes()));
+        fed.expect("shelf lines parse");
+        assert!(
+            bytes <= GAP_BYTES_LIMIT,
+            "shelves {shelves:?} allocated {bytes} bytes"
+        );
+        let input = classifier.finish().expect("classifies");
+        assert_eq!(input.topology.shelves.len(), 2);
+        assert_eq!(input.topology.raid_groups.len(), 2);
     }
 }
