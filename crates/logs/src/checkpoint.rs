@@ -12,6 +12,17 @@
 //!   epoch-00001.ckpt    ...
 //! ```
 //!
+//! An epoch's payload holds the fold of the shards from its **fold
+//! start** to its shard end, and the manifest records that start
+//! explicitly. A *delta* epoch ([`CheckpointWriter::write_epoch`]) folds
+//! from its own first shard, so it holds only its own shards and a
+//! checkpointed run writes O(corpus) bytes in total. A *whole* epoch
+//! ([`CheckpointWriter::write_whole_epoch`]) folds from shard 0 and holds
+//! the entire covered prefix; epoch 0 is both. No other fold start is
+//! accepted. The fold of epochs `0..=k` is therefore the newest whole
+//! epoch at or before `k` ([`CheckpointManifest::fold_base`]) merged with
+//! every delta after it, in order.
+//!
 //! Every epoch payload travels in the same [`crate::frame`] codec the
 //! corpus uses — FNV-1a-64 over header and payload, bijective update
 //! step — so a single flipped bit in a checkpoint is rejected exactly
@@ -55,7 +66,9 @@ use crate::store::{style_from_name, style_name, write_atomic, Manifest};
 pub const CHECKPOINT_NAME: &str = "CHECKPOINT";
 
 /// The manifest format line this build writes and accepts.
-pub const CHECKPOINT_VERSION_LINE: &str = "ssfa-checkpoint v1";
+/// Version 2 added each epoch's fold start; a version-1 store, whose
+/// every epoch held the whole prefix, is refused rather than misread.
+pub const CHECKPOINT_VERSION_LINE: &str = "ssfa-checkpoint v2";
 
 /// Errors from checkpoint create, open, read, and verify, each with a
 /// pinned `Display` rendering (the negative-path suite asserts exact
@@ -225,10 +238,13 @@ pub fn corpus_epoch_digest(manifest: &Manifest, shards: Range<usize>) -> u64 {
 /// One epoch's record in the checkpoint manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochEntry {
-    /// First corpus shard the epoch's snapshot covers (inclusive).
+    /// First corpus shard the epoch covers (inclusive).
     pub shard_start: usize,
     /// One past the last covered corpus shard.
     pub shard_end: usize,
+    /// First corpus shard the epoch's snapshot folds: `shard_start` for a
+    /// delta, 0 for a whole-prefix epoch.
+    pub fold_start: usize,
     /// Pipeline chunks folded within this epoch.
     pub chunks: usize,
     /// Snapshot payload bytes of the epoch frame.
@@ -237,6 +253,15 @@ pub struct EpochEntry {
     pub checksum: u64,
     /// [`corpus_epoch_digest`] over the covered corpus shards.
     pub corpus_digest: u64,
+}
+
+impl EpochEntry {
+    /// Whether the snapshot holds the fold of the whole covered prefix
+    /// (shards `0..shard_end`) rather than a delta over its own shards.
+    /// Epoch 0 is always whole.
+    pub fn is_whole(&self) -> bool {
+        self.fold_start == 0
+    }
 }
 
 /// A parsed checkpoint manifest: the corpus identity the epochs are
@@ -269,8 +294,14 @@ impl CheckpointManifest {
         for (i, e) in self.epochs.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "epoch {i} {} {} {} {} {:016x} {:016x}",
-                e.shard_start, e.shard_end, e.chunks, e.payload_len, e.checksum, e.corpus_digest,
+                "epoch {i} {} {} {} {} {} {:016x} {:016x}",
+                e.shard_start,
+                e.shard_end,
+                e.fold_start,
+                e.chunks,
+                e.payload_len,
+                e.checksum,
+                e.corpus_digest,
             );
         }
         out
@@ -278,7 +309,8 @@ impl CheckpointManifest {
 
     /// Parses a manifest, validating the layout invariants: epoch
     /// records in order, shard ranges non-empty and abutting from shard
-    /// 0, and the declared count consistent.
+    /// 0, every fold start either 0 or the epoch's own start, and the
+    /// declared count consistent.
     ///
     /// # Errors
     ///
@@ -345,10 +377,10 @@ impl CheckpointManifest {
                     );
                 }
                 "epoch" => {
-                    if rest.len() != 7 {
+                    if rest.len() != 8 {
                         return Err(bad(
                             line_no,
-                            format!("`epoch` needs 7 fields, found {}", rest.len()),
+                            format!("`epoch` needs 8 fields, found {}", rest.len()),
                         ));
                     }
                     let num = |i: usize, what: &str| -> Result<u64, CheckpointError> {
@@ -373,10 +405,11 @@ impl CheckpointManifest {
                     let entry = EpochEntry {
                         shard_start: num(1, "shard start")? as usize,
                         shard_end: num(2, "shard end")? as usize,
-                        chunks: num(3, "chunk count")? as usize,
-                        payload_len: num(4, "payload length")?,
-                        checksum: hex(5, "digest")?,
-                        corpus_digest: hex(6, "corpus digest")?,
+                        fold_start: num(3, "fold start")? as usize,
+                        chunks: num(4, "chunk count")? as usize,
+                        payload_len: num(5, "payload length")?,
+                        checksum: hex(6, "digest")?,
+                        corpus_digest: hex(7, "corpus digest")?,
                     };
                     // Epochs must tile the covered shard prefix: the
                     // first starts at shard 0, each next at the previous
@@ -394,6 +427,19 @@ impl CheckpointManifest {
                     }
                     if entry.shard_end <= entry.shard_start {
                         return Err(bad(line_no, format!("epoch {index} covers no shards")));
+                    }
+                    // A snapshot folds either the whole prefix or exactly
+                    // its own shards; any other start would merge some
+                    // shards twice or never on restore.
+                    if entry.fold_start != 0 && entry.fold_start != entry.shard_start {
+                        return Err(bad(
+                            line_no,
+                            format!(
+                                "epoch {index} folds from shard {} but must fold from shard 0 \
+                                 (whole) or from its start shard {} (delta)",
+                                entry.fold_start, entry.shard_start
+                            ),
+                        ));
                     }
                     epochs.push(entry);
                 }
@@ -435,6 +481,21 @@ impl CheckpointManifest {
     /// One past the last corpus shard any epoch covers (0 when empty).
     pub fn covered_shards(&self) -> usize {
         self.epochs.last().map_or(0, |e| e.shard_end)
+    }
+
+    /// The newest whole epoch at or before `epoch`: the fold through
+    /// `epoch` is that epoch's snapshot merged with every delta after it,
+    /// up to and including `epoch`. Epoch 0 is always whole, so there is
+    /// always one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epoch` is not an epoch of this manifest.
+    pub fn fold_base(&self, epoch: usize) -> usize {
+        self.epochs[..=epoch]
+            .iter()
+            .rposition(EpochEntry::is_whole)
+            .expect("epoch 0 folds from shard 0")
     }
 
     /// Validates that this checkpoint was folded from (a prefix of) the
@@ -552,8 +613,9 @@ impl CheckpointWriter {
         &self.manifest
     }
 
-    /// Appends one epoch: writes its frame (temp file, sync, rename),
-    /// then rewrites the manifest atomically. Returns the epoch index.
+    /// Appends one delta epoch, whose `payload` folds only the shards in
+    /// `shards`: writes its frame (temp file, sync, rename), then
+    /// rewrites the manifest atomically. Returns the epoch index.
     ///
     /// The shard range must abut the previous epoch (`shards.start` ==
     /// previous end, starting at 0) and be non-empty — violating either
@@ -567,6 +629,36 @@ impl CheckpointWriter {
     pub fn write_epoch(
         &mut self,
         shards: Range<usize>,
+        chunks: usize,
+        corpus_digest: u64,
+        payload: &[u8],
+    ) -> Result<usize, CheckpointError> {
+        let fold_start = shards.start;
+        self.append(shards, fold_start, chunks, corpus_digest, payload)
+    }
+
+    /// Appends one whole epoch, whose `payload` folds every shard from 0
+    /// to `shards.end`; otherwise as [`CheckpointWriter::write_epoch`].
+    /// A resume restoring this epoch or a later one decodes this
+    /// payload and never reads an earlier epoch.
+    ///
+    /// # Errors
+    ///
+    /// As for [`CheckpointWriter::write_epoch`].
+    pub fn write_whole_epoch(
+        &mut self,
+        shards: Range<usize>,
+        chunks: usize,
+        corpus_digest: u64,
+        payload: &[u8],
+    ) -> Result<usize, CheckpointError> {
+        self.append(shards, 0, chunks, corpus_digest, payload)
+    }
+
+    fn append(
+        &mut self,
+        shards: Range<usize>,
+        fold_start: usize,
         chunks: usize,
         corpus_digest: u64,
         payload: &[u8],
@@ -590,6 +682,7 @@ impl CheckpointWriter {
         self.manifest.epochs.push(EpochEntry {
             shard_start: shards.start,
             shard_end: shards.end,
+            fold_start,
             chunks,
             payload_len: header.payload_len,
             checksum: header.checksum,
@@ -826,8 +919,8 @@ mod tests {
         let text = format!(
             "{CHECKPOINT_VERSION_LINE}\npayload_version 1\ncorpus_seed 1\n\
              corpus_style raid-only\nepochs 2\n\
-             epoch 0 0 2 1 5 {0:016x} {0:016x}\n\
-             epoch 1 3 4 1 5 {0:016x} {0:016x}\n",
+             epoch 0 0 2 0 1 5 {0:016x} {0:016x}\n\
+             epoch 1 3 4 3 1 5 {0:016x} {0:016x}\n",
             7u64
         );
         let err = CheckpointManifest::parse(&text).unwrap_err();
@@ -835,6 +928,62 @@ mod tests {
             err.to_string(),
             "checkpoint manifest line 7: epoch 1 starts at shard 3 but the previous epoch ends \
              at shard 2"
+        );
+    }
+
+    #[test]
+    fn fold_starts_round_trip_and_pick_the_restore_base() {
+        let dir = tmpdir("fold-start");
+        let mut w = sample_writer(&dir);
+        w.write_epoch(0..2, 1, 1, b"first").expect("epoch 0");
+        w.write_epoch(2..3, 1, 2, b"delta").expect("epoch 1");
+        w.write_whole_epoch(3..5, 1, 3, b"whole").expect("epoch 2");
+        w.write_epoch(5..6, 1, 4, b"delta").expect("epoch 3");
+        let text = w.manifest().to_text();
+        assert!(text.starts_with("ssfa-checkpoint v2\n"), "{text}");
+        assert!(text.contains("\nepoch 1 2 3 2 1 "), "{text}");
+        assert!(text.contains("\nepoch 2 3 5 0 1 "), "{text}");
+        let parsed = CheckpointManifest::parse(&text).expect("reparse");
+        assert_eq!(&parsed, w.manifest());
+        let starts: Vec<usize> = parsed.epochs.iter().map(|e| e.fold_start).collect();
+        assert_eq!(starts, [0, 2, 0, 5]);
+        let kinds: Vec<bool> = parsed.epochs.iter().map(EpochEntry::is_whole).collect();
+        assert_eq!(kinds, [true, false, true, false]);
+        let bases: Vec<usize> = (0..4).map(|k| parsed.fold_base(k)).collect();
+        assert_eq!(bases, [0, 0, 2, 2]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_fold_start_that_is_neither_zero_nor_the_epoch_start_is_rejected() {
+        let text = format!(
+            "{CHECKPOINT_VERSION_LINE}\npayload_version 1\ncorpus_seed 1\n\
+             corpus_style raid-only\nepochs 2\n\
+             epoch 0 0 2 0 1 5 {0:016x} {0:016x}\n\
+             epoch 1 2 4 1 1 5 {0:016x} {0:016x}\n",
+            7u64
+        );
+        let err = CheckpointManifest::parse(&text).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "checkpoint manifest line 7: epoch 1 folds from shard 1 but must fold from shard 0 \
+             (whole) or from its start shard 2 (delta)"
+        );
+    }
+
+    #[test]
+    fn a_version_1_manifest_is_refused() {
+        let text = format!(
+            "ssfa-checkpoint v1\npayload_version 2\ncorpus_seed 1\n\
+             corpus_style raid-only\nepochs 1\n\
+             epoch 0 0 2 1 5 {0:016x} {0:016x}\n",
+            7u64
+        );
+        let err = CheckpointManifest::parse(&text).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "checkpoint manifest line 1: expected header `ssfa-checkpoint v2`, \
+             found `ssfa-checkpoint v1`"
         );
     }
 }

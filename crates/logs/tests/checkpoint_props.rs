@@ -110,15 +110,15 @@ fn format_version_mismatch_display_is_pinned() {
     one_epoch_store(&tmp.0, b"snapshot");
     let path = tmp.0.join(CHECKPOINT_NAME);
     let text = std::fs::read_to_string(&path).expect("manifest reads");
-    let bumped = text.replace(CHECKPOINT_VERSION_LINE, "ssfa-checkpoint v2");
+    let bumped = text.replace(CHECKPOINT_VERSION_LINE, "ssfa-checkpoint v3");
     assert_ne!(text, bumped, "header replacement must take effect");
     std::fs::write(&path, bumped).expect("manifest rewrites");
 
     let err = CheckpointReader::open(&tmp.0).expect_err("future format must be refused");
     assert_eq!(
         err.to_string(),
-        "checkpoint manifest line 1: expected header `ssfa-checkpoint v1`, \
-         found `ssfa-checkpoint v2`"
+        "checkpoint manifest line 1: expected header `ssfa-checkpoint v2`, \
+         found `ssfa-checkpoint v3`"
     );
 }
 

@@ -12,6 +12,11 @@ use crate::disk::{DiskCatalog, DiskModelId};
 use crate::layout::LayoutPolicy;
 use crate::shelf::{ShelfCatalog, ShelfModel, SHELF_BAYS};
 
+/// Most shelves one FC loop can address: a device's target is
+/// `loop_position * 16 + bay` in a `u8` ([`crate::Shelf::device_addr`]),
+/// so loop positions run `0..16`.
+pub const MAX_SHELVES_PER_LOOP: u8 = 16;
+
 /// Population and composition parameters for one system class.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassConfig {
@@ -27,7 +32,8 @@ pub struct ClassConfig {
     /// Target RAID group size in disks.
     pub raid_group_size: u8,
     /// Shelves chained on one FC loop (the paper's RAID groups span about
-    /// 3 shelves, which share an interconnect).
+    /// 3 shelves, which share an interconnect); at most
+    /// [`MAX_SHELVES_PER_LOOP`].
     pub shelves_per_loop: u8,
     /// Fraction of RAID groups built as RAID6 (the rest are RAID4).
     pub raid6_fraction: f64,
@@ -63,6 +69,13 @@ impl ClassConfig {
         }
         if self.shelves_per_loop == 0 {
             return Err(format!("{}: shelves_per_loop must be positive", self.class));
+        }
+        if self.shelves_per_loop > MAX_SHELVES_PER_LOOP {
+            return Err(format!(
+                "{}: shelves_per_loop {} exceeds the {MAX_SHELVES_PER_LOOP} shelves a loop can \
+                 address",
+                self.class, self.shelves_per_loop
+            ));
         }
         if self.shelves_per_system < 1.0 {
             return Err(format!("{}: shelves_per_system must be >= 1", self.class));
@@ -319,6 +332,53 @@ mod tests {
         FleetConfig::paper()
             .validate()
             .expect("paper config is valid");
+    }
+
+    /// Every class of the paper fleet with `n` shelves per loop and
+    /// enough shelves per system to fill whole loops.
+    fn with_shelves_per_loop(n: u8) -> FleetConfig {
+        let mut cfg = FleetConfig::paper().scaled(0.001);
+        for class in &mut cfg.classes {
+            class.shelves_per_loop = n;
+            class.shelves_per_system = 40.0;
+        }
+        cfg
+    }
+
+    #[test]
+    fn a_loop_of_more_shelves_than_targets_address_is_rejected() {
+        let err = with_shelves_per_loop(17).validate().unwrap_err();
+        assert_eq!(
+            err,
+            "Near-line: shelves_per_loop 17 exceeds the 16 shelves a loop can address"
+        );
+    }
+
+    #[test]
+    fn a_full_loop_gives_every_device_its_own_address() {
+        let fleet = crate::Fleet::build(&with_shelves_per_loop(MAX_SHELVES_PER_LOOP), 3);
+        let mut full_loops = 0;
+        for fc_loop in fleet.loops() {
+            let mut addrs: Vec<_> = fc_loop
+                .shelves
+                .iter()
+                .flat_map(|&id| {
+                    let shelf = fleet.shelf(id);
+                    (0..shelf.bays).map(move |bay| shelf.device_addr(bay))
+                })
+                .collect();
+            let devices = addrs.len();
+            addrs.sort();
+            addrs.dedup();
+            assert_eq!(
+                addrs.len(),
+                devices,
+                "loop {:?} reuses an address",
+                fc_loop.id
+            );
+            full_loops += usize::from(fc_loop.shelves.len() == usize::from(MAX_SHELVES_PER_LOOP));
+        }
+        assert!(full_loops > 0, "no loop was filled");
     }
 
     #[test]

@@ -7,13 +7,15 @@ use std::path::Path;
 
 use ssfa_core::{SnapshotError, Study, StudyFold, SNAPSHOT_VERSION};
 use ssfa_logs::checkpoint::{CheckpointReader, CheckpointWriter, CHECKPOINT_NAME};
-use ssfa_logs::{CascadeStyle, FaultInjector, FaultSpec, Strictness};
+use ssfa_logs::{AnalysisInput, CascadeStyle, FaultInjector, FaultSpec, Strictness};
 use ssfa_model::{Fleet, FleetConfig, LayoutPolicy};
 use ssfa_sim::{Calibration, SimOutput, Simulator};
 
-use crate::checkpoint::{chunk_starting_at, plan_epochs, CheckpointSink, ManifestSource};
+use crate::checkpoint::{
+    chunk_starting_at, plan_epochs, restore_fold, CheckpointSink, ManifestSource,
+};
 use crate::error::PipelineError;
-use crate::exec::Engine;
+use crate::exec::{push_partial, Engine};
 use crate::health::{RunHealth, StreamStats};
 use crate::plan::ChunkPolicy;
 use crate::source::{MonolithicSource, SimSource, Source};
@@ -54,10 +56,12 @@ impl Pipeline {
 
     /// Groups `n` chunks per checkpoint epoch for
     /// [`Pipeline::run_source_checkpointed`] and
-    /// [`Pipeline::resume_from`]. The default, `1`, snapshots after every
-    /// chunk — finest-grained resume at the cost of one snapshot frame
-    /// per chunk; larger epochs amortize snapshot writes. Fold results
-    /// are bit-identical for every epoch size.
+    /// [`Pipeline::resume_from`]. The default, `1`, writes an epoch after
+    /// every chunk, the finest-grained resume. Each epoch but the run's
+    /// last holds only its own chunks' fold, so the checkpoint's bytes
+    /// do not depend on the epoch size; larger epochs save only the
+    /// per-epoch frame and manifest syncs. Fold results are bit-identical
+    /// for every epoch size.
     ///
     /// # Panics
     ///
@@ -271,7 +275,7 @@ impl Pipeline {
         &self,
         source: &dyn Source,
     ) -> Result<(Study, StreamStats, RunHealth), PipelineError> {
-        self.run_engine(source, StudyFold::new(), 0, |_, _| Ok(()))
+        self.run_engine(source, StudyFold::new(), 0, push_partial)
     }
 
     /// [`Pipeline::run_source`] over a corpus-backed source, writing one
@@ -281,8 +285,11 @@ impl Pipeline {
     /// it is created if missing.
     ///
     /// Each epoch is a single `SSFC` frame holding the
-    /// [`ssfa_core::StudyFold`] snapshot after that epoch's chunks, keyed
-    /// to the corpus manifest by shard range and shard-checksum digest.
+    /// [`ssfa_core::StudyFold`] snapshot of that epoch's own chunks (a
+    /// delta), keyed to the corpus manifest by shard range and
+    /// shard-checksum digest, so the checkpoint grows linearly with the
+    /// corpus. The last epoch instead holds the whole fold, which is the
+    /// finished run's fold state and what a later resume decodes first.
     /// The checkpoint manifest is rewritten atomically (temp file + sync +
     /// rename) after every epoch frame, so each epoch is published
     /// atomically and a crash leaves nothing torn. Epochs are written only
@@ -309,9 +316,11 @@ impl Pipeline {
         self.run_checkpointed(source, writer, 0, StudyFold::new())
     }
 
-    /// Resumes a checkpointed analysis: restores the newest epoch in
-    /// `dir` whose shard boundary aligns with the current chunk plan,
-    /// then runs the engine over only the chunks past it — an appended
+    /// Resumes a checkpointed analysis: restores the fold through the
+    /// newest epoch in `dir` whose shard boundary aligns with the current
+    /// chunk plan (the newest whole epoch at or before it, merged with
+    /// the delta epochs after that, in order), then runs the engine over
+    /// only the chunks past it — an appended
     /// corpus is absorbed by re-reading just the new shards. Epochs past
     /// the alignment point (possible when a re-plan moved chunk
     /// boundaries) are truncated and recomputed. The result is
@@ -358,10 +367,9 @@ impl Pipeline {
                 break;
             }
         }
-        let fold = if keep > 0 {
-            StudyFold::from_snapshot(&reader.read_epoch(keep - 1)?)?
-        } else {
-            StudyFold::new()
+        let fold = match keep.checked_sub(1) {
+            Some(epoch) => restore_fold(&reader, epoch)?,
+            None => StudyFold::new(),
         };
         let mut writer = CheckpointWriter::append_to(dir)?;
         writer.truncate_to(keep)?;
@@ -370,7 +378,7 @@ impl Pipeline {
 
     /// The engine leg shared by [`Pipeline::run_source_checkpointed`] and
     /// [`Pipeline::resume_from`]: plans the remaining epochs, then runs
-    /// from `first_chunk` with a [`CheckpointSink`] observing every fold.
+    /// from `first_chunk` with a [`CheckpointSink`] absorbing every partial.
     fn run_checkpointed<S: ManifestSource>(
         &self,
         source: &S,
@@ -387,21 +395,21 @@ impl Pipeline {
             writer.manifest().epochs.len(),
         );
         let mut sink = CheckpointSink::new(writer, epochs, corpus, first_chunk);
-        self.run_engine(source, fold, first_chunk, |chunk, fold| {
-            sink.on_chunk(chunk, fold)
+        self.run_engine(source, fold, first_chunk, |chunk, partial, fold| {
+            sink.absorb(chunk, partial, fold)
         })
     }
 
     /// Runs the engine with this pipeline's threads, strictness, chunking
     /// and fault injection from `first_chunk`, folding into `fold` (empty for a
-    /// cold run, a restored snapshot on resume) and calling `observer`
-    /// after each chunk folds.
+    /// cold run, a restored snapshot on resume) through `absorb` (see
+    /// [`Engine::run_from`]).
     fn run_engine(
         &self,
         source: &dyn Source,
         fold: StudyFold,
         first_chunk: usize,
-        observer: impl FnMut(usize, &StudyFold) -> Result<(), PipelineError>,
+        absorb: impl FnMut(usize, Option<AnalysisInput>, &mut StudyFold) -> Result<(), PipelineError>,
     ) -> Result<(Study, StreamStats, RunHealth), PipelineError> {
         let engine = Engine {
             threads: self.threads,
@@ -410,7 +418,7 @@ impl Pipeline {
             injector: (!self.faults.is_none())
                 .then(|| FaultInjector::new(self.faults.clone(), self.seed)),
         };
-        engine.run_from(source, fold, first_chunk, observer)
+        engine.run_from(source, fold, first_chunk, absorb)
     }
 }
 

@@ -3,23 +3,35 @@
 //!
 //! An **epoch** is a contiguous chunk range of a corpus-backed source's
 //! chunk plan, keyed to the corpus manifest by the shard range it covers
-//! and a digest over those shards' checksums. As the engine folds chunks
-//! in order, the sink snapshots the [`StudyFold`]
-//! ([`StudyFold::to_snapshot`]) at each epoch's last chunk and appends it
-//! to an on-disk [`CheckpointWriter`] — one `SSFC` frame per epoch,
-//! manifest rewritten atomically after each, so each epoch is published
-//! atomically and a crash leaves nothing torn. The engine folds only
-//! after every worker has joined, so all epochs are written after
-//! classification: a crash during classification writes no new epoch
-//! (folding while workers run is `ROADMAP.md` item 1).
+//! and a digest over those shards' checksums. The engine hands the sink
+//! each chunk's partial in chunk order; the sink folds the partials of
+//! the open epoch into a pending *delta* [`StudyFold`]. At the epoch's
+//! last chunk it snapshots the delta ([`StudyFold::to_snapshot`]),
+//! appends it to an on-disk [`CheckpointWriter`] — one `SSFC` frame per
+//! epoch, manifest rewritten atomically after each, so each epoch is
+//! published atomically and a crash leaves nothing torn — and only then
+//! merges the delta into the run's fold. A checkpointed run thus writes
+//! each shard's fold state once, not once per later epoch.
+//!
+//! The run's last planned epoch is the exception: the sink merges first
+//! and writes the *whole* fold. A caught-up or appended-corpus resume then
+//! restores it with one decode, and the last epoch of any finished run is
+//! the finished fold.
+//!
+//! The engine folds only after every worker has joined, so all epochs
+//! are written after classification: a crash during classification
+//! writes no new epoch (folding while workers run is `ROADMAP.md` item
+//! 1).
 //!
 //! [`Pipeline::run_source_checkpointed`] runs cold while writing epochs;
 //! [`Pipeline::resume_from`] restores the newest epoch whose shard
-//! boundary still aligns with the current chunk plan, then absorbs only
-//! the chunks past it. Cold and resumed runs are bit-identical because
-//! the fold sequence is identical: the snapshot *is* the fold state after
-//! the covered chunks, and the engine feeds the remaining partials in the
-//! same order a cold run would.
+//! boundary still aligns with the current chunk plan — the newest whole
+//! epoch at or before it, merged with the deltas after that, in order
+//! (`restore_fold`) — then absorbs only the chunks past it. Cold and
+//! resumed runs are bit-identical: [`StudyFold::merge`] is
+//! byte-associative (DESIGN §15), so the restored fold *is* the fold
+//! after the covered chunks, and the engine feeds the remaining partials
+//! in the same order a cold run would.
 //!
 //! [`Pipeline::run_source_checkpointed`]: crate::Pipeline::run_source_checkpointed
 //! [`Pipeline::resume_from`]: crate::Pipeline::resume_from
@@ -27,11 +39,12 @@
 use std::ops::Range;
 
 use ssfa_core::StudyFold;
-use ssfa_logs::checkpoint::{corpus_epoch_digest, CheckpointWriter};
+use ssfa_logs::checkpoint::{corpus_epoch_digest, CheckpointReader, CheckpointWriter};
 use ssfa_logs::store::Manifest;
-use ssfa_logs::ChunkPlan;
+use ssfa_logs::{AnalysisInput, ChunkPlan};
 
 use crate::error::PipelineError;
+use crate::exec::push_partial;
 use crate::fs_source::{FileSource, MmapSource};
 use crate::source::Source;
 
@@ -120,18 +133,41 @@ pub(crate) fn chunk_starting_at(plan: &ChunkPlan, shard_end: usize) -> Option<us
     None
 }
 
-/// The engine-side half of a checkpointed run: observes the fold after
-/// every chunk (on the reassembly thread, in chunk order) and writes an
-/// epoch frame whenever a planned epoch's last chunk has been absorbed.
+/// The fold through epoch `epoch` of `reader`'s checkpoint: the newest
+/// whole epoch at or before it, merged with every delta after that, in
+/// epoch order.
+///
+/// # Errors
+///
+/// [`PipelineError::Checkpoint`] if an epoch frame fails its checks,
+/// [`PipelineError::Snapshot`] if a payload fails to decode.
+pub(crate) fn restore_fold(
+    reader: &CheckpointReader,
+    epoch: usize,
+) -> Result<StudyFold, PipelineError> {
+    let base = reader.manifest().fold_base(epoch);
+    let mut fold = StudyFold::from_snapshot(&reader.read_epoch(base)?)?;
+    for delta in base + 1..=epoch {
+        fold.merge(StudyFold::from_snapshot(&reader.read_epoch(delta)?)?);
+    }
+    Ok(fold)
+}
+
+/// The engine-side half of a checkpointed run: absorbs every chunk's
+/// partial (on the reassembly thread, in chunk order) into the open
+/// epoch's delta, and writes an epoch frame whenever a planned epoch's
+/// last chunk has been absorbed.
 #[derive(Debug)]
 pub(crate) struct CheckpointSink<'a> {
     writer: CheckpointWriter,
     corpus: &'a Manifest,
     epochs: Vec<Epoch>,
     next: usize,
-    /// The chunk the fold must absorb next; an epoch's snapshot matches
+    /// The chunk the sink must absorb next; an epoch's snapshot matches
     /// its shard range only if every chunk before it was seen, in order.
     next_chunk: usize,
+    /// The fold of the open epoch's chunks absorbed so far.
+    delta: StudyFold,
 }
 
 impl<'a> CheckpointSink<'a> {
@@ -150,11 +186,14 @@ impl<'a> CheckpointSink<'a> {
             epochs,
             next: 0,
             next_chunk: first_chunk,
+            delta: StudyFold::new(),
         }
     }
 
-    /// Called after `chunk`'s partial folds: writes the pending epoch's
-    /// frame if `chunk` completes it, otherwise does nothing.
+    /// Absorbs `chunk`'s partial into the open epoch's delta. If `chunk`
+    /// completes the epoch, writes the delta's frame and then merges the
+    /// delta into `fold` — or, for the run's last planned epoch, merges
+    /// first and writes the whole `fold`.
     ///
     /// # Errors
     ///
@@ -163,7 +202,12 @@ impl<'a> CheckpointSink<'a> {
     /// reordered chunks; [`PipelineError::Checkpoint`] if the epoch frame
     /// or manifest cannot be persisted — the run aborts rather than
     /// silently losing durability.
-    pub(crate) fn on_chunk(&mut self, chunk: usize, fold: &StudyFold) -> Result<(), PipelineError> {
+    pub(crate) fn absorb(
+        &mut self,
+        chunk: usize,
+        partial: Option<AnalysisInput>,
+        fold: &mut StudyFold,
+    ) -> Result<(), PipelineError> {
         if chunk != self.next_chunk {
             return Err(PipelineError::ChunkOrder {
                 expected: self.next_chunk,
@@ -172,15 +216,35 @@ impl<'a> CheckpointSink<'a> {
         }
         self.next_chunk += 1;
         let Some(epoch) = self.epochs.get(self.next) else {
-            return Ok(());
+            // Past the planned epochs (they tile the run, so only a
+            // caller bug lands here): nothing to record.
+            return push_partial(chunk, partial, fold);
         };
+        if let Some(partial) = partial {
+            self.delta.push(partial);
+        }
         if chunk + 1 != epoch.chunks.end {
             return Ok(());
         }
         let digest = corpus_epoch_digest(self.corpus, epoch.shards.clone());
-        let payload = fold.to_snapshot();
-        self.writer
-            .write_epoch(epoch.shards.clone(), epoch.chunks.len(), digest, &payload)?;
+        let delta = std::mem::take(&mut self.delta);
+        if self.next + 1 == self.epochs.len() {
+            fold.merge(delta);
+            self.writer.write_whole_epoch(
+                epoch.shards.clone(),
+                epoch.chunks.len(),
+                digest,
+                &fold.to_snapshot(),
+            )?;
+        } else {
+            self.writer.write_epoch(
+                epoch.shards.clone(),
+                epoch.chunks.len(),
+                digest,
+                &delta.to_snapshot(),
+            )?;
+            fold.merge(delta);
+        }
         self.next += 1;
         Ok(())
     }
@@ -236,23 +300,83 @@ mod tests {
         CheckpointSink::new(writer, epochs, corpus, first_chunk)
     }
 
+    /// A partial that adds one to the fold's partial count and nothing
+    /// else, so a snapshot's count says which chunks it folds.
+    fn partial() -> Option<AnalysisInput> {
+        Some(AnalysisInput::default())
+    }
+
+    #[test]
+    fn deltas_precede_a_whole_last_epoch_and_the_fold_sees_each_chunk_once() {
+        let dir = std::env::temp_dir().join(format!("ssfa-sink-delta-{}", std::process::id()));
+        let corpus = corpus();
+        let mut fold = StudyFold::new();
+        let mut cold = sink(&dir, &corpus, 0);
+        for chunk in 0..4 {
+            cold.absorb(chunk, partial(), &mut fold).unwrap();
+        }
+        assert_eq!(fold.len(), 4, "every chunk folds exactly once");
+        let reader = CheckpointReader::open(&dir).unwrap();
+        let folded = |epoch| {
+            StudyFold::from_snapshot(&reader.read_epoch(epoch).unwrap())
+                .unwrap()
+                .len()
+        };
+        let entries = &reader.manifest().epochs;
+        assert_eq!((entries[0].fold_start, folded(0)), (0, 2), "epoch 0");
+        assert_eq!(
+            (entries[1].fold_start, folded(1)),
+            (0, 4),
+            "the last epoch holds the whole fold"
+        );
+        assert_eq!(restore_fold(&reader, 1).unwrap().len(), 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn middle_epochs_are_deltas_that_restore_in_order() {
+        let dir = std::env::temp_dir().join(format!("ssfa-sink-middle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let corpus = corpus();
+        let writer = CheckpointWriter::create(&dir, 1, 7, CascadeStyle::RaidOnly).unwrap();
+        let plan = ChunkPlan::fixed_count(4, 1);
+        let mut cold = CheckpointSink::new(writer, plan_epochs(&plan, 0, 1, 0), &corpus, 0);
+        let mut fold = StudyFold::new();
+        for chunk in 0..4 {
+            cold.absorb(chunk, partial(), &mut fold).unwrap();
+        }
+        let reader = CheckpointReader::open(&dir).unwrap();
+        let starts: Vec<usize> = reader
+            .manifest()
+            .epochs
+            .iter()
+            .map(|e| e.fold_start)
+            .collect();
+        assert_eq!(starts, [0, 1, 2, 0]);
+        let restored: Vec<usize> = (0..4)
+            .map(|epoch| restore_fold(&reader, epoch).unwrap().len())
+            .collect();
+        assert_eq!(restored, [1, 2, 3, 4], "epoch k restores k + 1 chunks");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn an_out_of_order_chunk_is_refused_and_publishes_no_epoch() {
         let dir = std::env::temp_dir().join(format!("ssfa-sink-order-{}", std::process::id()));
         let corpus = corpus();
-        let fold = StudyFold::new();
+        let mut fold = StudyFold::new();
 
         let mut in_order = sink(&dir, &corpus, 0);
         for chunk in 0..4 {
-            in_order.on_chunk(chunk, &fold).unwrap();
+            in_order.absorb(chunk, None, &mut fold).unwrap();
         }
         assert_eq!(in_order.writer.manifest().epochs.len(), 2);
 
         // Chunk 1 never arrives: chunk 2 would otherwise not close an
         // epoch, but chunk 3 would publish epoch 1 over a fold missing 1.
         let mut skipped = sink(&dir, &corpus, 0);
-        skipped.on_chunk(0, &fold).unwrap();
-        let err = skipped.on_chunk(2, &fold).unwrap_err();
+        skipped.absorb(0, None, &mut fold).unwrap();
+        let err = skipped.absorb(2, None, &mut fold).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -272,7 +396,7 @@ mod tests {
         // A resume starts at its first chunk; chunk 1 would re-fold the
         // restored epoch.
         let mut resumed = sink(&dir, &corpus, 2);
-        let err = resumed.on_chunk(1, &fold).unwrap_err();
+        let err = resumed.absorb(1, None, &mut fold).unwrap_err();
         assert!(
             matches!(
                 err,

@@ -8,12 +8,13 @@
 //!
 //! [`Engine::run_from`] is also the checkpoint seam: it starts the plan
 //! at an arbitrary chunk (everything before it is assumed already folded
-//! into the [`StudyFold`] by a snapshot restore) and surfaces an in-order
-//! per-chunk observer callback — the epoch boundary — after each partial
-//! folds. A cold run is `run_from(.., StudyFold::new(), 0, no-op)`.
+//! into the [`StudyFold`] by a snapshot restore) and hands each chunk's
+//! partial, in chunk order, to an `absorb` callback that folds it — the
+//! place a checkpoint sink sees epoch boundaries. A cold run is
+//! `run_from(.., StudyFold::new(), 0, push_partial)`.
 
 use ssfa_core::{Study, StudyFold};
-use ssfa_logs::{FaultInjector, Strictness};
+use ssfa_logs::{AnalysisInput, FaultInjector, Strictness};
 
 use crate::chunk::process_chunk;
 use crate::error::{panic_message, PipelineError};
@@ -40,10 +41,12 @@ impl Engine {
     /// study with the run's stream statistics and health audit.
     ///
     /// Chunks before `first_chunk` are assumed already folded into `fold`
-    /// (a checkpoint restore) and are neither loaded nor counted. After
-    /// each chunk's outcome is absorbed, in chunk order,
-    /// `observer(chunk, &fold)` runs on the reassembly thread; an
-    /// observer error aborts the run.
+    /// (a checkpoint restore) and are neither loaded nor counted. Each
+    /// chunk's partial (`None` for a quarantined chunk) goes, in chunk
+    /// order on the reassembly thread, to `absorb(chunk, partial, &mut
+    /// fold)`, which must fold it into `fold` by the time the last chunk
+    /// returns ([`push_partial`] does so at once); an `absorb` error
+    /// aborts the run.
     ///
     /// Stats and health cover only the chunks this call processed (the
     /// increment), so a fully-caught-up resume reports an empty, clean
@@ -53,7 +56,11 @@ impl Engine {
         source: &dyn Source,
         mut fold: StudyFold,
         first_chunk: usize,
-        mut observer: impl FnMut(usize, &StudyFold) -> Result<(), PipelineError>,
+        mut absorb: impl FnMut(
+            usize,
+            Option<AnalysisInput>,
+            &mut StudyFold,
+        ) -> Result<(), PipelineError>,
     ) -> Result<(Study, StreamStats, RunHealth), PipelineError> {
         if source.shard_count() == 0 {
             return Ok((
@@ -145,11 +152,21 @@ impl Engine {
             health.quarantined.extend(outcome.quarantine);
             health.add_line_counts(&outcome.health);
             health.ledger.merge(&outcome.ledger);
-            if let Some(partial) = outcome.partial {
-                fold.push(*partial);
-            }
-            observer(chunk, &fold)?;
+            absorb(chunk, outcome.partial.map(|partial| *partial), &mut fold)?;
         }
         Ok((fold.finish(), stats, health))
     }
+}
+
+/// The plain run's `absorb` for [`Engine::run_from`]: folds each partial
+/// as it arrives.
+pub(crate) fn push_partial(
+    _chunk: usize,
+    partial: Option<AnalysisInput>,
+    fold: &mut StudyFold,
+) -> Result<(), PipelineError> {
+    if let Some(partial) = partial {
+        fold.push(partial);
+    }
+    Ok(())
 }

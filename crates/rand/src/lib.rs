@@ -122,13 +122,17 @@ impl SampleRange<f64> for std::ops::RangeInclusive<f64> {
     }
 }
 
+// Each integer type samples through its same-width unsigned twin: the
+// span `hi - lo` is computed there, where it cannot overflow even for a
+// full-width signed range, and the offset is added back with wrapping
+// arithmetic, which lands in `[lo, hi]` because the true sum does.
 macro_rules! int_sample_range {
-    ($($t:ty),*) => {$(
+    ($($t:ty => $u:ty),*) => {$(
         impl SampleRange<$t> for std::ops::Range<$t> {
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "empty integer range");
-                let span = (self.end - self.start) as u64;
-                self.start + (reject_free_mod(rng, span) as $t)
+                let span = (self.end as $u).wrapping_sub(self.start as $u) as u64;
+                self.start.wrapping_add(reject_free_mod(rng, span) as $t)
             }
         }
 
@@ -136,18 +140,17 @@ macro_rules! int_sample_range {
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "empty integer range");
-                let span = (hi - lo) as u64 + 1;
-                if span == 0 {
+                let Some(span) = ((hi as $u).wrapping_sub(lo as $u) as u64).checked_add(1) else {
                     // Full-width inclusive range of a 64-bit type.
                     return rng.next_u64() as $t;
-                }
-                lo + (reject_free_mod(rng, span) as $t)
+                };
+                lo.wrapping_add(reject_free_mod(rng, span) as $t)
             }
         }
     )*};
 }
 
-int_sample_range!(u8, u16, u32, u64, usize, i32, i64);
+int_sample_range!(u8 => u8, u16 => u16, u32 => u32, u64 => u64, usize => usize, i32 => u32, i64 => u64);
 
 /// Uniform integer in `[0, span)` by rejection sampling (Lemire-style
 /// threshold), so small spans carry no modulo bias.
@@ -319,5 +322,43 @@ mod tests {
         let mut buf = [0u8; 13];
         rng.fill_bytes(&mut buf);
         assert!(buf.iter().any(|&b| b != 0));
+    }
+
+    /// Every type's full-width ranges, inclusive and exclusive, sample in
+    /// bounds without overflowing (this suite runs in debug builds, where
+    /// overflow panics).
+    #[test]
+    fn full_width_ranges_sample_in_bounds() {
+        macro_rules! full_width {
+            ($rng:expr, $($t:ty),*) => {$(
+                for _ in 0..200 {
+                    let x = $rng.gen_range(<$t>::MIN..=<$t>::MAX);
+                    assert!((<$t>::MIN..=<$t>::MAX).contains(&x));
+                    let y = $rng.gen_range(<$t>::MIN..<$t>::MAX);
+                    assert!((<$t>::MIN..<$t>::MAX).contains(&y));
+                }
+            )*};
+        }
+        let mut rng = StdRng::seed_from_u64(13);
+        full_width!(rng, u8, u16, u32, u64, usize, i32, i64);
+    }
+
+    /// A full signed range covers both signs, so the offset is added back
+    /// with the right wrap rather than clamped or shifted.
+    #[test]
+    fn full_signed_ranges_yield_negative_and_positive_values() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let inclusive: Vec<i32> = (0..200)
+            .map(|_| rng.gen_range(i32::MIN..=i32::MAX))
+            .collect();
+        let exclusive: Vec<i32> = (0..200)
+            .map(|_| rng.gen_range(i32::MIN..i32::MAX))
+            .collect();
+        let wide: Vec<i64> = (0..200)
+            .map(|_| rng.gen_range(i64::MIN..=i64::MAX))
+            .collect();
+        assert!(inclusive.iter().any(|&x| x < 0) && inclusive.iter().any(|&x| x > 0));
+        assert!(exclusive.iter().any(|&x| x < 0) && exclusive.iter().any(|&x| x > 0));
+        assert!(wide.iter().any(|&x| x < 0) && wide.iter().any(|&x| x > 0));
     }
 }

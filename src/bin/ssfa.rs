@@ -48,7 +48,9 @@ usage: ssfa <corpus|checkpoint|agent> <subcommand> [options]
 
   ssfa checkpoint ls <dir>
       List a checkpoint store's manifest: payload schema, corpus
-      identity, and every durable epoch.
+      identity, and every durable epoch with its kind: `whole` (its
+      snapshot folds every shard before its end) or `delta` (only its
+      own shards).
 
   ssfa checkpoint verify <dir>
       Re-walk every epoch frame against its checksum and manifest entry.
@@ -343,8 +345,13 @@ fn checkpoint_ls(args: &[&str]) -> Result<(), CliError> {
     );
     for (index, epoch) in manifest.epochs.iter().enumerate() {
         println!(
-            "  epoch {index}: shards {}..{} in {} chunk(s), {} snapshot bytes, checksum {:016x}",
-            epoch.shard_start, epoch.shard_end, epoch.chunks, epoch.payload_len, epoch.checksum
+            "  epoch {index}: {} shards {}..{} in {} chunk(s), {} snapshot bytes, checksum {:016x}",
+            if epoch.is_whole() { "whole" } else { "delta" },
+            epoch.shard_start,
+            epoch.shard_end,
+            epoch.chunks,
+            epoch.payload_len,
+            epoch.checksum
         );
     }
     Ok(())

@@ -13,9 +13,10 @@
 
 use std::path::{Path, PathBuf};
 
-use ssfa::logs::checkpoint::CheckpointWriter;
+use ssfa::core::StudyFold;
+use ssfa::logs::checkpoint::{CheckpointReader, CheckpointWriter};
 use ssfa::logs::{CascadeStyle, Manifest, HEADER_LEN, MANIFEST_NAME};
-use ssfa::{FileSource, Pipeline};
+use ssfa::{FileSource, MmapSource, Pipeline};
 
 const SCALE: f64 = 0.002;
 const SEED: u64 = 7;
@@ -47,12 +48,38 @@ fn table1(study: &ssfa::core::Study) -> String {
 }
 
 fn build_corpus(dir: &Path) {
-    let base = Pipeline::new().scale(SCALE).seed(SEED);
+    build_corpus_at(dir, SCALE, SEED);
+}
+
+fn build_corpus_at(dir: &Path, scale: f64, seed: u64) {
+    let base = Pipeline::new().scale(scale).seed(seed);
     let fleet = base.build_fleet();
     let output = base.simulate(&fleet);
     ssfa::logs::CorpusWriter::new(dir)
-        .write(&fleet, &output, CascadeStyle::RaidOnly, SEED)
+        .write(&fleet, &output, CascadeStyle::RaidOnly, seed)
         .expect("corpus builds");
+}
+
+fn shard_count(corpus: &Path) -> usize {
+    let text = std::fs::read_to_string(corpus.join(MANIFEST_NAME)).expect("manifest reads");
+    Manifest::parse(&text)
+        .expect("manifest parses")
+        .shards
+        .len()
+}
+
+/// Total bytes of the files directly inside `dir`.
+fn dir_bytes(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
+        .expect("dir lists")
+        .map(|entry| {
+            entry
+                .expect("dir entry")
+                .metadata()
+                .expect("metadata")
+                .len()
+        })
+        .sum()
 }
 
 /// Materializes the corpus as it looked `keep` shards ago: segment
@@ -90,13 +117,7 @@ fn appending_new_shards_refolds_only_the_new_epoch() {
     let ckpt = TempDir::new("store");
     build_corpus(&full.0);
 
-    let total = {
-        let text = std::fs::read_to_string(full.0.join(MANIFEST_NAME)).expect("manifest reads");
-        Manifest::parse(&text)
-            .expect("manifest parses")
-            .shards
-            .len()
-    };
+    let total = shard_count(&full.0);
     let keep = (total * 2) / 3;
     prefix_corpus(&full.0, &old.0, keep);
 
@@ -143,6 +164,127 @@ fn appending_new_shards_refolds_only_the_new_epoch() {
         table1(&study),
         table1(&cold),
         "incremental Table 1 diverged from the cold full fold"
+    );
+}
+
+/// A store whose restore chains a whole epoch, deltas and a whole epoch:
+/// a cold run over last month's corpus ends in a whole epoch, a resume
+/// over the grown corpus appends deltas and a whole epoch, and a
+/// truncation into those deltas leaves the first run's whole epoch as
+/// the base the deltas merge onto. Every resume must equal a cold run,
+/// and the last epoch of every finished run is the finished fold.
+#[test]
+fn a_restore_merges_deltas_onto_the_previous_runs_whole_epoch() {
+    let full = TempDir::new("chain-full");
+    let old = TempDir::new("chain-old");
+    let ckpt = TempDir::new("chain-store");
+    build_corpus(&full.0);
+    let total = shard_count(&full.0);
+    let keep = (total * 2) / 3;
+    prefix_corpus(&full.0, &old.0, keep);
+    let pipeline = Pipeline::new()
+        .scale(SCALE)
+        .seed(SEED)
+        .threads(2)
+        .chunk_systems(1);
+
+    let (cold_prefix, _, _) = pipeline
+        .run_source_checkpointed(&MmapSource::open(&old.0).expect("prefix opens"), &ckpt.0)
+        .expect("cold checkpointed run succeeds");
+    assert_last_epoch_is_the_fold(&ckpt.0, &cold_prefix);
+
+    let source = MmapSource::open(&full.0).expect("grown corpus opens");
+    let (cold, _, _) = pipeline.run_source(&source).expect("cold oracle runs");
+    let (grown, _, _) = pipeline
+        .resume_from(&source, &ckpt.0)
+        .expect("resume over the grown corpus succeeds");
+    assert_eq!(grown.input(), cold.input(), "resume over the grown corpus");
+    assert_last_epoch_is_the_fold(&ckpt.0, &cold);
+
+    // Keep the first run's epochs and half of the second run's deltas.
+    let restored = keep + (total - keep) / 2;
+    {
+        let mut writer = CheckpointWriter::append_to(&ckpt.0).expect("checkpoint reopens");
+        assert_eq!(writer.manifest().epochs.len(), total, "one epoch per shard");
+        writer.truncate_to(restored).expect("checkpoint truncates");
+        let manifest = writer.manifest();
+        assert_eq!(
+            manifest.fold_base(restored - 1),
+            keep - 1,
+            "the restore base is the first run's whole last epoch"
+        );
+        assert!(
+            manifest.epochs[keep..].iter().all(|e| !e.is_whole()),
+            "the second run's kept epochs are deltas"
+        );
+    }
+    let source = FileSource::open(&full.0).expect("grown corpus opens");
+    let (study, _, health) = pipeline
+        .resume_from(&source, &ckpt.0)
+        .expect("resume over merged deltas succeeds");
+    assert_eq!(
+        source.shard_reads(),
+        (total - restored) as u64,
+        "the restore reads no absorbed shard"
+    );
+    assert!(health.is_clean(), "{health}");
+    assert_eq!(study.input(), cold.input(), "resume over merged deltas");
+    assert_eq!(table1(&study), table1(&cold));
+    assert_last_epoch_is_the_fold(&ckpt.0, &cold);
+}
+
+/// The checkpoint's last epoch is whole and decodes to `study`'s fold.
+fn assert_last_epoch_is_the_fold(ckpt: &Path, study: &ssfa::core::Study) {
+    let reader = CheckpointReader::open(ckpt).expect("checkpoint opens");
+    let last = reader.epoch_count() - 1;
+    assert!(
+        reader.manifest().epochs[last].is_whole(),
+        "the last epoch must hold the whole fold"
+    );
+    let fold = StudyFold::from_snapshot(&reader.read_epoch(last).expect("last epoch reads"))
+        .expect("last epoch decodes");
+    assert_eq!(fold.finish().input(), study.input());
+}
+
+/// Checkpoint bytes grow linearly with the corpus: doubling the fleet may
+/// at most roughly double the checkpoint directory, and every epoch but
+/// the whole-fold last one holds only its own chunks, so all epochs
+/// together hold about two folds. Epochs that each held the cumulative
+/// fold would grow with the square of the corpus. The checkpoint twin of
+/// `tests/pipeline_roundtrip.rs::fold_snapshot_grows_linearly_with_scale`.
+#[test]
+fn checkpoint_bytes_grow_linearly_with_scale() {
+    let measure = |scale: f64| {
+        let corpus = TempDir::new(&format!("linear-corpus-{scale}"));
+        let ckpt = TempDir::new(&format!("linear-store-{scale}"));
+        build_corpus_at(&corpus.0, scale, 1234);
+        let source = MmapSource::open(&corpus.0).expect("corpus opens");
+        Pipeline::new()
+            .scale(scale)
+            .seed(1234)
+            .threads(2)
+            .run_source_checkpointed(&source, &ckpt.0)
+            .expect("checkpointed run succeeds");
+        let reader = CheckpointReader::open(&ckpt.0).expect("checkpoint opens");
+        let epochs = &reader.manifest().epochs;
+        assert!(
+            epochs.len() >= 4,
+            "{} epochs at scale {scale}",
+            epochs.len()
+        );
+        let payload: u64 = epochs.iter().map(|e| e.payload_len).sum();
+        let last = epochs.last().expect("epochs").payload_len;
+        assert!(
+            payload as f64 <= 2.1 * last as f64,
+            "scale {scale}: {} epochs hold {payload} payload bytes, the last {last}",
+            epochs.len()
+        );
+        dir_bytes(&ckpt.0)
+    };
+    let (small, large) = (measure(0.01), measure(0.02));
+    assert!(
+        large as f64 <= 2.2 * small as f64,
+        "checkpoint grew {small} -> {large} bytes for a 2x corpus"
     );
 }
 

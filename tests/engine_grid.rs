@@ -34,8 +34,9 @@ fn monolithic_oracles_match_the_pre_refactor_golden() {
     run_grid(&[golden()]);
 }
 
-/// Persistent fold epochs: a cold checkpointed run, a run resumed from a
-/// truncated checkpoint, and a resume over a fully covered checkpoint,
+/// Persistent fold epochs: a cold checkpointed run, runs resumed from a
+/// checkpoint truncated to its first and to its middle epoch (the latter
+/// merges delta epochs), and a resume over a fully covered checkpoint,
 /// through both disk-backed sources at {1, 4} threads × {chunk-1, auto}.
 #[test]
 fn checkpoint_resume_matches_the_golden_across_the_grid() {

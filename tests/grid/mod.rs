@@ -50,7 +50,7 @@ pub struct Case {
     /// Points run over both disk-backed sources. Where a point is a sim
     /// point too, the disk runs are also held to their simulator sibling.
     pub disk: Vec<(usize, Chunk)>,
-    /// Points run through the three checkpoint legs over both disk-backed
+    /// Points run through the four checkpoint legs over both disk-backed
     /// sources.
     pub checkpoint: Vec<(usize, Chunk)>,
 }
@@ -301,32 +301,48 @@ fn assert_disk_siblings(point: &str, mmap: &Run, file: &Run) {
     );
 }
 
-/// Runs the three checkpoint legs over `source` in a fresh checkpoint
-/// directory: cold, resumed after truncating to the first epoch (the
-/// tail is refolded on top of the snapshot), and resumed again over the
-/// now fully covered checkpoint (a pure snapshot decode).
+/// Runs the four checkpoint legs over `source` in a fresh checkpoint
+/// directory: cold; resumed after truncating to the first epoch (the
+/// tail is refolded on top of its snapshot); resumed after truncating to
+/// the middle epoch, whose restore merges every delta epoch after the
+/// first (at least two whenever the plan has four or more chunks); and
+/// resumed again over the now fully covered checkpoint (one decode of
+/// the whole-fold last epoch).
 fn checkpoint_legs<S: ManifestSource>(
     pipeline: &Pipeline,
     source: &S,
     tag: &str,
-) -> [(&'static str, Coverage, Run); 3] {
+) -> [(&'static str, Coverage, Run); 4] {
     let ckpt = TempDir::new(tag);
+    let truncate = |keep: usize| {
+        CheckpointWriter::append_to(&ckpt.0)
+            .expect("checkpoint reopens")
+            .truncate_to(keep)
+            .expect("checkpoint truncates");
+    };
     let cold = pipeline
         .run_source_checkpointed(source, &ckpt.0)
         .expect("checkpointed run succeeds");
-    CheckpointWriter::append_to(&ckpt.0)
-        .expect("checkpoint reopens")
-        .truncate_to(1)
-        .expect("checkpoint truncates");
+    truncate(1);
     let resumed = pipeline
         .resume_from(source, &ckpt.0)
         .expect("truncated resume succeeds");
+    let epochs = CheckpointWriter::append_to(&ckpt.0)
+        .expect("checkpoint reopens")
+        .manifest()
+        .epochs
+        .len();
+    truncate(epochs / 2 + 1);
+    let middle = pipeline
+        .resume_from(source, &ckpt.0)
+        .expect("middle resume succeeds");
     let noop = pipeline
         .resume_from(source, &ckpt.0)
         .expect("no-op resume succeeds");
     [
         ("cold", Coverage::Full, cold.into()),
         ("truncated resume", Coverage::Tail, resumed.into()),
+        ("middle resume", Coverage::Tail, middle.into()),
         ("no-op resume", Coverage::None, noop.into()),
     ]
 }
