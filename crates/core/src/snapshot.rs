@@ -13,8 +13,8 @@
 //! checked bytewise and checkpoint digests are stable across runs.
 //!
 //! The format carries no checksum of its own — snapshots travel inside
-//! `SSFC` frames (see `ssfa_logs::checkpoint`), which FNV-checksum the
-//! whole payload and reject single-bit flips. What this module *does*
+//! `SSFC` frames (see `ssfa_logs::checkpoint`), whose four-lane frame
+//! checksum covers the whole payload and rejects single-bit flips. What this module *does*
 //! pin is the schema: [`SNAPSHOT_VERSION`] leads the image, and a
 //! mismatch is refused with a typed, pinned-`Display` error rather than
 //! a garbage decode. Bumping the version is a contract change: the

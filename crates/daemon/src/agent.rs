@@ -26,7 +26,9 @@ use ssfa_logs::faults::{WireAction, WireFaultInjector, WireFaultLedger, WireFaul
 use ssfa_logs::{CorpusReader, Strictness};
 
 use crate::clock::{Backoff, BackoffConfig};
-use crate::wire::{expect_message, write_message, Cursor, Hello, Message, MessageKind, WireError};
+use crate::wire::{
+    envelope, expect_message, write_message, Cursor, Hello, Message, MessageKind, WireError,
+};
 
 /// How long the agent waits for a `WELCOME`/`ACK` before declaring the
 /// server unresponsive and retrying.
@@ -310,12 +312,7 @@ impl ReplayAgent {
 
     /// The `DATA` envelope for stream position `seq`.
     fn data_envelope(&self, seq: u64) -> Vec<u8> {
-        Message {
-            kind: MessageKind::Data,
-            seq,
-            body: self.frames[seq as usize].clone(),
-        }
-        .to_frame()
+        envelope(MessageKind::Data, seq, &self.frames[seq as usize])
     }
 }
 
@@ -331,5 +328,20 @@ impl WriteAllQuiet for TcpStream {
         use std::io::Write;
         self.write_all(bytes)?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_data_envelope_is_the_data_message_frame() {
+        let mut inner = Vec::new();
+        ssfa_logs::frame::encode_frame(&mut inner, 4, 2, b"x\ny\n");
+        let mut expected = Vec::new();
+        ssfa_logs::frame::encode_frame(&mut expected, MessageKind::Data as u32, 1, &inner);
+        let agent = ReplayAgent::new(AgentConfig::clean("t", "s"), vec![Vec::new(), inner]);
+        assert_eq!(agent.data_envelope(1), expected);
     }
 }

@@ -20,8 +20,9 @@
 //! Records are `SSFC` frames (`ssfa_logs::frame`): `line_count` carries
 //! the stream sequence number, the payload is
 //! `[u32 session-name length LE][session name][inner corpus frame]`.
-//! Single-bit flips and truncations are rejected by the same checksum
-//! arithmetic as corpus shards.
+//! Single-bit flips and truncations are rejected by the same four-lane
+//! checksum as corpus shards. Each record is encoded from those three
+//! parts into one buffer that every append reuses.
 //!
 //! # Layout
 //!
@@ -44,7 +45,7 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use ssfa_logs::frame::{decode_frame, encode_frame};
+use ssfa_logs::frame::{decode_frame, encode_frame_parts};
 use ssfa_logs::{write_atomic, Strictness};
 
 /// Default segment rotation threshold (bytes).
@@ -132,7 +133,15 @@ struct TenantLog {
 pub struct WriteAheadLog {
     dir: PathBuf,
     segment_bytes: u64,
-    tenants: Mutex<BTreeMap<String, TenantLog>>,
+    appender: Mutex<Appender>,
+}
+
+/// What an append holds the lock for.
+#[derive(Debug)]
+struct Appender {
+    tenants: BTreeMap<String, TenantLog>,
+    /// The record being encoded, reused by every append.
+    record: Vec<u8>,
 }
 
 impl WriteAheadLog {
@@ -213,7 +222,10 @@ impl WriteAheadLog {
             WriteAheadLog {
                 dir,
                 segment_bytes: segment_bytes.max(1),
-                tenants: Mutex::new(tenants),
+                appender: Mutex::new(Appender {
+                    tenants,
+                    record: Vec::new(),
+                }),
             },
             records,
         ))
@@ -245,14 +257,19 @@ impl WriteAheadLog {
         seq: u64,
         frame: &[u8],
     ) -> std::io::Result<()> {
-        let mut payload = Vec::with_capacity(4 + session.len() + frame.len());
-        payload.extend_from_slice(&(session.len() as u32).to_le_bytes());
-        payload.extend_from_slice(session.as_bytes());
-        payload.extend_from_slice(frame);
-        let mut record = Vec::new();
-        encode_frame(&mut record, 0, seq, &payload);
-
-        let mut tenants = self.tenants.lock().expect("wal lock poisoned");
+        let mut appender = self.appender.lock().expect("wal lock poisoned");
+        let Appender { tenants, record } = &mut *appender;
+        record.clear();
+        encode_frame_parts(
+            record,
+            0,
+            seq,
+            &[
+                &(session.len() as u32).to_le_bytes(),
+                session.as_bytes(),
+                frame,
+            ],
+        );
         if !tenants.contains_key(tenant) {
             let tenant_dir = self.dir.join(encode_tenant_dir(tenant));
             std::fs::create_dir_all(&tenant_dir)?;
@@ -274,7 +291,7 @@ impl WriteAheadLog {
             log.written = 0;
             log.file = open_segment(&log.dir, log.segment)?;
         }
-        log.file.write_all(&record)?;
+        log.file.write_all(record)?;
         log.file.flush()?;
         log.written += record.len() as u64;
         Ok(())
@@ -379,7 +396,7 @@ mod tests {
 
     fn frame(system: u32, body: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_frame(&mut out, system, 1, body);
+        ssfa_logs::frame::encode_frame(&mut out, system, 1, body);
         out
     }
 
@@ -460,5 +477,29 @@ mod tests {
         let (_, replayed) = WriteAheadLog::open(dir.path(), 1 << 20).unwrap();
         assert_eq!(replayed.len(), 2);
         assert_eq!(replayed[1].seq, 1);
+    }
+
+    #[test]
+    fn a_record_is_one_frame_around_session_and_inner_frame() {
+        let dir = TempDir::new("layout");
+        let (wal, _) = WriteAheadLog::open(dir.path(), 1 << 20).unwrap();
+        let inner = frame(3, b"a\nb\n");
+        wal.append("t", Strictness::Strict, "sess", 9, &inner)
+            .unwrap();
+        wal.append("t", Strictness::Strict, "s2", 10, &inner)
+            .unwrap();
+        drop(wal);
+        let mut expected = Vec::new();
+        for (session, seq) in [("sess", 9), ("s2", 10)] {
+            let mut payload = (session.len() as u32).to_le_bytes().to_vec();
+            payload.extend_from_slice(session.as_bytes());
+            payload.extend_from_slice(&inner);
+            ssfa_logs::frame::encode_frame(&mut expected, 0, seq, &payload);
+        }
+        let seg = dir
+            .path()
+            .join(encode_tenant_dir("t"))
+            .join(segment_file_name(0));
+        assert_eq!(std::fs::read(seg).unwrap(), expected);
     }
 }

@@ -11,7 +11,8 @@
 //! | payload      | message body (see below)                          |
 //!
 //! Reusing the corpus codec means the receiver gets magic, version, and
-//! whole-message FNV-1a checksum validation for free, from the **single**
+//! whole-message checksum validation (the four-lane
+//! [`ssfa_logs::frame::Checksum`]) for free, from the **single**
 //! frame definition the rest of the workspace already proves correct —
 //! garbage preambles and torn messages are rejected by
 //! [`FrameHeader::parse`]/[`FrameHeader::verify_payload`], never
@@ -117,10 +118,17 @@ impl Message {
 
     /// Serializes this message into its envelope frame.
     pub fn to_frame(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.body.len());
-        encode_frame(&mut out, self.kind as u32, self.seq, &self.body);
-        out
+        envelope(self.kind, self.seq, &self.body)
     }
+}
+
+/// The envelope frame of a message of `kind` with sequence number `seq`
+/// around a borrowed `body`: [`Message::to_frame`] without first owning
+/// the body.
+pub(crate) fn envelope(kind: MessageKind, seq: u64, body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
+    encode_frame(&mut out, kind as u32, seq, body);
+    out
 }
 
 /// Everything that can go wrong reading or interpreting a message.

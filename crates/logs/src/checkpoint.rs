@@ -24,16 +24,23 @@
 //! every delta after it, in order.
 //!
 //! Every epoch payload travels in the same [`crate::frame`] codec the
-//! corpus uses — FNV-1a-64 over header and payload, bijective update
-//! step — so a single flipped bit in a checkpoint is rejected exactly
-//! like a flipped bit in a corpus shard. The frame header's `system_id`
-//! field carries the epoch index and `line_count` carries the epoch's
-//! end shard; both are cross-checked against the manifest on every read
-//! (tampering with either side is caught, mirroring
-//! [`crate::store::CorpusReader::cross_check`]).
+//! corpus uses — the four-lane [`Checksum`] over header and payload,
+//! each lane step a bijection — so a single flipped bit in a checkpoint
+//! is rejected exactly like a flipped bit in a corpus shard. The frame
+//! header's `system_id` field carries the epoch index and `line_count`
+//! carries the epoch's end shard; both are cross-checked against the
+//! manifest on every read (tampering with either side is caught,
+//! mirroring [`crate::store::CorpusReader::cross_check`]).
+//!
+//! The manifest's own fields — fold starts, chunk counts, corpus
+//! digests — appear in no frame, so the manifest ends in a line
+//! `checksum <hex>`: the same [`Checksum`] over every byte before it.
+//! [`CheckpointManifest::parse`] refuses a manifest whose checksum line
+//! is missing or disagrees ([`CheckpointError::ManifestChecksum`]), so
+//! a hand-edited fold start cannot make a resume count shards twice.
 //!
 //! The manifest additionally *keys* each epoch to the corpus it was
-//! folded from: the corpus seed and style, plus a per-epoch FNV digest
+//! folded from: the corpus seed and style, plus a per-epoch digest
 //! over the covered corpus shards' own digests
 //! ([`corpus_epoch_digest`]). Resume validates these before trusting a
 //! snapshot — a checkpoint from a different corpus, or from a corpus
@@ -66,9 +73,15 @@ use crate::store::{style_from_name, style_name, write_atomic, Manifest};
 pub const CHECKPOINT_NAME: &str = "CHECKPOINT";
 
 /// The manifest format line this build writes and accepts.
-/// Version 2 added each epoch's fold start; a version-1 store, whose
-/// every epoch held the whole prefix, is refused rather than misread.
-pub const CHECKPOINT_VERSION_LINE: &str = "ssfa-checkpoint v2";
+/// Version 2 added each epoch's fold start; version 3 added the closing
+/// checksum line. An older store is refused rather than misread: a
+/// version-1 store's every epoch held the whole prefix, and a version-2
+/// manifest has nothing that catches an edited field.
+pub const CHECKPOINT_VERSION_LINE: &str = "ssfa-checkpoint v3";
+
+/// Opens the manifest's last line, which carries the [`Checksum`] of
+/// every byte before it.
+const TRAILER_KEY: &str = "checksum ";
 
 /// Errors from checkpoint create, open, read, and verify, each with a
 /// pinned `Display` rendering (the negative-path suite asserts exact
@@ -133,6 +146,17 @@ pub enum CheckpointError {
         /// The corpus's value.
         corpus: String,
     },
+    /// The manifest's closing checksum line is missing, or disagrees with
+    /// the bytes before it: the manifest was edited or damaged.
+    ManifestChecksum {
+        /// The manifest file.
+        path: PathBuf,
+        /// The digest the checksum line records; `None` when there is no
+        /// checksum line.
+        stored: Option<u64>,
+        /// The digest of the bytes before the manifest's last line.
+        computed: u64,
+    },
     /// Underlying filesystem error.
     Io {
         /// What was being done.
@@ -195,6 +219,27 @@ impl fmt::Display for CheckpointError {
                      corpus has {corpus}"
                 )
             }
+            CheckpointError::ManifestChecksum {
+                path, stored: None, ..
+            } => {
+                write!(
+                    f,
+                    "checkpoint manifest {} has no closing checksum line",
+                    path.display()
+                )
+            }
+            CheckpointError::ManifestChecksum {
+                path,
+                stored: Some(stored),
+                computed,
+            } => {
+                write!(
+                    f,
+                    "checkpoint manifest {} fails its checksum: the file records {stored:016x}, \
+                     its contents digest to {computed:016x}",
+                    path.display()
+                )
+            }
             CheckpointError::Io { what, source } => {
                 write!(f, "checkpoint i/o error ({what}): {source}")
             }
@@ -222,7 +267,7 @@ pub fn epoch_file_name(index: usize) -> String {
     format!("epoch-{index:05}.ckpt")
 }
 
-/// The FNV digest keying an epoch to the corpus shards it covers: folds
+/// The digest keying an epoch to the corpus shards it covers: folds
 /// each covered shard's own manifest digest, in shard order, through the
 /// shared frame checksum. A rebuilt or edited shard anywhere in the
 /// covered range changes this digest, so a stale checkpoint cannot be
@@ -249,7 +294,7 @@ pub struct EpochEntry {
     pub chunks: usize,
     /// Snapshot payload bytes of the epoch frame.
     pub payload_len: u64,
-    /// FNV-1a digest of the epoch frame, equal to its header checksum.
+    /// Digest of the epoch frame, equal to its header checksum.
     pub checksum: u64,
     /// [`corpus_epoch_digest`] over the covered corpus shards.
     pub corpus_digest: u64,
@@ -281,7 +326,9 @@ pub struct CheckpointManifest {
 
 impl CheckpointManifest {
     /// Renders the manifest to its canonical text form (deterministic:
-    /// the same checkpoint always serializes to identical bytes).
+    /// the same checkpoint always serializes to identical bytes). The
+    /// last line is `checksum <hex>`, the [`Checksum`] of every byte
+    /// before it.
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(96 + self.epochs.len() * 80);
@@ -304,21 +351,33 @@ impl CheckpointManifest {
                 e.corpus_digest,
             );
         }
+        let _ = writeln!(
+            out,
+            "{TRAILER_KEY}{:016x}",
+            frame::checksum64(out.as_bytes())
+        );
         out
     }
 
-    /// Parses a manifest, validating the layout invariants: epoch
-    /// records in order, shard ranges non-empty and abutting from shard
-    /// 0, every fold start either 0 or the epoch's own start, and the
-    /// declared count consistent.
+    /// Parses a manifest, validating the version line, then the closing
+    /// checksum line, then the layout invariants: epoch records in order,
+    /// shard ranges non-empty and abutting from shard 0, every fold start
+    /// either 0 or the epoch's own start, and the declared count
+    /// consistent. A checksum error names the file `CHECKPOINT`;
+    /// [`CheckpointReader::open`] names the full path.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Manifest`] with the offending line number.
+    /// [`CheckpointError::Manifest`] with the offending line number, or
+    /// [`CheckpointError::ManifestChecksum`].
     pub fn parse(text: &str) -> Result<CheckpointManifest, CheckpointError> {
+        CheckpointManifest::parse_file(text, Path::new(CHECKPOINT_NAME))
+    }
+
+    fn parse_file(text: &str, path: &Path) -> Result<CheckpointManifest, CheckpointError> {
         let bad = |line_no: usize, what: String| CheckpointError::Manifest { line_no, what };
-        let mut lines = text.lines().enumerate();
-        let (_, first) = lines
+        let first = text
+            .lines()
             .next()
             .ok_or_else(|| bad(1, "empty manifest".into()))?;
         if first != CHECKPOINT_VERSION_LINE {
@@ -327,6 +386,26 @@ impl CheckpointManifest {
                 format!("expected header `{CHECKPOINT_VERSION_LINE}`, found `{first}`"),
             ));
         }
+        // Every byte before the last line is covered by the checksum on it.
+        let last_start = text
+            .trim_end_matches('\n')
+            .rfind('\n')
+            .map_or(0, |newline| newline + 1);
+        let (covered, last) = text.split_at(last_start);
+        let computed = frame::checksum64(covered.as_bytes());
+        let stored = last
+            .trim_end_matches('\n')
+            .strip_prefix(TRAILER_KEY)
+            .filter(|hex| hex.len() == 16)
+            .and_then(|hex| u64::from_str_radix(hex, 16).ok());
+        if stored != Some(computed) {
+            return Err(CheckpointError::ManifestChecksum {
+                path: path.to_path_buf(),
+                stored,
+                computed,
+            });
+        }
+        let lines = covered.lines().enumerate().skip(1);
 
         let mut payload_version = None;
         let mut corpus_seed = None;
@@ -742,7 +821,7 @@ fn read_manifest(dir: &Path) -> Result<CheckpointManifest, CheckpointError> {
         }
         Err(e) => return Err(io_err(format!("reading {}", path.display()))(e)),
     };
-    CheckpointManifest::parse(&text)
+    CheckpointManifest::parse_file(&text, &path)
 }
 
 /// Reads checkpoint epochs back, cross-checking every frame against the
@@ -863,6 +942,15 @@ mod tests {
         CheckpointWriter::create(dir, 1, 42, CascadeStyle::RaidOnly).expect("create")
     }
 
+    /// `body` closed with its checksum line, as [`CheckpointManifest::to_text`]
+    /// closes a manifest.
+    fn sealed(body: &str) -> String {
+        format!(
+            "{body}checksum {:016x}\n",
+            frame::checksum64(body.as_bytes())
+        )
+    }
+
     #[test]
     fn manifest_text_round_trips() {
         let dir = tmpdir("roundtrip");
@@ -916,13 +1004,13 @@ mod tests {
 
     #[test]
     fn non_abutting_epoch_records_are_rejected() {
-        let text = format!(
+        let text = sealed(&format!(
             "{CHECKPOINT_VERSION_LINE}\npayload_version 1\ncorpus_seed 1\n\
              corpus_style raid-only\nepochs 2\n\
              epoch 0 0 2 0 1 5 {0:016x} {0:016x}\n\
              epoch 1 3 4 3 1 5 {0:016x} {0:016x}\n",
             7u64
-        );
+        ));
         let err = CheckpointManifest::parse(&text).unwrap_err();
         assert_eq!(
             err.to_string(),
@@ -940,7 +1028,7 @@ mod tests {
         w.write_whole_epoch(3..5, 1, 3, b"whole").expect("epoch 2");
         w.write_epoch(5..6, 1, 4, b"delta").expect("epoch 3");
         let text = w.manifest().to_text();
-        assert!(text.starts_with("ssfa-checkpoint v2\n"), "{text}");
+        assert!(text.starts_with("ssfa-checkpoint v3\n"), "{text}");
         assert!(text.contains("\nepoch 1 2 3 2 1 "), "{text}");
         assert!(text.contains("\nepoch 2 3 5 0 1 "), "{text}");
         let parsed = CheckpointManifest::parse(&text).expect("reparse");
@@ -956,13 +1044,13 @@ mod tests {
 
     #[test]
     fn a_fold_start_that_is_neither_zero_nor_the_epoch_start_is_rejected() {
-        let text = format!(
+        let text = sealed(&format!(
             "{CHECKPOINT_VERSION_LINE}\npayload_version 1\ncorpus_seed 1\n\
              corpus_style raid-only\nepochs 2\n\
              epoch 0 0 2 0 1 5 {0:016x} {0:016x}\n\
              epoch 1 2 4 1 1 5 {0:016x} {0:016x}\n",
             7u64
-        );
+        ));
         let err = CheckpointManifest::parse(&text).unwrap_err();
         assert_eq!(
             err.to_string(),
@@ -982,8 +1070,88 @@ mod tests {
         let err = CheckpointManifest::parse(&text).unwrap_err();
         assert_eq!(
             err.to_string(),
-            "checkpoint manifest line 1: expected header `ssfa-checkpoint v2`, \
+            "checkpoint manifest line 1: expected header `ssfa-checkpoint v3`, \
              found `ssfa-checkpoint v1`"
         );
+    }
+
+    #[test]
+    fn a_version_2_manifest_is_refused_by_its_header_first() {
+        // Version 2 had no checksum line; the header names the cause.
+        let text = format!(
+            "ssfa-checkpoint v2\npayload_version 2\ncorpus_seed 1\n\
+             corpus_style raid-only\nepochs 1\n\
+             epoch 0 0 2 0 1 5 {0:016x} {0:016x}\n",
+            7u64
+        );
+        let err = CheckpointManifest::parse(&text).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "checkpoint manifest line 1: expected header `ssfa-checkpoint v3`, \
+             found `ssfa-checkpoint v2`"
+        );
+    }
+
+    #[test]
+    fn a_missing_or_wrong_checksum_line_is_refused() {
+        let dir = tmpdir("trailer");
+        let mut w = sample_writer(&dir);
+        w.write_epoch(0..2, 1, 1, b"first").expect("epoch 0");
+        let text = w.manifest().to_text();
+        let (body, trailer) = text.split_at(text.rfind("checksum ").expect("trailer"));
+        assert_eq!(trailer.len(), "checksum ".len() + 17);
+        let digest = frame::checksum64(body.as_bytes());
+        assert_eq!(trailer, format!("checksum {digest:016x}\n"));
+
+        let err = CheckpointManifest::parse(body).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "checkpoint manifest CHECKPOINT has no closing checksum line"
+        );
+        let wrong = format!("{body}checksum {:016x}\n", digest ^ 1);
+        let err = CheckpointManifest::parse(&wrong).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "checkpoint manifest CHECKPOINT fails its checksum: the file records {:016x}, \
+                 its contents digest to {digest:016x}",
+                digest ^ 1
+            )
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_edited_fold_start_fails_the_checksum_and_names_the_file() {
+        let dir = tmpdir("fold-edit");
+        let mut w = sample_writer(&dir);
+        w.write_epoch(0..2, 1, 1, b"first").expect("epoch 0");
+        w.write_whole_epoch(2..5, 1, 2, b"whole").expect("epoch 1");
+        let path = dir.join(CHECKPOINT_NAME);
+        let text = std::fs::read_to_string(&path).expect("manifest");
+        // Still a valid delta to the layout checks: only the checksum
+        // line can tell.
+        let edited = text.replace("\nepoch 1 2 5 0 1 ", "\nepoch 1 2 5 2 1 ");
+        assert_ne!(edited, text);
+        std::fs::write(&path, &edited).expect("edit");
+        let err = CheckpointReader::open(&dir).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CheckpointError::ManifestChecksum {
+                    stored: Some(_),
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(
+            err.to_string().starts_with(&format!(
+                "checkpoint manifest {} fails its checksum",
+                path.display()
+            )),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -9,7 +9,7 @@
 //! things on different paths — the drift the duplicated-checksum bug
 //! class produces (satellite of ISSUE 6).
 //!
-//! # Layout (version 1)
+//! # Layout (version 2)
 //!
 //! All integers are **little-endian**. The header is exactly
 //! [`HEADER_LEN`] = 36 bytes:
@@ -17,35 +17,47 @@
 //! | offset | size | field        | contents                                  |
 //! |--------|------|--------------|-------------------------------------------|
 //! | 0      | 4    | magic        | `b"SSFC"` ([`FRAME_MAGIC`])               |
-//! | 4      | 4    | version      | `u32` = 1 ([`FRAME_VERSION`])             |
+//! | 4      | 4    | version      | `u32` = 2 ([`FRAME_VERSION`])             |
 //! | 8      | 4    | system id    | `u32` owning-system id                    |
 //! | 12     | 8    | line count   | `u64` rendered log lines in the payload   |
 //! | 20     | 8    | payload len  | `u64` payload bytes following the header  |
-//! | 28     | 8    | checksum     | `u64` FNV-1a over bytes 0..28 ++ payload  |
+//! | 28     | 8    | checksum     | `u64` [`Checksum`] of bytes 0..28 ++ payload |
 //!
 //! The payload is the shard's rendered corpus text
-//! ([`crate::LogBook::to_text`]), newline-terminated UTF-8.
+//! ([`crate::LogBook::to_text`]), newline-terminated UTF-8. Version 1
+//! frames (byte-serial FNV-1a digests) are refused with
+//! [`FrameError::UnsupportedVersion`]; `ssfa corpus build --force`
+//! rebuilds a corpus in the current version.
 //!
 //! # Corruption detection
 //!
 //! The checksum covers every header field *and* the payload, so a flip in
 //! the length or identity fields is caught even when the payload is
-//! intact. FNV-1a's update step (xor a byte, multiply by an odd prime) is
-//! a bijection of the accumulator, so **any single flipped byte at a
-//! fixed length is guaranteed — not just overwhelmingly likely — to
-//! change the digest**: a flipped byte yields a different accumulator at
-//! that step, and every later step is injective in the accumulator. That
-//! is exactly the bit-rot fault model of [`crate::faults`]
+//! intact. [`Checksum`] reads the covered bytes as little-endian `u64`
+//! words dealt round-robin to four lanes, and each lane step is a
+//! bijection of the lane for a fixed word and of the word for a fixed
+//! lane. So **any single flipped bit or byte at a fixed length is
+//! guaranteed — not just overwhelmingly likely — to change the
+//! digest**: the flip changes exactly one word, hence exactly one lane
+//! step's output; every later step of that lane is injective in the
+//! lane; the other lanes are untouched; and the XOR that joins the lanes
+//! and the final mix are both injective in any one lane. That is exactly
+//! the bit-rot fault model of [`crate::faults`]
 //! (`FaultSpec::bitflip_rate`), and the property suite
-//! (`crates/logs/tests/frame_props.rs`) proves the rejection end to end.
+//! (`crates/logs/tests/frame_props.rs`) proves the rejection end to end,
+//! bit by bit, at every lane and block edge. A cut frame is caught by the
+//! length fields, not by the digest: [`decode_frame`] reports it as
+//! [`FrameError::Truncated`].
 
 use std::fmt;
 
 /// The four magic bytes opening every frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"SSFC";
 
-/// The frame format version this build writes and accepts.
-pub const FRAME_VERSION: u32 = 1;
+/// The frame format version this build writes and accepts. Version 2
+/// replaced the byte-serial FNV-1a digest with the four-lane
+/// [`Checksum`].
+pub const FRAME_VERSION: u32 = 2;
 
 /// Fixed header width in bytes.
 pub const HEADER_LEN: usize = 36;
@@ -54,39 +66,117 @@ pub const HEADER_LEN: usize = 36;
 /// checksum field itself).
 const CHECKSUMMED_PREFIX: usize = 28;
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// Independent lanes of [`Checksum`].
+const LANES: usize = 4;
+/// Bytes per lane word.
+const WORD: usize = 8;
+/// Bytes per block: one word for each lane.
+const BLOCK: usize = LANES * WORD;
+/// Distinct lane seeds (the first hex digits of pi), so that words
+/// exchanged between lanes do not leave the lanes' XOR unchanged.
+const LANE_SEEDS: [u64; LANES] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+/// The odd multiplier of the lane step (a 64-bit prime).
+const LANE_PRIME: u64 = 0x9E37_79B1_85EB_CA87;
+/// The lane step's rotation. Without it bit 63 of a word would only
+/// ever reach bit 63 of its lane, and two flips at bit 63 of two words
+/// in one lane would cancel.
+const LANE_ROTATE: u32 = 31;
 
-/// Streaming FNV-1a 64 digest — the corpus checksum.
+/// Streaming four-lane digest: the checksum of every `SSFC` frame.
 ///
-/// Chosen over a CRC because the single-byte-flip guarantee is provable
-/// from the update step alone (see the module docs) and the whole
-/// implementation is four lines of dependency-free code.
+/// Lane `i` absorbs the little-endian `u64` words `4k + i` of the byte
+/// stream as `lane = ((lane ^ word) * P).rotate_left(31)` with `P` odd;
+/// xor, odd multiply and rotation are each bijections, so the step is a
+/// bijection of the lane for a fixed word and of the word for a fixed
+/// lane (the single-flip argument in the module docs). The four lanes
+/// have no data dependency on each other, so the loop runs at word speed
+/// rather than a byte per multiply. A block of fewer than 32 bytes waits
+/// inside the digest until the next [`Checksum::update`] completes it,
+/// so the digest of a byte string does not depend on how it was split
+/// across calls. [`Checksum::value`] zero-pads the last partial block,
+/// folds the lanes together with XOR, mixes in the total length, and
+/// finishes with an invertible avalanche.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Checksum(u64);
+pub struct Checksum {
+    lanes: [u64; LANES],
+    /// The pending partial block; bytes from `pending` on are zero.
+    block: [u8; BLOCK],
+    /// Bytes of `block` absorbed from the input.
+    pending: usize,
+    /// Total bytes absorbed.
+    len: u64,
+}
 
 impl Checksum {
-    /// A fresh digest at the FNV-1a offset basis.
+    /// A fresh digest over no bytes.
     pub fn new() -> Checksum {
-        Checksum(FNV_OFFSET)
+        Checksum {
+            lanes: LANE_SEEDS,
+            block: [0; BLOCK],
+            pending: 0,
+            len: 0,
+        }
     }
 
     /// Absorbs `bytes` into the digest.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.pending > 0 {
+            let take = (BLOCK - self.pending).min(bytes.len());
+            self.block[self.pending..self.pending + take].copy_from_slice(&bytes[..take]);
+            self.pending += take;
+            bytes = &bytes[take..];
+            if self.pending < BLOCK {
+                return;
+            }
+            absorb(&mut self.lanes, std::slice::from_ref(&self.block));
+            self.block = [0; BLOCK];
+            self.pending = 0;
         }
-        self.0 = h;
+        let (blocks, rest) = bytes.as_chunks::<BLOCK>();
+        absorb(&mut self.lanes, blocks);
+        self.block[..rest.len()].copy_from_slice(rest);
+        self.pending = rest.len();
     }
 
     /// The digest value.
     pub fn value(self) -> u64 {
-        self.0
+        let mut lanes = self.lanes;
+        if self.pending > 0 {
+            absorb(&mut lanes, std::slice::from_ref(&self.block));
+        }
+        let folded = lanes.iter().fold(self.len, |h, lane| h ^ lane);
+        avalanche(folded)
     }
+}
+
+/// Runs whole blocks through the four lanes.
+#[inline]
+fn absorb(lanes: &mut [u64; LANES], blocks: &[[u8; BLOCK]]) {
+    let mut state = *lanes;
+    for block in blocks {
+        let (words, _) = block.as_chunks::<WORD>();
+        for (lane, word) in state.iter_mut().zip(words) {
+            *lane = ((*lane ^ u64::from_le_bytes(*word)).wrapping_mul(LANE_PRIME))
+                .rotate_left(LANE_ROTATE);
+        }
+    }
+    *lanes = state;
+}
+
+/// The 64-bit finalizer of MurmurHash3: each step is invertible, so it
+/// spreads every input bit over the output without merging two inputs.
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
 }
 
 impl Default for Checksum {
@@ -111,7 +201,7 @@ pub struct FrameHeader {
     pub line_count: u64,
     /// Payload bytes following the header.
     pub payload_len: u64,
-    /// FNV-1a digest over the header's checksummed prefix and the payload.
+    /// [`Checksum`] of the header's checksummed prefix and the payload.
     pub checksum: u64,
 }
 
@@ -252,7 +342,7 @@ impl FrameHeader {
     ///
     /// [`FrameError::ChecksumMismatch`] with both digests on disagreement.
     pub fn verify_payload(&self, payload: &[u8]) -> Result<(), FrameError> {
-        let computed = self.compute_checksum(payload);
+        let computed = self.compute_checksum(&[payload]);
         if computed != self.checksum {
             return Err(FrameError::ChecksumMismatch {
                 stored: self.checksum,
@@ -262,12 +352,14 @@ impl FrameHeader {
         Ok(())
     }
 
-    /// The digest a frame with this header's fields and `payload` should
-    /// carry.
-    fn compute_checksum(&self, payload: &[u8]) -> u64 {
+    /// The digest a frame with this header's fields and the payload
+    /// `parts` (concatenated) should carry.
+    fn compute_checksum(&self, parts: &[&[u8]]) -> u64 {
         let mut c = Checksum::new();
         c.update(&self.to_bytes()[..CHECKSUMMED_PREFIX]);
-        c.update(payload);
+        for part in parts {
+            c.update(part);
+        }
         c.value()
     }
 
@@ -286,15 +378,30 @@ pub fn encode_frame(
     line_count: u64,
     payload: &[u8],
 ) -> FrameHeader {
+    encode_frame_parts(out, system_id, line_count, &[payload])
+}
+
+/// [`encode_frame`] for a payload held in pieces: the frame's payload is
+/// the concatenation of `parts`, written without first being copied into
+/// one buffer.
+pub fn encode_frame_parts(
+    out: &mut Vec<u8>,
+    system_id: u32,
+    line_count: u64,
+    parts: &[&[u8]],
+) -> FrameHeader {
     let mut header = FrameHeader {
         system_id,
         line_count,
-        payload_len: payload.len() as u64,
+        payload_len: parts.iter().map(|part| part.len() as u64).sum(),
         checksum: 0,
     };
-    header.checksum = header.compute_checksum(payload);
+    header.checksum = header.compute_checksum(parts);
+    out.reserve(header.frame_len() as usize);
     out.extend_from_slice(&header.to_bytes());
-    out.extend_from_slice(payload);
+    for part in parts {
+        out.extend_from_slice(part);
+    }
     header
 }
 
@@ -416,10 +523,20 @@ mod tests {
     #[test]
     fn future_version_is_rejected_without_checksum_recompute() {
         let mut frame = sample_frame();
-        frame[4] = 2;
+        frame[4] = 3;
         assert_eq!(
             decode_frame(&frame).unwrap_err(),
-            FrameError::UnsupportedVersion { found: 2 }
+            FrameError::UnsupportedVersion { found: 3 }
+        );
+    }
+
+    #[test]
+    fn version_1_frames_are_refused() {
+        let mut frame = sample_frame();
+        frame[4] = 1;
+        assert_eq!(
+            decode_frame(&frame).unwrap_err().to_string(),
+            "unsupported frame version 1 (this build reads version 2)"
         );
     }
 
@@ -462,5 +579,83 @@ mod tests {
         c.update(b"hello ");
         c.update(b"world");
         assert_eq!(c.value(), checksum64(b"hello world"));
+    }
+
+    /// 100 bytes: three whole blocks and a ragged tail.
+    fn sample_bytes() -> Vec<u8> {
+        (0..100u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect()
+    }
+
+    #[test]
+    fn every_split_of_a_buffer_digests_like_the_whole() {
+        let bytes = sample_bytes();
+        let whole = checksum64(&bytes);
+        for a in 0..=bytes.len() {
+            for b in a..=bytes.len() {
+                let mut c = Checksum::new();
+                c.update(&bytes[..a]);
+                c.update(&bytes[a..b]);
+                c.update(&bytes[b..]);
+                assert_eq!(c.value(), whole, "split at {a} and {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn trailing_zero_bytes_change_the_digest() {
+        // The last block is zero-padded; the total length keeps a real
+        // trailing zero apart from the padding.
+        let mut bytes = sample_bytes();
+        let digests: Vec<u64> = (0..BLOCK + 1)
+            .map(|_| {
+                let d = checksum64(&bytes);
+                bytes.push(0);
+                d
+            })
+            .collect();
+        let mut unique = digests.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), digests.len());
+        assert_ne!(checksum64(b""), checksum64(&[0]));
+    }
+
+    #[test]
+    fn two_top_bit_flips_in_one_lane_do_not_cancel() {
+        // Words 0 and 4 feed lane 0. Without the lane rotation, bit 63 of
+        // a word reaches only bit 63 of its lane, so these two flips
+        // would cancel.
+        let bytes = sample_bytes();
+        let mut flipped = bytes.clone();
+        flipped[7] ^= 0x80;
+        flipped[BLOCK + 7] ^= 0x80;
+        assert_ne!(checksum64(&flipped), checksum64(&bytes));
+    }
+
+    #[test]
+    fn exchanging_words_between_lanes_changes_the_digest() {
+        // In one block, swapping words 0 and 1 swaps what lanes 0 and 1
+        // hold; only distinct lane seeds keep their XOR apart.
+        let bytes = &sample_bytes()[..BLOCK];
+        let mut swapped = bytes.to_vec();
+        swapped[..2 * WORD].rotate_left(WORD);
+        assert_ne!(checksum64(&swapped), checksum64(bytes));
+    }
+
+    #[test]
+    fn a_payload_in_parts_encodes_like_the_joined_payload() {
+        let payload = sample_bytes();
+        let mut joined = Vec::new();
+        let header = encode_frame(&mut joined, 5, 2, &payload);
+        let mut parts = vec![0xEE];
+        let parted = encode_frame_parts(
+            &mut parts,
+            5,
+            2,
+            &[&payload[..3], &[], &payload[3..40], &payload[40..]],
+        );
+        assert_eq!(parted, header);
+        assert_eq!(parts[0], 0xEE, "appends after what `out` held");
+        assert_eq!(&parts[1..], joined.as_slice());
     }
 }

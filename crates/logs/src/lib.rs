@@ -70,8 +70,8 @@ pub use faults::{
     WireFaultLedger, WireFaultSpec, WirePlan,
 };
 pub use frame::{
-    checksum64, decode_frame, decode_frame_text, encode_frame, Checksum, FrameError, FrameHeader,
-    FRAME_MAGIC, FRAME_VERSION, HEADER_LEN,
+    checksum64, decode_frame, decode_frame_text, encode_frame, encode_frame_parts, Checksum,
+    FrameError, FrameHeader, FRAME_MAGIC, FRAME_VERSION, HEADER_LEN,
 };
 pub use intern::TagId;
 pub use render::{render_support_log, render_support_log_noisy, NoiseParams};

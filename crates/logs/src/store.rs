@@ -19,7 +19,8 @@
 //! The `MANIFEST` is line-oriented text: run parameters (seed, cascade
 //! style, free-form `param` pairs recorded by the builder), then one
 //! `shard` record per shard carrying its segment, byte offset, payload
-//! length, line count, owning system, and FNV-1a digest. The digest in
+//! length, line count, owning system, and frame digest (the four-lane
+//! [`crate::frame::Checksum`]). The digest in
 //! the manifest and the checksum in the frame header are written from the
 //! same [`crate::frame::encode_frame`] call and re-checked against each
 //! other on every read, so tampering with either is caught
@@ -249,7 +250,8 @@ pub struct ShardEntry {
     pub line_count: u64,
     /// Owning system id.
     pub system_id: u32,
-    /// FNV-1a digest, equal to the frame header's checksum.
+    /// Frame digest ([`crate::frame::Checksum`]), equal to the frame
+    /// header's checksum.
     pub checksum: u64,
 }
 

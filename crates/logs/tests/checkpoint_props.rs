@@ -12,7 +12,8 @@
 //! plus pinned `Display` strings for the negative paths a resuming
 //! operator actually sees: a checkpoint-format version mismatch, a
 //! checkpoint folded from a different corpus, and a manifest entry
-//! disagreeing with its epoch frame.
+//! disagreeing with its epoch frame (an edit that also rewrote the
+//! manifest's closing checksum line, which any other edit fails).
 
 use std::path::{Path, PathBuf};
 
@@ -21,7 +22,7 @@ use proptest::prelude::*;
 use ssfa_logs::checkpoint::{
     CheckpointError, CheckpointReader, CheckpointWriter, CHECKPOINT_NAME, CHECKPOINT_VERSION_LINE,
 };
-use ssfa_logs::{CascadeStyle, Manifest};
+use ssfa_logs::{checksum64, CascadeStyle, Manifest};
 
 /// A self-deleting scratch directory under the system temp dir.
 struct TempDir(PathBuf);
@@ -110,15 +111,15 @@ fn format_version_mismatch_display_is_pinned() {
     one_epoch_store(&tmp.0, b"snapshot");
     let path = tmp.0.join(CHECKPOINT_NAME);
     let text = std::fs::read_to_string(&path).expect("manifest reads");
-    let bumped = text.replace(CHECKPOINT_VERSION_LINE, "ssfa-checkpoint v3");
+    let bumped = text.replace(CHECKPOINT_VERSION_LINE, "ssfa-checkpoint v4");
     assert_ne!(text, bumped, "header replacement must take effect");
     std::fs::write(&path, bumped).expect("manifest rewrites");
 
     let err = CheckpointReader::open(&tmp.0).expect_err("future format must be refused");
     assert_eq!(
         err.to_string(),
-        "checkpoint manifest line 1: expected header `ssfa-checkpoint v2`, \
-         found `ssfa-checkpoint v3`"
+        "checkpoint manifest line 1: expected header `ssfa-checkpoint v3`, \
+         found `ssfa-checkpoint v4`"
     );
 }
 
@@ -160,7 +161,11 @@ fn manifest_epoch_disagreement_display_is_pinned() {
     let text = std::fs::read_to_string(&path).expect("manifest reads");
     let edited = text.replace(&format!("{recorded:016x}"), &format!("{tampered:016x}"));
     assert_ne!(text, edited, "digest replacement must take effect");
-    std::fs::write(&path, edited).expect("manifest rewrites");
+    // Rewrite the closing checksum line too, so that the manifest opens
+    // and the frame cross-check is what catches the edit.
+    let body = &edited[..edited.rfind("checksum ").expect("checksum line")];
+    let resealed = format!("{body}checksum {:016x}\n", checksum64(body.as_bytes()));
+    std::fs::write(&path, resealed).expect("manifest rewrites");
 
     let reader = CheckpointReader::open(&tmp.0).expect("layout still parses");
     let err = reader

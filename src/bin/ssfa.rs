@@ -19,6 +19,7 @@
 //! Argument parsing is deliberately hand-rolled: the workspace vendors no
 //! CLI crate, and three subcommands do not justify one.
 
+use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -66,7 +67,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
     match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(()) | Err(CliError::Closed) => ExitCode::SUCCESS,
         Err(CliError::Usage(msg)) => {
             eprintln!("error: {msg}\n\n{USAGE}");
             ExitCode::from(2)
@@ -79,21 +80,44 @@ fn main() -> ExitCode {
 }
 
 /// CLI failures: usage errors print the help text and exit 2; runtime
-/// errors print one line and exit 1.
+/// errors print one line and exit 1. `Closed` is not a failure: the
+/// reader of standard output went away, so the command stops and exits 0.
 enum CliError {
     Usage(String),
     Run(String),
+    Closed,
 }
 
 fn usage(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
 }
 
+/// Prints one line of a command's output through [`to_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        to_stdout(|out| writeln!(out, $($arg)*))
+    };
+}
+
+/// The one writer of a command's output. A reader that exits early
+/// (`ssfa checkpoint ls <dir> | head -4`) closes the pipe; that ends the
+/// command cleanly instead of panicking, as `println!` would.
+fn to_stdout(
+    write: impl FnOnce(&mut io::StdoutLock<'static>) -> io::Result<()>,
+) -> Result<(), CliError> {
+    write(&mut io::stdout().lock()).map_err(|e| {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            CliError::Closed
+        } else {
+            CliError::Run(format!("writing standard output: {e}"))
+        }
+    })
+}
+
 fn run(args: &[&str]) -> Result<(), CliError> {
     match args {
         ["--version"] => {
-            println!("ssfa {}", env!("CARGO_PKG_VERSION"));
-            Ok(())
+            outln!("ssfa {}", env!("CARGO_PKG_VERSION"))
         }
         ["corpus", rest @ ..] => match rest {
             ["build", opts @ ..] => corpus_build(opts),
@@ -208,8 +232,7 @@ fn corpus_build(args: &[&str]) -> Result<(), CliError> {
     let summary = writer
         .write(&fleet, &output, style, seed)
         .map_err(|e| CliError::Run(e.to_string()))?;
-    println!("built {}: {summary}", out.display());
-    Ok(())
+    outln!("built {}: {summary}", out.display())
 }
 
 fn corpus_verify(args: &[&str]) -> Result<(), CliError> {
@@ -230,8 +253,7 @@ fn corpus_verify(args: &[&str]) -> Result<(), CliError> {
     let summary = reader
         .verify(deep)
         .map_err(|e| CliError::Run(e.to_string()))?;
-    println!("verified {}: {summary}", dir.display());
-    Ok(())
+    outln!("verified {}: {summary}", dir.display())
 }
 
 fn corpus_analyze(args: &[&str]) -> Result<(), CliError> {
@@ -305,14 +327,14 @@ fn corpus_analyze(args: &[&str]) -> Result<(), CliError> {
     }
     .map_err(|e| CliError::Run(e.to_string()))?;
 
-    TextReportSink::new(std::io::stdout().lock())
-        .consume(&study, &health)
-        .map_err(|e| CliError::Run(e.to_string()))?;
-    println!(
+    to_stdout(|out| TextReportSink::new(out).consume(&study, &health))?;
+    outln!(
         "{} shards in {} chunks, peak resident shard {} bytes of {} corpus bytes",
-        health.shards_total, health.chunks_total, stats.max_shard_bytes, stats.total_bytes
-    );
-    Ok(())
+        health.shards_total,
+        health.chunks_total,
+        stats.max_shard_bytes,
+        stats.total_bytes
+    )
 }
 
 /// Shared positional parsing for both `checkpoint` subcommands: one
@@ -335,16 +357,16 @@ fn checkpoint_ls(args: &[&str]) -> Result<(), CliError> {
     let dir = checkpoint_dir(args, "checkpoint ls")?;
     let reader = CheckpointReader::open(&dir).map_err(|e| CliError::Run(e.to_string()))?;
     let manifest = reader.manifest();
-    println!(
+    outln!(
         "checkpoint {}: payload v{}, corpus seed {} style {:?}, {} epoch(s)",
         dir.display(),
         manifest.payload_version,
         manifest.corpus_seed,
         manifest.corpus_style,
         manifest.epochs.len()
-    );
+    )?;
     for (index, epoch) in manifest.epochs.iter().enumerate() {
-        println!(
+        outln!(
             "  epoch {index}: {} shards {}..{} in {} chunk(s), {} snapshot bytes, checksum {:016x}",
             if epoch.is_whole() { "whole" } else { "delta" },
             epoch.shard_start,
@@ -352,7 +374,7 @@ fn checkpoint_ls(args: &[&str]) -> Result<(), CliError> {
             epoch.chunks,
             epoch.payload_len,
             epoch.checksum
-        );
+        )?;
     }
     Ok(())
 }
@@ -361,12 +383,11 @@ fn checkpoint_verify(args: &[&str]) -> Result<(), CliError> {
     let dir = checkpoint_dir(args, "checkpoint verify")?;
     let reader = CheckpointReader::open(&dir).map_err(|e| CliError::Run(e.to_string()))?;
     let bytes = reader.verify().map_err(|e| CliError::Run(e.to_string()))?;
-    println!(
+    outln!(
         "verified {}: {} epoch(s), {bytes} snapshot bytes",
         dir.display(),
         reader.epoch_count()
-    );
-    Ok(())
+    )
 }
 
 fn agent_replay(args: &[&str]) -> Result<(), CliError> {
@@ -410,14 +431,13 @@ fn agent_replay(args: &[&str]) -> Result<(), CliError> {
     let total = agent.stream_len();
     let report = agent.run(addr).map_err(|e| CliError::Run(e.to_string()))?;
     match &report.quarantined {
-        Some(reason) => println!(
+        Some(reason) => outln!(
             "tenant quarantined after {}/{total} frames: {reason}",
             report.final_cursor
         ),
-        None => println!(
+        None => outln!(
             "replayed {total} frames in {} connection(s)",
             report.connections
         ),
     }
-    Ok(())
 }

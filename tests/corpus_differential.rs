@@ -65,7 +65,7 @@ fn corrupt_shard_quarantine_is_identical_for_borrowed_and_owned_paths() {
         .expect("corpus builds");
 
     // Flip one payload byte in the middle of a mid-corpus shard's frame.
-    // Any flip breaks the FNV digest, which both sources verify before
+    // Any flip breaks the frame digest, which both sources verify before
     // handing text to the classifier.
     let reader = CorpusReader::open(&tmp.0).expect("manifest parses");
     let victim = reader.shard_count() / 2;

@@ -137,13 +137,13 @@ fn bad_magic_is_typed_and_pinned() {
 fn version_mismatch_is_typed_and_pinned() {
     let tmp = TempDir::new("version");
     build_corpus(&tmp.0, 0.001, 3);
-    // Version field is bytes 4..8 little-endian; 1 ^ 3 = 2.
+    // Version field is bytes 4..8 little-endian; 2 ^ 3 = 1.
     flip_byte(&segment0(&tmp.0), 4, 0x03);
     let reader = CorpusReader::open(&tmp.0).unwrap();
     let err = reader.verify(false).unwrap_err();
     assert_eq!(
         err.to_string(),
-        "corpus shard 0 (segment 0): unsupported frame version 2 (this build reads version 1)"
+        "corpus shard 0 (segment 0): unsupported frame version 1 (this build reads version 2)"
     );
 }
 
