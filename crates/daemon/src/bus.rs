@@ -34,6 +34,21 @@
 //! observe any of this — the blast radius of a poisoned stream is exactly
 //! one tenant, the paper's argument about fault isolation domains applied
 //! to the analyzer itself.
+//!
+//! # Absorption
+//!
+//! Each tenant runs one absorber per available core. An absorber claims
+//! up to 16 consecutive admitted frames under one lock acquisition,
+//! numbering them with consecutive *tickets* (admission order),
+//! classifies them outside the lock, and takes the lock once more to
+//! park the outcomes in the tenant's reorder buffer (DESIGN §12.9).
+//! Whichever absorber completes the lowest unfolded ticket folds every
+//! consecutive ready outcome, so fold order is admission order and a
+//! tenant's fold and health are exactly those of one serial absorber. No
+//! absorber claims while the buffer spans the tenant's window (twice its
+//! absorbers × the batch); the holder of the lowest ticket is never among
+//! the waiters, so absorption cannot deadlock and the buffer's memory is
+//! bounded.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -42,11 +57,16 @@ use std::thread;
 
 use ssfa_core::StudyFold;
 use ssfa_logs::frame::FrameHeader;
-use ssfa_logs::{Classifier, Strictness};
+use ssfa_logs::{AnalysisInput, Classifier, ShardHealth, Strictness};
 use ssfa_model::SystemId;
 use ssfa_pipeline::{ChunkQuarantine, JsonSummarySink, RunHealth, Sink};
 
-use crate::wal::{WalRecord, WriteAheadLog};
+use crate::wal::{FrameBytes, WalRecord, WriteAheadLog};
+
+/// Most admitted frames an absorber claims per lock acquisition. Claiming
+/// one frame per lock loses much of a second absorber's gain to lock
+/// hand-offs; a batch amortizes them (DESIGN §12.9).
+const ABSORB_BATCH: usize = 16;
 
 /// Bus-wide tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,26 +132,132 @@ struct Session {
     /// Next sequence number to admit.
     cursor: u64,
     /// Out-of-order frames waiting for the gap to fill: `seq → frame`.
-    window: BTreeMap<u64, Vec<u8>>,
+    window: BTreeMap<u64, FrameBytes>,
 }
+
+/// What classifying one frame yields: its input and line health, or the
+/// failure reason plus whatever identity and line count the frame header
+/// still offers.
+type Outcome = Result<(AnalysisInput, ShardHealth), (String, Option<SystemId>, Option<u64>)>;
 
 /// One tenant's complete state, behind one lock.
 #[derive(Debug)]
 struct TenantInner {
     strictness: Strictness,
     sessions: BTreeMap<String, Session>,
-    /// Admitted-but-unclassified frames: `(seq, inner frame bytes)`.
-    queue: VecDeque<(u64, Vec<u8>)>,
+    /// Admitted-but-unclaimed frames: `(seq, inner frame bytes)`.
+    queue: VecDeque<(u64, FrameBytes)>,
+    /// Tickets folded so far; the ticket of the reorder buffer's front.
+    folded: u64,
+    /// Claimed tickets `folded..folded + len`, in ticket order: `(seq,
+    /// outcome)` once classified, `None` while an absorber still holds it.
+    reorder: VecDeque<Option<(u64, Outcome)>>,
+    /// Most tickets `reorder` may span (see the module docs).
+    window: usize,
+    /// Largest span `reorder` has reached, for the bound's tests.
+    reorder_peak: usize,
     fold: StudyFold,
     health: RunHealth,
     stats: TenantStats,
     /// `Some(reason)` once quarantined; never cleared.
     quarantined: Option<String>,
-    /// Set at drain: the absorber exits once the queue empties.
+    /// Set at drain: absorbers exit once the queue empties.
     closed: bool,
 }
 
-/// A tenant cell: state plus the condvar its absorber sleeps on.
+impl TenantInner {
+    /// Quarantines the tenant: admission stops, and every admitted frame
+    /// not yet folded is abandoned (claimed ones are discarded when their
+    /// absorber returns them).
+    fn quarantine(&mut self, reason: String) {
+        self.quarantined = Some(reason);
+        self.queue.clear();
+        self.reorder.clear();
+    }
+
+    /// Claims up to [`ABSORB_BATCH`] queued frames into `batch`, giving
+    /// them the next tickets, and returns the first ticket. `None` when
+    /// the queue is empty or the reorder buffer spans the whole window.
+    fn claim(&mut self, batch: &mut Vec<(u64, FrameBytes)>) -> Option<u64> {
+        let room = self.window - self.reorder.len();
+        let take = ABSORB_BATCH.min(room).min(self.queue.len());
+        if take == 0 {
+            return None;
+        }
+        let first = self.folded + self.reorder.len() as u64;
+        batch.extend(self.queue.drain(..take));
+        self.reorder.resize_with(self.reorder.len() + take, || None);
+        self.reorder_peak = self.reorder_peak.max(self.reorder.len());
+        debug_assert!(self.reorder.len() <= self.window);
+        Some(first)
+    }
+
+    /// Parks the outcomes of the tickets from `first` on, then folds every
+    /// consecutive ready outcome from the lowest unfolded ticket. Returns
+    /// whether the buffer had spanned the whole window, so claimers may be
+    /// waiting for room. Outcomes returned after a quarantine are dropped.
+    fn complete(&mut self, first: u64, outcomes: &mut Vec<(u64, Outcome)>) -> bool {
+        if outcomes.is_empty() {
+            return false;
+        }
+        if self.quarantined.is_some() {
+            outcomes.clear();
+            return false;
+        }
+        let was_full = self.reorder.len() == self.window;
+        let offset = (first - self.folded) as usize;
+        for (slot, outcome) in self.reorder.range_mut(offset..).zip(outcomes.drain(..)) {
+            *slot = Some(outcome);
+        }
+        while self.reorder.front().is_some_and(Option::is_some) {
+            let (seq, outcome) = self.reorder.pop_front().flatten().expect("front is ready");
+            self.folded += 1;
+            self.absorb(seq, outcome);
+            if self.quarantined.is_some() {
+                return true;
+            }
+        }
+        was_full
+    }
+
+    /// Folds one frame's outcome, keeping `RunHealth` as a one-frame chunk.
+    fn absorb(&mut self, seq: u64, outcome: Outcome) {
+        self.health.shards_total += 1;
+        self.health.chunks_total += 1;
+        match outcome {
+            Ok((input, shard_health)) => {
+                self.fold.push(input);
+                self.health.shards_processed += 1;
+                self.health.chunks_processed += 1;
+                self.health.add_line_counts(&shard_health);
+            }
+            Err((reason, system, lines)) => match self.strictness {
+                // Strict: the tenant is poisoned. Record the loss exactly
+                // and stop absorbing — every later frame is abandoned,
+                // agents learn the reason from their next ACK.
+                Strictness::Strict => {
+                    self.health.quarantined.push(ChunkQuarantine {
+                        chunk: seq as usize,
+                        shards: seq as usize..seq as usize + 1,
+                        systems: system.into_iter().collect(),
+                        attempts: 1,
+                        reason: reason.clone(),
+                        lines_lost: lines,
+                    });
+                    self.quarantine(format!("frame {seq}: {reason}"));
+                }
+                // Lenient: a frame that cannot even be decoded is one
+                // dropped shard, counted, stream continues.
+                Strictness::Lenient => {
+                    self.health.shards_dropped += 1;
+                    self.health.chunks_processed += 1;
+                }
+            },
+        }
+    }
+}
+
+/// A tenant cell: state plus the condvar its absorbers sleep on.
 #[derive(Debug)]
 struct TenantCell {
     inner: Mutex<TenantInner>,
@@ -161,6 +287,8 @@ pub struct TenantReport {
 pub struct IngestBus {
     config: BusConfig,
     tenants: Mutex<BTreeMap<String, Arc<TenantCell>>>,
+    /// Absorber threads per tenant: one per available core.
+    absorbers_per_tenant: usize,
     /// Absorber threads, joined at drain.
     absorbers: Mutex<Vec<thread::JoinHandle<()>>>,
     /// Write-ahead log, when the daemon runs durable (`--wal`): every
@@ -178,6 +306,7 @@ impl IngestBus {
         IngestBus {
             config,
             tenants: Mutex::new(BTreeMap::new()),
+            absorbers_per_tenant: thread::available_parallelism().map_or(1, |n| n.get()),
             absorbers: Mutex::new(Vec::new()),
             wal: None,
             replaying: AtomicBool::new(false),
@@ -199,7 +328,8 @@ impl IngestBus {
     /// machinery live traffic uses — without re-appending them to the
     /// log. Call before accepting connections. Backpressure is honored
     /// by waiting for the absorbers rather than shedding (a shed here
-    /// would drop a frame that was already acknowledged).
+    /// would drop a frame that was already acknowledged). The records'
+    /// frames are queued as they are, ranges of the log's segment maps.
     ///
     /// Returns `(frames_admitted, tenants_touched)`.
     pub fn replay_wal(self: &Arc<Self>, records: Vec<WalRecord>) -> (u64, u64) {
@@ -215,7 +345,7 @@ impl IngestBus {
             }
             tenants.insert(record.tenant.clone());
             loop {
-                match self.admit(
+                match self.admit_frame(
                     &record.tenant,
                     &record.session,
                     record.seq,
@@ -287,7 +417,7 @@ impl IngestBus {
         Ok((cursor, inner.quarantined.clone()))
     }
 
-    /// Looks up (creating if asked) a tenant cell, spawning its absorber
+    /// Looks up (creating if asked) a tenant cell, spawning its absorbers
     /// on creation.
     fn tenant_cell(self: &Arc<Self>, tenant: &str, create: Option<Strictness>) -> Arc<TenantCell> {
         let mut tenants = self.tenants.lock().expect("bus lock poisoned");
@@ -295,11 +425,16 @@ impl IngestBus {
             return Arc::clone(cell);
         }
         let strictness = create.unwrap_or_default();
+        let absorbers = self.absorbers_per_tenant;
         let cell = Arc::new(TenantCell {
             inner: Mutex::new(TenantInner {
                 strictness,
                 sessions: BTreeMap::new(),
                 queue: VecDeque::new(),
+                folded: 0,
+                reorder: VecDeque::new(),
+                window: 2 * absorbers * ABSORB_BATCH,
+                reorder_peak: 0,
                 fold: StudyFold::new(),
                 health: RunHealth {
                     strictness,
@@ -312,26 +447,31 @@ impl IngestBus {
             work: Condvar::new(),
         });
         tenants.insert(tenant.to_owned(), Arc::clone(&cell));
-        let absorber_cell = Arc::clone(&cell);
-        // One long-lived absorber per tenant; pool discipline (tracking,
-        // joining at drain) is enforced right here in the bus.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "per-tenant absorber, joined in drain()"
-        )]
-        let handle = thread::spawn(move || absorb_loop(&absorber_cell));
-        self.absorbers
-            .lock()
-            .expect("absorber registry poisoned")
-            .push(handle);
+        let mut registry = self.absorbers.lock().expect("absorber registry poisoned");
+        for _ in 0..absorbers {
+            let absorber_cell = Arc::clone(&cell);
+            // Long-lived absorbers per tenant; pool discipline (tracking,
+            // joining at drain) is enforced right here in the bus.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-tenant absorber, joined in drain()"
+            )]
+            let handle = thread::spawn(move || absorb_loop(&absorber_cell));
+            registry.push(handle);
+        }
         cell
     }
 
     /// Admits one `DATA` frame for `(tenant, session)` under the cursor
     /// contract (see the module docs). Never blocks on classification —
-    /// admission is a queue push; the tenant's absorber classifies
+    /// admission is a queue push; the tenant's absorbers classify
     /// asynchronously.
     pub fn admit(&self, tenant: &str, session: &str, seq: u64, frame: Vec<u8>) -> Admission {
+        self.admit_frame(tenant, session, seq, FrameBytes::from(frame))
+    }
+
+    /// [`IngestBus::admit`] over either kind of frame bytes.
+    fn admit_frame(&self, tenant: &str, session: &str, seq: u64, frame: FrameBytes) -> Admission {
         let cell = {
             let tenants = self.tenants.lock().expect("bus lock poisoned");
             match tenants.get(tenant) {
@@ -363,8 +503,7 @@ impl IngestBus {
             // tenant quarantines — a durable daemon must not ack what it
             // cannot replay.
             if let Err(reason) = self.wal_append(strictness, tenant, session, seq, &frame) {
-                inner.quarantined = Some(reason);
-                inner.queue.clear();
+                inner.quarantine(reason);
                 return Admission::Quarantined;
             }
             inner.queue.push_back((seq, frame));
@@ -401,8 +540,7 @@ impl IngestBus {
                 .expect("session checked above")
                 .cursor = next;
             if let Some(reason) = wal_failure {
-                inner.quarantined = Some(reason);
-                inner.queue.clear();
+                inner.quarantine(reason);
                 return Admission::Quarantined;
             }
             cell.work.notify_one();
@@ -484,9 +622,11 @@ impl IngestBus {
         Ok((inner.fold.clone(), inner.health.clone()))
     }
 
-    /// Graceful drain: lets every absorber finish its queue, joins them
-    /// all, and returns one [`TenantReport`] per tenant. The bus accepts
-    /// no new work afterwards (admissions find tenants closed —
+    /// Graceful drain: lets the absorbers finish every queue, joins them
+    /// all, and returns one [`TenantReport`] per tenant. Drain consumes
+    /// the tenants' folds: each is moved out and finished, not copied, so
+    /// a later [`IngestBus::status`] reports an empty study. The bus
+    /// accepts no new work afterwards (admissions find tenants closed —
     /// the server stops its connection threads first).
     pub fn drain(&self) -> Vec<TenantReport> {
         let cells: Vec<(String, Arc<TenantCell>)> = {
@@ -509,8 +649,8 @@ impl IngestBus {
         cells
             .into_iter()
             .map(|(tenant, cell)| {
-                let inner = cell.inner.lock().expect("tenant lock poisoned");
-                let study = inner.fold.clone().finish();
+                let mut inner = cell.inner.lock().expect("tenant lock poisoned");
+                let study = std::mem::take(&mut inner.fold).finish();
                 let mut sink = JsonSummarySink::new(Vec::new());
                 sink.consume(&study, &inner.health)
                     .expect("Vec<u8> writes are infallible");
@@ -535,61 +675,37 @@ fn shed(inner: &mut TenantInner, frame: &[u8]) {
     }
 }
 
-/// One tenant's absorber: pops admitted frames, classifies them *outside*
-/// the tenant lock (classification dominates; admission must never wait
-/// on it), and folds the result in. Exits when the bus drains.
+/// One of a tenant's absorbers (see the module docs): claims a batch of
+/// tickets, classifies it *outside* the tenant lock (classification
+/// dominates; admission must never wait on it), then hands the outcomes
+/// back — folding whatever became foldable — and claims the next batch
+/// under the same lock acquisition. Exits when the bus drains.
 fn absorb_loop(cell: &TenantCell) {
+    let mut batch = Vec::with_capacity(ABSORB_BATCH);
+    let mut outcomes = Vec::with_capacity(ABSORB_BATCH);
+    let mut first = 0;
     loop {
-        let (seq, frame, strictness) = {
+        let strictness = {
             let mut inner = cell.inner.lock().expect("tenant lock poisoned");
+            if inner.complete(first, &mut outcomes) {
+                cell.work.notify_all();
+            }
             loop {
-                if let Some((seq, frame)) = inner.queue.pop_front() {
-                    break (seq, frame, inner.strictness);
+                if let Some(ticket) = inner.claim(&mut batch) {
+                    first = ticket;
+                    break inner.strictness;
                 }
-                if inner.closed {
+                if inner.closed && inner.queue.is_empty() {
                     return;
                 }
                 inner = cell.work.wait(inner).expect("tenant lock poisoned");
             }
         };
-        let outcome = classify_frame(&frame, strictness);
-        let mut inner = cell.inner.lock().expect("tenant lock poisoned");
-        if inner.quarantined.is_some() {
-            continue;
-        }
-        inner.health.shards_total += 1;
-        inner.health.chunks_total += 1;
-        match outcome {
-            Ok((input, shard_health)) => {
-                inner.fold.push(input);
-                inner.health.shards_processed += 1;
-                inner.health.chunks_processed += 1;
-                inner.health.add_line_counts(&shard_health);
-            }
-            Err((reason, system, lines)) => match strictness {
-                // Strict: the tenant is poisoned. Record the loss exactly
-                // and stop absorbing — the queue is abandoned, agents
-                // learn the reason from their next ACK.
-                Strictness::Strict => {
-                    inner.health.quarantined.push(ChunkQuarantine {
-                        chunk: seq as usize,
-                        shards: seq as usize..seq as usize + 1,
-                        systems: system.into_iter().collect(),
-                        attempts: 1,
-                        reason: reason.clone(),
-                        lines_lost: lines,
-                    });
-                    inner.quarantined = Some(format!("frame {seq}: {reason}"));
-                    inner.queue.clear();
-                }
-                // Lenient: a frame that cannot even be decoded is one
-                // dropped shard, counted, stream continues.
-                Strictness::Lenient => {
-                    inner.health.shards_dropped += 1;
-                    inner.health.chunks_processed += 1;
-                }
-            },
-        }
+        outcomes.extend(
+            batch
+                .drain(..)
+                .map(|(seq, frame)| (seq, classify_frame(&frame, strictness))),
+        );
     }
 }
 
@@ -602,17 +718,7 @@ fn absorb_loop(cell: &TenantCell) {
 /// with a byte scan, and parses each into a borrowed
 /// [`ssfa_logs::LogLineRef`] over the frame's own bytes — the daemon
 /// allocates per frame, never per line.
-#[allow(
-    clippy::type_complexity,
-    reason = "a private one-call helper; its error triple is destructured at the only call site"
-)]
-fn classify_frame(
-    frame: &[u8],
-    strictness: Strictness,
-) -> Result<
-    (ssfa_logs::AnalysisInput, ssfa_logs::ShardHealth),
-    (String, Option<SystemId>, Option<u64>),
-> {
+fn classify_frame(frame: &[u8], strictness: Strictness) -> Outcome {
     let (header, text) = match ssfa_logs::frame::decode_frame_text(frame) {
         Ok(decoded) => decoded,
         Err(e) => {
@@ -670,6 +776,121 @@ mod tests {
         let mut out = Vec::new();
         encode_frame(&mut out, system, 0, b"");
         out
+    }
+
+    /// A bus whose tenants run `absorbers` absorbers, whatever the host's
+    /// core count, so the ordering tests race the same way everywhere.
+    fn bus_with_absorbers(absorbers: usize) -> Arc<IngestBus> {
+        let mut bus = IngestBus::new(BusConfig {
+            queue_capacity: 4096,
+            reorder_window: 4,
+        });
+        bus.absorbers_per_tenant = absorbers;
+        Arc::new(bus)
+    }
+
+    /// A frame that classifies cleanly but slowly: `lines` blank lines.
+    /// Placed before small frames, it completes after them.
+    fn slow_frame(system: u32, lines: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_frame(&mut out, system, 0, &vec![b'\n'; lines]);
+        out
+    }
+
+    /// `(window, reorder_peak)` of one tenant.
+    fn reorder_span(bus: &IngestBus, tenant: &str) -> (usize, usize) {
+        let tenants = bus.tenants.lock().unwrap();
+        let inner = tenants[tenant].inner.lock().unwrap();
+        (inner.window, inner.reorder_peak)
+    }
+
+    #[test]
+    fn strict_quarantine_lands_on_the_corrupt_frame_in_admission_order() {
+        for k in [1u64, 3, 16, 17, 33, 100] {
+            for round in 0..50 {
+                let bus = bus_with_absorbers(4);
+                bus.hello("t", "s", Strictness::Strict).unwrap();
+                for seq in 0..k + 40 {
+                    let frame = match seq {
+                        0 => slow_frame(0, 1 << 16),
+                        _ if seq == k => b"junk".to_vec(),
+                        _ => empty_frame(seq as u32),
+                    };
+                    let admission = bus.admit("t", "s", seq, frame);
+                    // Frames after k may find the tenant quarantined.
+                    assert!(
+                        admission == Admission::Admitted
+                            || (seq > k && admission == Admission::Quarantined),
+                        "k={k} round={round} seq={seq}: {admission:?}"
+                    );
+                }
+                let report = bus.drain().remove(0);
+                let context = format!("k={k} round={round}: {}", report.health);
+                assert_eq!(report.health.shards_processed, k as usize, "{context}");
+                assert_eq!(report.health.shards_total, k as usize + 1, "{context}");
+                assert_eq!(report.health.quarantined.len(), 1, "{context}");
+                assert_eq!(report.health.quarantined[0].chunk, k as usize, "{context}");
+                let reason = report.quarantined.expect("strict tenant quarantines");
+                assert!(
+                    reason.starts_with(&format!("frame {k}: ")),
+                    "{context}: {reason}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lenient_tenant_drops_exactly_its_bad_frames() {
+        let bad = [0u64, 5, 16, 17, 63];
+        for round in 0..50 {
+            let bus = bus_with_absorbers(4);
+            bus.hello("t", "s", Strictness::Lenient).unwrap();
+            for seq in 0..100u64 {
+                let frame = if bad.contains(&seq) {
+                    b"junk".to_vec()
+                } else if seq % 20 == 1 {
+                    slow_frame(seq as u32, 1 << 14)
+                } else {
+                    empty_frame(seq as u32)
+                };
+                assert_eq!(bus.admit("t", "s", seq, frame), Admission::Admitted);
+            }
+            let report = bus.drain().remove(0);
+            let context = format!("round={round}: {}", report.health);
+            assert!(report.quarantined.is_none(), "{context}");
+            assert_eq!(report.health.shards_total, 100, "{context}");
+            assert_eq!(report.health.shards_dropped, bad.len(), "{context}");
+            assert_eq!(report.health.shards_processed, 100 - bad.len(), "{context}");
+        }
+    }
+
+    #[test]
+    fn the_reorder_buffer_never_spans_more_than_the_window() {
+        // A slow frame first lets the other absorbers run ahead until the
+        // window stops them. Every round must stay within the window, and
+        // some round must actually reach it.
+        let mut reached = false;
+        for _ in 0..20 {
+            let bus = bus_with_absorbers(4);
+            bus.hello("t", "s", Strictness::Lenient).unwrap();
+            bus.admit("t", "s", 0, slow_frame(0, 1 << 18));
+            for seq in 1..1000u64 {
+                bus.admit("t", "s", seq, empty_frame(seq as u32));
+            }
+            let report = bus.drain().remove(0);
+            let (window, peak) = reorder_span(&bus, "t");
+            assert_eq!(report.health.shards_processed, 1000);
+            assert_eq!(window, 2 * 4 * ABSORB_BATCH);
+            assert!(peak <= window, "reorder buffer spanned {peak} > {window}");
+            reached |= peak == window;
+            if reached {
+                break;
+            }
+        }
+        assert!(
+            reached,
+            "no round filled the window; the bound went untested"
+        );
     }
 
     #[test]

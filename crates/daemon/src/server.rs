@@ -7,13 +7,15 @@
 //! The paper's interconnect findings include *partial* failures — links
 //! that neither work nor die. The server's analog is the stalled writer:
 //! a connected agent that stops sending mid-stream. Each connection
-//! thread waits for traffic in [`ServerConfig::heartbeat_ms`] ticks
-//! (a kernel socket timeout on a 1-byte `peek`, so a clean idle never
-//! desynchronizes framing); [`ServerConfig::idle_ticks_limit`] silent
+//! thread reads through one buffer and, when that buffer is empty, waits
+//! for traffic in [`ServerConfig::heartbeat_ms`] ticks (a kernel socket
+//! timeout on a 1-byte `peek`, so a clean idle never desynchronizes
+//! framing); [`ServerConfig::idle_ticks_limit`] silent
 //! ticks in a row and the connection is hung up. The session and its
 //! cursor survive — only the socket dies — so a recovered agent
 //! reconnects and resumes exactly where it left off.
 
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -196,11 +198,16 @@ impl ServerHandle {
 }
 
 /// Waits up to one tick for the next message without consuming bytes.
-/// Returns `Ok(true)` when traffic is pending, `Ok(false)` on a clean
-/// idle tick, `Err` when the peer is gone.
-fn wait_for_traffic(stream: &TcpStream) -> std::io::Result<bool> {
+/// Returns `Ok(true)` when traffic is pending — already buffered, or
+/// readable on the socket — `Ok(false)` on a clean idle tick, `Err` when
+/// the peer is gone. The socket is peeked only when the buffer is empty:
+/// a message already read into it must not count as an idle tick.
+fn wait_for_traffic(reader: &BufReader<TcpStream>) -> std::io::Result<bool> {
+    if !reader.buffer().is_empty() {
+        return Ok(true);
+    }
     let mut probe = [0u8; 1];
-    match stream.peek(&mut probe) {
+    match reader.get_ref().peek(&mut probe) {
         Ok(0) => Err(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             "peer closed",
@@ -235,14 +242,10 @@ fn serve_connection(
     {
         return;
     }
-    let mut reader = match stream.try_clone() {
-        Ok(r) => r,
-        Err(_) => return,
-    };
-    let mut writer = stream.try_clone().ok();
-    let Some(writer) = writer.as_mut() else {
+    let Ok(mut writer) = stream.try_clone() else {
         return;
     };
+    let mut reader = BufReader::new(stream);
 
     // (tenant, session) once HELLO succeeds.
     let mut identity: Option<(String, String)> = None;
@@ -252,7 +255,7 @@ fn serve_connection(
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match wait_for_traffic(&stream) {
+        match wait_for_traffic(&reader) {
             Ok(false) => {
                 idle_ticks += 1;
                 if idle_ticks >= config.idle_ticks_limit {
@@ -272,7 +275,7 @@ fn serve_connection(
             Ok(msg) => msg,
             Err(_) => return,
         };
-        match dispatch(msg, bus, &mut identity, writer, config, uptime) {
+        match dispatch(msg, bus, &mut identity, &mut writer, config, uptime) {
             Flow::Continue => {}
             Flow::Hangup => return,
         }

@@ -38,14 +38,30 @@
 //! replay reads segments in index order. Appends are flushed to the OS
 //! per record (durable against a daemon crash; an OS crash may cost the
 //! un-synced tail, which — being unacked or retransmittable — is safe).
+//!
+//! # Recovery reads through read-only maps
+//!
+//! [`WriteAheadLog::open`] maps each segment read-only (the vendored
+//! `memmap2`, as `MmapSource` maps corpus segments), checks every
+//! record's checksum over the map, and hands each inner frame back as a
+//! [`FrameBytes`] range of that map: recovery copies no frame. No live
+//! map ever covers a byte the log writes later:
+//!
+//! - sealed segments are never reopened for writing;
+//! - the torn tail of the last segment is truncated *before* the segment
+//!   is mapped for replay (scan; if torn, drop that scan, truncate, map
+//!   and scan again);
+//! - appends only extend a segment past the length any map of it has.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
+use std::ops::{Deref, Range};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use ssfa_logs::frame::{decode_frame, encode_frame_parts};
+use memmap2::Mmap;
+use ssfa_logs::frame::{decode_frame, encode_frame_parts, HEADER_LEN};
 use ssfa_logs::{write_atomic, Strictness};
 
 /// Default segment rotation threshold (bytes).
@@ -98,6 +114,44 @@ pub fn segment_file_name(segment: usize) -> String {
     format!("wal-{segment:05}.seg")
 }
 
+/// The bytes of one inner corpus frame as the bus queues it: owned when
+/// it came off the wire, or a range of a read-only WAL segment map when
+/// recovery read it back. Clones of a mapped frame share the map, which
+/// is unmapped when the last of them drops.
+#[derive(Debug, Clone)]
+pub struct FrameBytes(FrameRepr);
+
+#[derive(Debug, Clone)]
+enum FrameRepr {
+    Owned(Vec<u8>),
+    Mapped { map: Arc<Mmap>, range: Range<usize> },
+}
+
+impl From<Vec<u8>> for FrameBytes {
+    fn from(bytes: Vec<u8>) -> FrameBytes {
+        FrameBytes(FrameRepr::Owned(bytes))
+    }
+}
+
+impl Deref for FrameBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            FrameRepr::Owned(bytes) => bytes,
+            FrameRepr::Mapped { map, range } => &map[range.clone()],
+        }
+    }
+}
+
+impl PartialEq for FrameBytes {
+    fn eq(&self, other: &FrameBytes) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for FrameBytes {}
+
 /// One replayable record: an admitted `DATA` frame with its full
 /// admission identity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,8 +164,8 @@ pub struct WalRecord {
     pub session: String,
     /// Stream sequence number the frame was admitted at.
     pub seq: u64,
-    /// The inner corpus frame bytes.
-    pub frame: Vec<u8>,
+    /// The inner corpus frame bytes, a range of the segment's map.
+    pub frame: FrameBytes,
 }
 
 /// Append state for one tenant.
@@ -193,24 +247,32 @@ impl WriteAheadLog {
                 written: 0,
                 file: open_segment(&tenant_dir, 0)?,
             };
+            let last_segment = segments.last().copied();
             for &segment in &segments {
                 let path = tenant_dir.join(segment_file_name(segment));
-                let mut bytes = Vec::new();
-                File::open(&path)?.read_to_end(&mut bytes)?;
-                let consumed = scan_segment(&bytes, &tenant, strictness, &mut records);
-                if segment == *segments.last().expect("non-empty") {
+                let scanned_from = records.len();
+                let mut map = map_segment(&path)?;
+                let mut consumed = scan_segment(&map, &tenant, strictness, &mut records);
+                if Some(segment) == last_segment {
+                    let file = open_segment(&tenant_dir, segment)?;
+                    // Drop a torn tail so the next append starts at a
+                    // record boundary. A map must never cover bytes that
+                    // change, so the scan's frames and map go first, the
+                    // file is cut, and the clean prefix is mapped afresh.
+                    if consumed < map.len() as u64 {
+                        records.truncate(scanned_from);
+                        drop(map);
+                        file.set_len(consumed)?;
+                        map = map_segment(&path)?;
+                        consumed = scan_segment(&map, &tenant, strictness, &mut records);
+                    }
                     last = TenantLog {
                         dir: tenant_dir.clone(),
                         segment,
                         written: consumed,
-                        file: open_segment(&tenant_dir, segment)?,
+                        file,
                     };
-                    // Drop a torn tail so the next append starts at a
-                    // record boundary.
-                    if consumed < bytes.len() as u64 {
-                        last.file.set_len(consumed)?;
-                    }
-                } else if consumed < bytes.len() as u64 {
+                } else if consumed < map.len() as u64 {
                     // Corruption mid-history: stop replaying this tenant
                     // here. Later records re-arrive via retransmission.
                     break;
@@ -298,42 +360,54 @@ impl WriteAheadLog {
     }
 }
 
-/// Decodes as many records as `bytes` holds for one tenant, appending
-/// them to `records`. Returns how many bytes were consumed cleanly — a
-/// trailing partial or corrupt record is not consumed.
+/// Maps one segment read-only (see the module docs for why no map ever
+/// covers bytes written later).
+fn map_segment(path: &Path) -> std::io::Result<Arc<Mmap>> {
+    Ok(Arc::new(Mmap::map_read_only(&File::open(path)?)?))
+}
+
+/// Decodes as many records as `map` holds for one tenant, appending them
+/// to `records` with each inner frame a range of `map`. Returns how many
+/// bytes were consumed cleanly — a trailing partial or corrupt record is
+/// not consumed.
 fn scan_segment(
-    bytes: &[u8],
+    map: &Arc<Mmap>,
     tenant: &str,
     strictness: Strictness,
     records: &mut Vec<WalRecord>,
 ) -> u64 {
     let mut offset = 0usize;
-    while offset < bytes.len() {
-        let Ok((header, payload)) = decode_frame(&bytes[offset..]) else {
+    while offset < map.len() {
+        let Ok((header, payload)) = decode_frame(&map[offset..]) else {
             break;
         };
-        let Some(record) = parse_record_payload(payload) else {
+        let Some((session, inner)) = parse_record_payload(payload) else {
             break;
         };
+        let payload_start = offset + HEADER_LEN;
         records.push(WalRecord {
             tenant: tenant.to_owned(),
             strictness,
-            session: record.0,
+            session: session.to_owned(),
             seq: header.line_count,
-            frame: record.1,
+            frame: FrameBytes(FrameRepr::Mapped {
+                map: Arc::clone(map),
+                range: payload_start + inner.start..payload_start + inner.end,
+            }),
         });
         offset += header.frame_len() as usize;
     }
     offset as u64
 }
 
-/// Splits a record payload into `(session, inner frame)`.
-fn parse_record_payload(payload: &[u8]) -> Option<(String, Vec<u8>)> {
+/// Splits a record payload into its session and the range of the inner
+/// frame within the payload.
+fn parse_record_payload(payload: &[u8]) -> Option<(&str, Range<usize>)> {
     let len_bytes: [u8; 4] = payload.get(..4)?.try_into().ok()?;
     let session_len = u32::from_le_bytes(len_bytes) as usize;
     let session = payload.get(4..4 + session_len)?;
-    let session = std::str::from_utf8(session).ok()?.to_owned();
-    Some((session, payload[4 + session_len..].to_vec()))
+    let session = std::str::from_utf8(session).ok()?;
+    Some((session, 4 + session_len..payload.len()))
 }
 
 fn parse_segment_name(name: &str) -> Option<usize> {
@@ -445,7 +519,7 @@ mod tests {
             assert_eq!(record.strictness, Strictness::Lenient);
             assert_eq!(record.session, "s");
             assert_eq!(record.seq, seq as u64);
-            assert_eq!(record.frame, frame(seq as u32, b"x\n"));
+            assert_eq!(*record.frame, frame(seq as u32, b"x\n"));
         }
     }
 
@@ -477,6 +551,78 @@ mod tests {
         let (_, replayed) = WriteAheadLog::open(dir.path(), 1 << 20).unwrap();
         assert_eq!(replayed.len(), 2);
         assert_eq!(replayed[1].seq, 1);
+    }
+
+    /// The frame appended at `seq` by the tests below.
+    fn numbered_frame(seq: u64) -> Vec<u8> {
+        frame(
+            seq as u32,
+            format!("line {seq}\n")
+                .repeat(seq as usize % 7 + 1)
+                .as_bytes(),
+        )
+    }
+
+    fn append_range(wal: &WriteAheadLog, seqs: std::ops::Range<u64>) {
+        for seq in seqs {
+            wal.append("t", Strictness::Lenient, "s", seq, &numbered_frame(seq))
+                .unwrap();
+        }
+    }
+
+    fn assert_records(records: &[WalRecord], seqs: std::ops::Range<u64>) {
+        assert_eq!(records.len() as u64, seqs.end - seqs.start);
+        for (record, seq) in records.iter().zip(seqs) {
+            assert_eq!(record.seq, seq);
+            assert_eq!(record.session, "s");
+            assert_eq!(*record.frame, numbered_frame(seq), "frame {seq}");
+        }
+    }
+
+    #[test]
+    fn recovery_survives_a_torn_tail_written_under_its_own_maps() {
+        let dir = TempDir::new("cycle");
+        let seg = dir
+            .path()
+            .join(encode_tenant_dir("t"))
+            .join(segment_file_name(0));
+        let (wal, _) = WriteAheadLog::open(dir.path(), 1 << 20).unwrap();
+        append_range(&wal, 0..5);
+        drop(wal);
+        for cycle in 1..4u64 {
+            // Recover (the frames are ranges of the last segment's map),
+            // keep appending under that map, then tear the segment's tail
+            // the way a crash mid-append would.
+            let (wal, recovered) = WriteAheadLog::open(dir.path(), 1 << 20).unwrap();
+            assert_records(&recovered, 0..5 * cycle);
+            append_range(&wal, 5 * cycle..5 * cycle + 5);
+            drop(wal);
+            let mut torn = Vec::new();
+            encode_frame_parts(&mut torn, 0, 99, &[b"not a whole record"]);
+            let mut file = OpenOptions::new().append(true).open(&seg).unwrap();
+            file.write_all(&torn[..torn.len() - 3]).unwrap();
+            drop(file);
+            assert_records(&recovered, 0..5 * cycle);
+        }
+        let (_, recovered) = WriteAheadLog::open(dir.path(), 1 << 20).unwrap();
+        assert_records(&recovered, 0..20);
+    }
+
+    #[test]
+    fn mapped_frames_stay_valid_while_appends_grow_their_segment() {
+        let dir = TempDir::new("grow");
+        let (wal, _) = WriteAheadLog::open(dir.path(), 1 << 30).unwrap();
+        append_range(&wal, 0..10);
+        drop(wal);
+        let (wal, recovered) = WriteAheadLog::open(dir.path(), 1 << 30).unwrap();
+        // Grow the mapped segment's file well past its mapped length and
+        // several pages beyond.
+        append_range(&wal, 10..2_000);
+        assert_records(&recovered, 0..10);
+        drop(wal);
+        assert_records(&recovered, 0..10);
+        let (_, all) = WriteAheadLog::open(dir.path(), 1 << 30).unwrap();
+        assert_records(&all, 0..2_000);
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! offline-oracle comparison lives at the workspace root,
 //! `tests/daemon_soak.rs`).
 
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
 use ssfa_daemon::bus::BusConfig;
 use ssfa_daemon::{
     expect_message, read_message, write_message, AgentConfig, Cursor, Hello, Message, MessageKind,
-    ReplayAgent, Server, ServerConfig,
+    ReplayAgent, Server, ServerConfig, Stopwatch,
 };
 use ssfa_logs::frame::encode_frame;
 use ssfa_logs::render::NoiseParams;
@@ -198,6 +199,67 @@ fn stalled_connection_is_hung_up_but_session_survives() {
     let cursor = Cursor::parse(&welcome.body).unwrap();
     assert_eq!(cursor.cursor, 0);
     assert!(cursor.quarantined.is_none());
+    server.finish();
+}
+
+/// Connects and completes a `HELLO` for tenant `t`, session `s`.
+fn hello_connection(server: &ssfa_daemon::ServerHandle) -> TcpStream {
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let hello = Hello {
+        tenant: "t".to_owned(),
+        session: "s".to_owned(),
+        cursor: 0,
+        strictness: Strictness::Strict,
+    };
+    write_message(
+        &mut stream,
+        &Message {
+            kind: MessageKind::Hello,
+            seq: 0,
+            body: hello.encode(),
+        },
+    )
+    .unwrap();
+    expect_message(&mut stream, MessageKind::Welcome).unwrap();
+    stream
+}
+
+#[test]
+fn messages_arriving_in_one_write_are_all_answered() {
+    let server = test_server();
+    let mut stream = hello_connection(&server);
+    // HEARTBEAT and BYE in one segment: the server reads both into its
+    // buffer at once. The BYE waiting there is traffic, not an idle tick,
+    // so it is answered rather than timed out.
+    let mut both = Vec::new();
+    write_message(&mut both, &Message::bare(MessageKind::Heartbeat)).unwrap();
+    write_message(&mut both, &Message::bare(MessageKind::Bye)).unwrap();
+    stream.write_all(&both).unwrap();
+    for _ in 0..2 {
+        let ack = expect_message(&mut stream, MessageKind::Ack).unwrap();
+        assert_eq!(Cursor::parse(&ack.body).unwrap().cursor, 0);
+    }
+    assert!(read_message(&mut stream).is_err(), "BYE hangs up");
+    server.finish();
+}
+
+#[test]
+fn a_silent_connection_is_hung_up_after_the_idle_ticks() {
+    let server = test_server();
+    let mut stream = hello_connection(&server);
+    write_message(&mut stream, &Message::bare(MessageKind::Heartbeat)).unwrap();
+    expect_message(&mut stream, MessageKind::Ack).unwrap();
+    // Nothing is buffered now; three silent 25 ms ticks hang up.
+    let silence = Stopwatch::start();
+    assert!(read_message(&mut stream).is_err(), "server must hang up");
+    let waited = silence.elapsed_ms();
+    assert!(
+        waited >= 50,
+        "hung up after {waited} ms, before the idle ticks"
+    );
     server.finish();
 }
 
