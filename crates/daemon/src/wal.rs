@@ -48,9 +48,10 @@
 //! map ever covers a byte the log writes later:
 //!
 //! - sealed segments are never reopened for writing;
-//! - the torn tail of the last segment is truncated *before* the segment
-//!   is mapped for replay (scan; if torn, drop that scan, truncate, map
-//!   and scan again);
+//! - the segment where a tenant's replay stops (a torn tail or a corrupt
+//!   record) is cut *before* it is mapped for replay (scan; if torn,
+//!   drop that scan, truncate, map and scan again), and the segments
+//!   after it are renamed out of the replay namespace;
 //! - appends only extend a segment past the length any map of it has.
 
 use std::collections::BTreeMap;
@@ -201,11 +202,16 @@ struct Appender {
 impl WriteAheadLog {
     /// Opens (creating if missing) the WAL at `dir` and scans every
     /// tenant's existing segments, returning the log plus all replayable
-    /// records in `(tenant, segment, offset)` order. A torn record at the
-    /// tail of a tenant's last segment is dropped (see module docs); a
-    /// corrupt record anywhere else truncates that tenant's replay at the
-    /// corruption point — everything after it was admitted later and
-    /// will be retransmitted by agents resuming from their acked cursor.
+    /// records in `(tenant, segment, offset)` order.
+    ///
+    /// A tenant's replay stops at its first torn or corrupt record. That
+    /// segment is cut there and the tenant's appends continue at the
+    /// cut; the segments after it are renamed out of the `wal-NNNNN.seg`
+    /// namespace (kept, never replayed). A torn tail of the last segment
+    /// is a crash mid-append: that record was never acked, so its agent
+    /// retransmits it (see module docs). Records after a corruption
+    /// elsewhere were acked, and are lost to replay: an agent that has
+    /// its final `ACK` has exited and sends nothing again.
     ///
     /// # Errors
     ///
@@ -241,43 +247,50 @@ impl WriteAheadLog {
                 }
             }
             segments.sort_unstable();
-            let mut last = TenantLog {
-                dir: tenant_dir.clone(),
-                segment: 0,
-                written: 0,
-                file: open_segment(&tenant_dir, 0)?,
-            };
-            let last_segment = segments.last().copied();
-            for &segment in &segments {
+            let mut last = None;
+            for (position, &segment) in segments.iter().enumerate() {
                 let path = tenant_dir.join(segment_file_name(segment));
                 let scanned_from = records.len();
                 let mut map = map_segment(&path)?;
                 let mut consumed = scan_segment(&map, &tenant, strictness, &mut records);
-                if Some(segment) == last_segment {
-                    let file = open_segment(&tenant_dir, segment)?;
-                    // Drop a torn tail so the next append starts at a
-                    // record boundary. A map must never cover bytes that
-                    // change, so the scan's frames and map go first, the
-                    // file is cut, and the clean prefix is mapped afresh.
-                    if consumed < map.len() as u64 {
-                        records.truncate(scanned_from);
-                        drop(map);
-                        file.set_len(consumed)?;
-                        map = map_segment(&path)?;
-                        consumed = scan_segment(&map, &tenant, strictness, &mut records);
-                    }
-                    last = TenantLog {
-                        dir: tenant_dir.clone(),
-                        segment,
-                        written: consumed,
-                        file,
-                    };
-                } else if consumed < map.len() as u64 {
-                    // Corruption mid-history: stop replaying this tenant
-                    // here. Later records re-arrive via retransmission.
-                    break;
+                let clean = consumed == map.len() as u64;
+                if clean && position + 1 < segments.len() {
+                    continue;
                 }
+                let file = open_segment(&tenant_dir, segment)?;
+                if !clean {
+                    // Replay stops at a torn tail or a corrupt record, and
+                    // the next append starts at that record boundary. A
+                    // map must never cover bytes that change, so the
+                    // scan's frames and map go first, the file is cut,
+                    // and the clean prefix is mapped afresh. Later
+                    // segments leave the replay namespace.
+                    records.truncate(scanned_from);
+                    drop(map);
+                    file.set_len(consumed)?;
+                    map = map_segment(&path)?;
+                    consumed = scan_segment(&map, &tenant, strictness, &mut records);
+                    for &later in &segments[position + 1..] {
+                        orphan_segment(&tenant_dir, later)?;
+                    }
+                }
+                last = Some(TenantLog {
+                    dir: tenant_dir.clone(),
+                    segment,
+                    written: consumed,
+                    file,
+                });
+                break;
             }
+            let last = match last {
+                Some(last) => last,
+                None => TenantLog {
+                    dir: tenant_dir.clone(),
+                    segment: 0,
+                    written: 0,
+                    file: open_segment(&tenant_dir, 0)?,
+                },
+            };
             tenants.insert(tenant, last);
         }
         Ok((
@@ -303,9 +316,11 @@ impl WriteAheadLog {
         self.segment_bytes
     }
 
-    /// Appends one admitted frame durably. Creates the tenant's directory
-    /// and `META` on first use; rotates the segment when it exceeds the
-    /// threshold.
+    /// Appends one admitted frame and flushes it to the OS, which survives
+    /// a daemon crash but not an OS crash: `sync_all` runs only when a
+    /// segment rotates (`ROADMAP.md` item 11). Creates the tenant's
+    /// directory and `META` on first use; rotates the segment when it
+    /// exceeds the threshold.
     ///
     /// # Errors
     ///
@@ -415,6 +430,17 @@ fn parse_segment_name(name: &str) -> Option<usize> {
         .strip_suffix(".seg")?
         .parse()
         .ok()
+}
+
+/// Renames segment `segment` to the first free `wal-NNNNN.seg.orphanK`,
+/// so no later recovery replays it and no later rotation overwrites it.
+fn orphan_segment(tenant_dir: &Path, segment: usize) -> std::io::Result<()> {
+    let name = segment_file_name(segment);
+    let target = (0..)
+        .map(|k| tenant_dir.join(format!("{name}.orphan{k}")))
+        .find(|path| !path.exists())
+        .expect("an unused orphan name");
+    std::fs::rename(tenant_dir.join(name), target)
 }
 
 fn open_segment(tenant_dir: &Path, segment: usize) -> std::io::Result<File> {
@@ -606,6 +632,59 @@ mod tests {
         }
         let (_, recovered) = WriteAheadLog::open(dir.path(), 1 << 20).unwrap();
         assert_records(&recovered, 0..20);
+    }
+
+    /// Five 79-byte records fill a 400-byte segment, so 60 records span
+    /// twelve segments and a flip in the middle of `wal-00002.seg`
+    /// corrupts seq 12. Recovery must cut that segment there and append
+    /// after seq 11, not at the end of segment 0.
+    #[test]
+    fn appends_after_a_mid_history_corruption_continue_at_the_cut() {
+        let dir = TempDir::new("mid");
+        let tenant_dir = dir.path().join(encode_tenant_dir("t"));
+        let append = |wal: &WriteAheadLog, seqs: std::ops::RangeInclusive<u64>| {
+            for seq in seqs {
+                wal.append(
+                    "t",
+                    Strictness::Lenient,
+                    "s",
+                    seq,
+                    &frame(seq as u32, b"x\n"),
+                )
+                .unwrap();
+            }
+        };
+        let seqs = |records: &[WalRecord]| records.iter().map(|r| r.seq).collect::<Vec<_>>();
+        let (wal, _) = WriteAheadLog::open(dir.path(), 400).unwrap();
+        append(&wal, 0..=59);
+        drop(wal);
+        let seg = tenant_dir.join(segment_file_name(2));
+        let mut bytes = std::fs::read(&seg).unwrap();
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0x01;
+        std::fs::write(&seg, bytes).unwrap();
+
+        let (wal, recovered) = WriteAheadLog::open(dir.path(), 400).unwrap();
+        assert_eq!(seqs(&recovered), (0..=11).collect::<Vec<_>>());
+        append(&wal, 12..=16);
+        drop(wal);
+        drop(recovered);
+        let (_, recovered) = WriteAheadLog::open(dir.path(), 400).unwrap();
+        assert_eq!(seqs(&recovered), (0..=16).collect::<Vec<_>>());
+        for record in &recovered {
+            assert_eq!(*record.frame, frame(record.seq as u32, b"x\n"));
+        }
+        // The nine segments past the cut left the replay namespace, but
+        // their bytes stay on disk.
+        let orphans = std::fs::read_dir(&tenant_dir)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                let name = name.to_string_lossy();
+                name.starts_with("wal-") && parse_segment_name(&name).is_none()
+            })
+            .count();
+        assert_eq!(orphans, 9);
     }
 
     #[test]

@@ -656,16 +656,22 @@ impl CorpusWriter {
         let plan = ShardPlan::new(fleet, output);
         let n = plan.shard_count();
         let segments = n.div_ceil(self.segment_shards);
-        let written = run_ordered(segments, workers, |segment| {
-            let shards = segment * self.segment_shards..n.min((segment + 1) * self.segment_shards);
-            self.write_segment(fleet, output, &plan, style, seed, segment, shards)
-        })?;
         let mut shards = Vec::with_capacity(n);
         let mut lines = 0u64;
-        for (entries, segment_lines) in written {
-            shards.extend(entries);
-            lines += segment_lines;
-        }
+        run_ordered(
+            segments,
+            workers,
+            |segment| {
+                let range =
+                    segment * self.segment_shards..n.min((segment + 1) * self.segment_shards);
+                self.write_segment(fleet, output, &plan, style, seed, segment, range)
+            },
+            |_, (entries, segment_lines)| {
+                shards.extend(entries);
+                lines += segment_lines;
+                Ok(())
+            },
+        )?;
 
         let manifest = Manifest {
             seed,

@@ -1,7 +1,7 @@
-//! Model-checked counterparts of the `std::sync` subset the ssfa chunk
-//! work queue uses. Every operation is a scheduler yield point, so the
-//! explorer can interleave virtual threads before each atomic or lock
-//! effect. Memory-ordering arguments are accepted for API parity but the
+//! Model-checked counterparts of a `std::sync` subset: the atomic the ssfa
+//! ordered worker pool's claims run on, and a mutex. Every operation is a
+//! scheduler yield point, so the explorer can interleave virtual threads
+//! before each atomic or lock effect. Memory-ordering arguments are accepted for API parity but the
 //! exploration is sequentially consistent — a sound over-approximation for
 //! catching lost updates and lock races at this queue's strength.
 
@@ -46,32 +46,12 @@ pub mod atomic {
             Explorer::yield_point();
             self.v.fetch_add(val, Ordering::SeqCst)
         }
-    }
 
-    /// Model-checked `AtomicBool`: a yield point before every operation.
-    #[derive(Debug, Default)]
-    pub struct AtomicBool {
-        v: std::sync::atomic::AtomicBool,
-    }
-
-    impl AtomicBool {
-        /// Creates the atomic. Usable outside the model (no yield).
-        pub fn new(v: bool) -> AtomicBool {
-            AtomicBool {
-                v: std::sync::atomic::AtomicBool::new(v),
-            }
-        }
-
-        /// Reads the value (yield point).
-        pub fn load(&self, _order: Ordering) -> bool {
+        /// Atomically stores the minimum of the value and `val`, returning
+        /// the previous value (yield point; indivisible, as on hardware).
+        pub fn fetch_min(&self, val: usize, _order: Ordering) -> usize {
             Explorer::yield_point();
-            self.v.load(Ordering::SeqCst)
-        }
-
-        /// Writes the value (yield point).
-        pub fn store(&self, val: bool, _order: Ordering) {
-            Explorer::yield_point();
-            self.v.store(val, Ordering::SeqCst)
+            self.v.fetch_min(val, Ordering::SeqCst)
         }
     }
 }

@@ -32,7 +32,7 @@ pub mod fleet;
 pub mod hash_index;
 pub mod id;
 pub mod layout;
-pub mod ordered;
+mod ordered;
 pub mod raid;
 pub mod shelf;
 pub mod time;
@@ -46,6 +46,8 @@ pub use hash_index::HashIndex;
 pub use id::{DeviceAddr, DiskInstanceId, LoopId, RaidGroupId, ShelfId, SlotAddr, SystemId};
 pub use layout::LayoutPolicy;
 pub use ordered::run_ordered;
+#[cfg(feature = "model-check")]
+pub use ordered::{deliver_in_order, Claims, Counter};
 pub use raid::RaidType;
 pub use shelf::{ShelfCatalog, ShelfModel, ShelfModelSpec};
 pub use time::{CivilDateTime, SimDuration, SimTime};

@@ -295,7 +295,8 @@ impl Pipeline {
     /// atomically and a crash leaves nothing torn. Epochs are written only
     /// after classification: the engine joins every worker before it
     /// folds, so a crash during classification writes no new epoch
-    /// (`ROADMAP.md` item 1).
+    /// (`ROADMAP.md` item 1). A failed chunk still lets every epoch
+    /// wholly before it be written before the error returns.
     ///
     /// # Errors
     ///

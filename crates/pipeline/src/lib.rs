@@ -4,7 +4,7 @@
 //! AutoSupport-style support logs, classify events into the four failure
 //! types, fold the per-system partials into fleet-wide statistics. This
 //! crate implements that pipeline **once**, as a single chunked
-//! worker-pool executor (the private `exec` module). The classify and
+//! executor (the private `exec` module). The classify and
 //! fold steps are direct calls — [`ssfa_logs::Classifier`] per chunk,
 //! one [`ssfa_core::StudyFold`] per run — and two seams stay open where
 //! callers plug in different implementations:
@@ -28,8 +28,9 @@
 //! simply a [`MonolithicSource`] in a single chunk on a single worker.
 //! Hand the study and [`RunHealth`] to a [`Sink`] with [`Sink::consume`].
 //!
-//! Shards batch into chunks per [`ChunkPolicy`], worker threads pull
-//! chunks off the model-checked [`workqueue`], each chunk runs one
+//! Shards batch into chunks per [`ChunkPolicy`], and the chunks run on
+//! [`ssfa_model::run_ordered`], the workspace's one model-checked batch
+//! pool: worker threads claim chunk indices, each chunk runs one
 //! classifier fed shard by shard (load → feed → drop, so
 //! peak corpus residency stays one shard), failures retry then
 //! quarantine under [`ssfa_logs::Strictness::Lenient`], and per-chunk
@@ -54,7 +55,6 @@ pub mod plan;
 pub mod quarantine;
 pub mod sink;
 pub mod source;
-pub mod workqueue;
 
 pub use builder::Pipeline;
 pub use checkpoint::ManifestSource;

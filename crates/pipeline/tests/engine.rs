@@ -4,7 +4,8 @@
 use ssfa_logs::{ChunkPlan, FaultSpec, Strictness};
 use ssfa_model::{FleetConfig, SystemClass, SystemId};
 use ssfa_pipeline::{
-    ChunkPolicy, JsonSummarySink, Pipeline, ShardData, Sink, Source, StreamStats, TextReportSink,
+    ChunkPolicy, JsonSummarySink, Pipeline, PipelineError, ShardData, Sink, Source, StreamStats,
+    TextReportSink,
 };
 
 /// A source with nothing to yield: the engine must short-circuit without
@@ -112,4 +113,47 @@ fn failing_sink_returns_the_writer_error_unswallowed() {
         "disk full",
         "the writer's error must come back as is"
     );
+}
+
+/// A source whose every shard panics on load, and whose quarantine
+/// accounting panics too: the second panic fires outside the per-chunk
+/// isolation boundary, on the strict path (naming the chunk's first
+/// system) and on the lenient one (listing the quarantined systems).
+struct PanickingSource;
+
+impl Source for PanickingSource {
+    fn shard_count(&self) -> usize {
+        4
+    }
+
+    fn plan_chunks(&self, _policy: ChunkPolicy) -> ChunkPlan {
+        ChunkPlan::fixed_count(4, 1)
+    }
+
+    fn load(&self, shard: usize) -> ShardData<'_> {
+        panic!("load of shard {shard} exploded")
+    }
+
+    fn system_ids(&self, shard: usize) -> Vec<SystemId> {
+        panic!("system ids of shard {shard} exploded")
+    }
+}
+
+#[test]
+fn a_panic_outside_the_chunk_boundary_is_a_worker_error() {
+    for threads in [1, 2] {
+        for pipeline in [Pipeline::new(), Pipeline::new().lenient()] {
+            let pipeline = pipeline.threads(threads);
+            match pipeline.run_source(&PanickingSource) {
+                Err(PipelineError::Worker { what }) => assert!(
+                    what.contains("system ids of shard") && what.contains("exploded"),
+                    "{threads} threads: the payload must survive: {what}"
+                ),
+                other => panic!(
+                    "{threads} threads: expected a worker error, got {:?}",
+                    other.map(|_| ())
+                ),
+            }
+        }
+    }
 }

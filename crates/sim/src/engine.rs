@@ -104,8 +104,10 @@ impl Simulator {
         assert!(threads > 0, "need at least one worker thread");
         let study_end = SimTime::study_end();
         let systems = fleet.systems();
-        let Ok(mut chunks) = run_ordered(
-            systems.len().div_ceil(SYSTEMS_PER_CHUNK),
+        let n_chunks = systems.len().div_ceil(SYSTEMS_PER_CHUNK);
+        let mut chunks = Vec::with_capacity(n_chunks);
+        let Ok(()) = run_ordered(
+            n_chunks,
             threads,
             |chunk| {
                 let start = chunk * SYSTEMS_PER_CHUNK;
@@ -115,6 +117,10 @@ impl Simulator {
                     self.simulate_system(fleet, sys, seed, study_end, &mut result);
                 }
                 Ok::<_, Infallible>(result)
+            },
+            |_, result| {
+                chunks.push(result);
+                Ok(())
             },
         );
 

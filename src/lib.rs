@@ -21,7 +21,9 @@
 //!   correlation, Findings 1–11.
 //! - [`pipeline`] — the staged execution engine behind [`Pipeline`]:
 //!   [`Source`](pipeline::Source) → classify → fold →
-//!   [`Sink`](pipeline::Sink) over one chunked worker pool.
+//!   [`Sink`](pipeline::Sink), with chunks run on
+//!   [`model::run_ordered`], the one batch worker pool the simulator and
+//!   the corpus writer also use.
 //! - [`daemon`] — `ssfad`, the always-on analysis service: a framed TCP
 //!   ingest bus with per-tenant folds and quarantine, session cursors,
 //!   bounded backpressure, and reconnect/backoff replay agents
@@ -125,7 +127,6 @@ pub use ssfa_stats as stats;
 
 // The historical `ssfa::...` pipeline surface, now defined in
 // `ssfa-pipeline`. Every pre-refactor public path stays valid.
-pub use ssfa_pipeline::workqueue;
 pub use ssfa_pipeline::{
     ChunkQuarantine, FileSource, ManifestSource, MmapSource, Pipeline, PipelineError, RunHealth,
     StreamStats,

@@ -233,6 +233,72 @@ fn a_restore_merges_deltas_onto_the_previous_runs_whole_epoch() {
     assert_last_epoch_is_the_fold(&ckpt.0, &cold);
 }
 
+/// A strict run that fails at chunk `k` keeps the epochs before it: the
+/// engine absorbs outcomes in chunk order up to the first failure, so
+/// every epoch wholly before `k` is durable and verifies, none at or past
+/// `k` is written, and a resume after the repair reads only from `k` on.
+#[test]
+fn a_strict_failure_keeps_the_epochs_before_it_durable() {
+    let corpus = TempDir::new("strict-corpus");
+    let ckpt = TempDir::new("strict-store");
+    build_corpus(&corpus.0);
+    let total = shard_count(&corpus.0);
+    let pipeline = Pipeline::new()
+        .scale(SCALE)
+        .seed(SEED)
+        .threads(2)
+        .chunk_systems(1)
+        .epoch_chunks(1);
+    let (cold, _, _) = pipeline
+        .run_source(&FileSource::open(&corpus.0).expect("corpus opens"))
+        .expect("cold run succeeds");
+
+    // Flip one payload byte of shard `k`, which is chunk `k`.
+    let text = std::fs::read_to_string(corpus.0.join(MANIFEST_NAME)).expect("manifest reads");
+    let manifest = Manifest::parse(&text).expect("manifest parses");
+    let k = (total / 2..total)
+        .find(|&shard| manifest.shards[shard].payload_len > 0)
+        .expect("a non-empty shard in the second half");
+    assert!(k > 2, "{k} of {total} shards");
+    let entry = &manifest.shards[k];
+    let segment = corpus.0.join(format!("segment-{:05}.seg", entry.segment));
+    let mut bytes = std::fs::read(&segment).expect("segment reads");
+    let at = entry.offset as usize + HEADER_LEN + entry.payload_len as usize / 2;
+    bytes[at] ^= 0x20;
+    std::fs::write(&segment, &bytes).expect("corrupt segment writes");
+
+    let err = pipeline
+        .run_source_checkpointed(&FileSource::open(&corpus.0).expect("corpus opens"), &ckpt.0)
+        .map(|_| ())
+        .expect_err("a corrupt shard fails a strict run");
+    assert!(
+        matches!(err, ssfa::PipelineError::Worker { .. }),
+        "expected a worker error, got {err}"
+    );
+    let reader = CheckpointReader::open(&ckpt.0).expect("checkpoint opens");
+    reader.verify().expect("every written epoch verifies");
+    assert_eq!(
+        reader.epoch_count(),
+        k,
+        "exactly the epochs wholly before chunk {k} are durable"
+    );
+    assert_eq!(reader.manifest().covered_shards(), k);
+
+    bytes[at] ^= 0x20;
+    std::fs::write(&segment, &bytes).expect("segment restores");
+    let source = FileSource::open(&corpus.0).expect("corpus opens");
+    let (study, _, health) = pipeline
+        .resume_from(&source, &ckpt.0)
+        .expect("resume after the repair succeeds");
+    assert_eq!(
+        source.shard_reads(),
+        (total - k) as u64,
+        "resume reads only the shards from the first missing epoch on"
+    );
+    assert!(health.is_clean(), "{health}");
+    assert_eq!(table1(&study), table1(&cold));
+}
+
 /// The checkpoint's last epoch is whole and decodes to `study`'s fold.
 fn assert_last_epoch_is_the_fold(ckpt: &Path, study: &ssfa::core::Study) {
     let reader = CheckpointReader::open(ckpt).expect("checkpoint opens");

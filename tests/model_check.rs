@@ -1,33 +1,34 @@
-//! Exhaustive schedule exploration of the chunk work queue
-//! (`ssfa::workqueue`) on the vendored loom stand-in.
+//! Exhaustive schedule exploration of the ordered worker pool's claims
+//! (`ssfa::model::Claims`) on the vendored loom stand-in.
 //!
 //! Run with: `cargo test --features model-check --test model_check`
 //!
-//! These tests compile the *same* generic `ChunkQueue` + `worker_loop` the
-//! streaming pipeline uses, but over `ssfa_loom` atomics, and then explore
-//! every interleaving of the workers' synchronization operations. The
-//! invariants mirror what `run_streaming` relies on:
+//! These tests compile the *same* `Claims` claim/fail/work code that
+//! `ssfa_model::run_ordered` runs for the simulator, the corpus writer and
+//! the pipeline engine, but over `ssfa_loom` atomics, and then explore
+//! every interleaving of the workers' atomic operations. The joined
+//! results go through the same `deliver_in_order` the pool calls. The
+//! invariants are the ones the pool promises:
 //!
-//! - every chunk is claimed by exactly one worker (no lost / duplicated
-//!   chunks — the differential streaming-vs-monolithic tests assume this);
-//! - after a fatal chunk the queue aborts and no chunk is double-processed
-//!   (so a chunk can never be quarantined twice);
-//! - worker-side tallies are quiescent after join: every chunk is either
-//!   processed exactly once or surrendered to the abort, never in flight
-//!   (the RunHealth `chunks_processed`/`chunks_total` bookkeeping).
+//! - every index is claimed by exactly one worker (no lost or duplicated
+//!   item — the engine grid's thread-count invariance assumes this);
+//! - after a failure no item runs twice, every item below the failure
+//!   runs, and the error delivered is the lowest failed item's, after
+//!   exactly the items below it were consumed (the rule that keeps a
+//!   strict run's earlier checkpoint epochs durable).
 //!
-//! Per-worker claims travel back through `JoinHandle` return values (exactly
-//! like `run_streaming`'s per-worker `mine` vectors) rather than a shared
-//! ledger, so the explored tree is precisely the queue's own atomic
+//! Per-worker results travel back through `JoinHandle` return values
+//! (exactly like `run_ordered`'s per-worker lists) rather than a shared
+//! ledger, so the explored tree is precisely the claims' own atomic
 //! operations — small enough to exhaust, large enough to mean something.
 
 #![cfg(feature = "model-check")]
 
-use ssfa::workqueue::{worker_loop, ChunkQueue, ChunkStatus};
+use ssfa::model::{deliver_in_order, Claims};
 use ssfa_loom as loom;
 use std::sync::Arc;
 
-type LoomQueue = ChunkQueue<loom::sync::atomic::AtomicUsize, loom::sync::atomic::AtomicBool>;
+type LoomClaims = Claims<loom::sync::atomic::AtomicUsize>;
 
 /// High enough to exhaust every tree below; the assertions on
 /// `report.complete` prove the bound was never the reason a test passed.
@@ -40,45 +41,50 @@ fn builder() -> loom::Builder {
     }
 }
 
-/// Spawns `workers` virtual threads all draining `queue` with `process`,
-/// joins them, and returns per-chunk claim counts.
-fn drain_and_tally<F>(workers: usize, chunks: usize, queue: &Arc<LoomQueue>, process: F) -> Vec<u32>
-where
-    F: Fn(usize) -> ChunkStatus + Send + Sync + Copy + 'static,
-{
+/// Runs `workers` virtual threads of `Claims::work` over `items` items
+/// that fail exactly at `failing`, joins them, and returns how often each
+/// item ran together with the delivery's outcome: the indices consumed,
+/// in order, and the error returned.
+fn run_pool(
+    workers: usize,
+    items: usize,
+    failing: Option<usize>,
+) -> (Vec<u32>, Vec<usize>, Result<(), usize>) {
+    let claims = Arc::new(LoomClaims::new(items));
     let handles: Vec<_> = (0..workers)
         .map(|_| {
-            let queue = Arc::clone(queue);
+            let claims = Arc::clone(&claims);
             loom::thread::spawn(move || {
-                let mut mine = Vec::new();
-                worker_loop(&queue, |chunk| {
-                    mine.push(chunk);
-                    process(chunk)
-                });
-                mine
+                claims.work(&|i| if Some(i) == failing { Err(i) } else { Ok(i) })
             })
         })
         .collect();
-    let mut claims = vec![0u32; chunks];
+    let mut done = Vec::new();
     for h in handles {
-        for chunk in h.join().unwrap() {
-            claims[chunk] += 1;
-        }
+        done.extend(h.join().unwrap());
     }
-    claims
+    let mut runs = vec![0u32; items];
+    for (i, _) in &done {
+        runs[*i] += 1;
+    }
+    let mut consumed = Vec::new();
+    let delivered = deliver_in_order(done, |i, _| {
+        consumed.push(i);
+        Ok(())
+    });
+    (runs, consumed, delivered)
 }
 
 #[test]
-fn every_chunk_claimed_exactly_once_across_all_schedules() {
-    const WORKERS: usize = 2;
-    const CHUNKS: usize = 3;
+fn every_index_claimed_exactly_once_across_all_schedules() {
     let report = builder().check(|| {
-        let queue = Arc::new(LoomQueue::new(CHUNKS));
-        let claims = drain_and_tally(WORKERS, CHUNKS, &queue, |_| ChunkStatus::Done);
+        let (runs, consumed, delivered) = run_pool(2, 3, None);
         assert!(
-            claims.iter().all(|&n| n == 1),
-            "lost or duplicated chunk: claims={claims:?}"
+            runs.iter().all(|&n| n == 1),
+            "lost or duplicated item: runs={runs:?}"
         );
+        assert_eq!(consumed, [0, 1, 2], "consumed out of index order");
+        assert_eq!(delivered, Ok(()));
     });
     assert!(report.failure.is_none(), "{:?}", report.failure);
     assert!(
@@ -88,48 +94,44 @@ fn every_chunk_claimed_exactly_once_across_all_schedules() {
     );
     assert!(
         report.schedules >= 2,
-        "2 workers x 3 chunks must branch, got {} schedule(s)",
+        "2 workers x 3 items must branch, got {} schedule(s)",
         report.schedules
     );
 }
 
 #[test]
 fn injected_lost_update_bug_is_caught() {
-    // The deliberately broken claim path (non-atomic load-then-store in
-    // `pop_lost_update`) must be caught: some interleaving hands the same
-    // chunk to both workers.
+    // The deliberately broken claim path (a read, then a separate bump,
+    // in `claim_lost_update`) must be caught: some interleaving hands the
+    // same item to both workers.
     const WORKERS: usize = 2;
-    const CHUNKS: usize = 3;
+    const ITEMS: usize = 3;
     let report = builder().check(|| {
-        let queue = Arc::new(LoomQueue::new(CHUNKS));
+        let claims = Arc::new(LoomClaims::new(ITEMS));
         let handles: Vec<_> = (0..WORKERS)
             .map(|_| {
-                let queue = Arc::clone(&queue);
+                let claims = Arc::clone(&claims);
                 loom::thread::spawn(move || {
-                    let mut mine = Vec::new();
-                    while let Some(chunk) = queue.pop_lost_update() {
-                        mine.push(chunk);
-                    }
-                    mine
+                    std::iter::from_fn(|| claims.claim_lost_update()).collect::<Vec<_>>()
                 })
             })
             .collect();
-        let mut claims = vec![0u32; CHUNKS];
+        let mut runs = vec![0u32; ITEMS];
         for h in handles {
-            for chunk in h.join().unwrap() {
-                claims[chunk] += 1;
+            for i in h.join().unwrap() {
+                runs[i] += 1;
             }
         }
         assert!(
-            claims.iter().all(|&n| n == 1),
-            "lost or duplicated chunk: claims={claims:?}"
+            runs.iter().all(|&n| n == 1),
+            "lost or duplicated item: runs={runs:?}"
         );
     });
     let failure = report
         .failure
-        .expect("the racy claim path must produce a duplicated or lost chunk");
+        .expect("the racy claim path must produce a duplicated or lost item");
     assert!(
-        failure.message.contains("lost or duplicated chunk"),
+        failure.message.contains("lost or duplicated item"),
         "unexpected failure: {}",
         failure.message
     );
@@ -140,34 +142,27 @@ fn injected_lost_update_bug_is_caught() {
 }
 
 #[test]
-fn abort_never_double_processes_and_tallies_stay_quiescent() {
-    // Chunk 1 is fatal (mirrors a strict-mode chunk error). Whatever the
-    // schedule: no chunk is processed twice (=> a chunk can never be
-    // quarantined twice, quarantine being derived from processing), and
-    // after both workers join the ledger is quiescent — every chunk either
-    // processed exactly once or never claimed (the abort ate it), with the
-    // fatal chunk always claimed exactly once.
-    const WORKERS: usize = 2;
-    const CHUNKS: usize = 3;
-    const FATAL_CHUNK: usize = 1;
+fn a_failure_never_double_runs_and_delivers_the_lowest_error() {
+    // Item 1 fails (a strict-mode chunk error). Whatever the schedule: no
+    // item runs twice (so a chunk can never be quarantined twice), items
+    // 0 and 1 run exactly once, item 2 runs at most once (a worker may
+    // have claimed it before the failure was recorded), and delivery
+    // consumes item 0 alone before returning item 1's error.
+    const FAILING: usize = 1;
     let report = builder().check(|| {
-        let queue = Arc::new(LoomQueue::new(CHUNKS));
-        let claims = drain_and_tally(WORKERS, CHUNKS, &queue, |chunk| {
-            if chunk == FATAL_CHUNK {
-                ChunkStatus::Fatal
-            } else {
-                ChunkStatus::Done
-            }
-        });
-        assert!(queue.is_aborted(), "a fatal chunk must abort the queue");
-        assert!(
-            claims.iter().all(|&n| n <= 1),
-            "chunk processed twice (double-quarantine hazard): {claims:?}"
+        let (runs, consumed, delivered) = run_pool(2, 3, Some(FAILING));
+        assert!(runs.iter().all(|&n| n <= 1), "item ran twice: {runs:?}");
+        assert_eq!(
+            runs[..=FAILING],
+            [1, 1],
+            "every item up to the failure runs: {runs:?}"
         );
         assert_eq!(
-            claims[FATAL_CHUNK], 1,
-            "the fatal chunk is always claimed before it can abort: {claims:?}"
+            consumed,
+            [0],
+            "only the items below the failure are consumed"
         );
+        assert_eq!(delivered, Err(FAILING), "the lowest failed item's error");
     });
     assert!(report.failure.is_none(), "{:?}", report.failure);
     assert!(
@@ -179,26 +174,25 @@ fn abort_never_double_processes_and_tallies_stay_quiescent() {
 
 #[test]
 fn three_workers_bounded_preemption_no_loss() {
-    // Widen to 3 virtual threads over 3 chunks. The fully exhaustive tree
+    // Widen to 3 virtual threads over 3 items. The fully exhaustive tree
     // here runs past 500k schedules, so this test is *bounded*, not
     // exhaustive: at most 2 preemptive switches per execution (loom's own
     // escape hatch for wider thread counts — any bug reachable with <= 2
-    // preemptions is still caught, and the queue's single fetch_add claim
-    // point can only race within one preemption). The 2-worker tests above
+    // preemptions is still caught, and the single fetch_add claim point
+    // can only race within one preemption). The 2-worker tests above
     // remain fully exhaustive.
-    const WORKERS: usize = 3;
-    const CHUNKS: usize = 3;
     let report = loom::Builder {
         max_schedules: SCHEDULE_BOUND,
         preemption_bound: Some(2),
     }
     .check(|| {
-        let queue = Arc::new(LoomQueue::new(CHUNKS));
-        let claims = drain_and_tally(WORKERS, CHUNKS, &queue, |_| ChunkStatus::Done);
+        let (runs, consumed, delivered) = run_pool(3, 3, None);
         assert!(
-            claims.iter().all(|&n| n == 1),
-            "lost or duplicated chunk: claims={claims:?}"
+            runs.iter().all(|&n| n == 1),
+            "lost or duplicated item: runs={runs:?}"
         );
+        assert_eq!(consumed, [0, 1, 2], "consumed out of index order");
+        assert_eq!(delivered, Ok(()));
     });
     assert!(report.failure.is_none(), "{:?}", report.failure);
     assert!(
