@@ -323,6 +323,12 @@ impl IngestBus {
         }
     }
 
+    /// The write-ahead log every admission is appended to, if the bus runs
+    /// durable.
+    pub fn wal(&self) -> Option<&Arc<WriteAheadLog>> {
+        self.wal.as_ref()
+    }
+
     /// Replays records recovered by [`WriteAheadLog::open`] through the
     /// ordinary `hello`/`admit` path — the same cursor and exactly-once
     /// machinery live traffic uses — without re-appending them to the

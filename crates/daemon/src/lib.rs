@@ -46,7 +46,7 @@ pub use agent::{AgentConfig, AgentError, AgentReport, ReplayAgent};
 pub use bus::{Admission, BusConfig, IngestBus, TenantReport, TenantStats};
 pub use clock::{Backoff, BackoffConfig, Stopwatch};
 pub use server::{DrainReport, Server, ServerConfig, ServerHandle};
-pub use wal::{WalRecord, WriteAheadLog, DEFAULT_SEGMENT_BYTES};
+pub use wal::{SetAside, WalRecord, WriteAheadLog, DEFAULT_SEGMENT_BYTES};
 pub use wire::{
     expect_message, read_message, write_message, Cursor, Hello, Message, MessageKind, WireError,
 };

@@ -181,6 +181,55 @@ struct TenantLog {
     file: File,
 }
 
+/// What [`WriteAheadLog::open`] set aside for one tenant whose replay
+/// stopped before the end of its log: where it stopped, the bytes cut
+/// off that segment, and the later segments renamed out of the replay
+/// namespace. A torn tail of the last segment (a crash mid-append) is
+/// reported too, with no later segments.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SetAside {
+    /// The tenant whose log was cut.
+    pub tenant: String,
+    /// The segment where replay stopped.
+    pub segment: usize,
+    /// The offset in that segment where replay stopped; appends continue
+    /// there.
+    pub offset: u64,
+    /// Bytes past `offset` cut off that segment.
+    pub cut_bytes: u64,
+    /// The later segments, each with its new `wal-NNNNN.seg.orphanK`
+    /// file name and its size in bytes, in segment order.
+    pub orphaned: Vec<(String, u64)>,
+}
+
+impl SetAside {
+    /// Bytes kept out of replay: the cut tail plus every orphaned segment.
+    pub fn bytes(&self) -> u64 {
+        self.cut_bytes + self.orphaned.iter().map(|(_, bytes)| bytes).sum::<u64>()
+    }
+}
+
+impl std::fmt::Display for SetAside {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "tenant {}: WAL replay stopped at {} offset {}; {} byte(s) cut there",
+            self.tenant,
+            segment_file_name(self.segment),
+            self.offset,
+            self.cut_bytes
+        )?;
+        if let (Some((first, _)), Some((last, _))) = (self.orphaned.first(), self.orphaned.last()) {
+            write!(
+                f,
+                ", {} later segment(s) set aside ({first} .. {last})",
+                self.orphaned.len()
+            )?;
+        }
+        write!(f, ", {} byte(s) in all not replayed", self.bytes())
+    }
+}
+
 /// The rotating write-ahead log. Cheap to share behind an `Arc`; appends
 /// for different tenants serialize on one lock (admission is already a
 /// short critical section, and WAL writes are small).
@@ -189,6 +238,7 @@ pub struct WriteAheadLog {
     dir: PathBuf,
     segment_bytes: u64,
     appender: Mutex<Appender>,
+    set_aside: Vec<SetAside>,
 }
 
 /// What an append holds the lock for.
@@ -212,6 +262,8 @@ impl WriteAheadLog {
     /// retransmits it (see module docs). Records after a corruption
     /// elsewhere were acked, and are lost to replay: an agent that has
     /// its final `ACK` has exited and sends nothing again.
+    /// [`WriteAheadLog::set_aside`] lists what each such cut kept out of
+    /// replay.
     ///
     /// # Errors
     ///
@@ -224,6 +276,7 @@ impl WriteAheadLog {
         std::fs::create_dir_all(&dir)?;
         let mut tenants = BTreeMap::new();
         let mut records = Vec::new();
+        let mut set_aside = Vec::new();
         let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)?
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| p.is_dir())
@@ -266,13 +319,22 @@ impl WriteAheadLog {
                     // and the clean prefix is mapped afresh. Later
                     // segments leave the replay namespace.
                     records.truncate(scanned_from);
+                    let cut_bytes = map.len() as u64 - consumed;
                     drop(map);
                     file.set_len(consumed)?;
                     map = map_segment(&path)?;
                     consumed = scan_segment(&map, &tenant, strictness, &mut records);
-                    for &later in &segments[position + 1..] {
-                        orphan_segment(&tenant_dir, later)?;
-                    }
+                    let orphaned = segments[position + 1..]
+                        .iter()
+                        .map(|&later| orphan_segment(&tenant_dir, later))
+                        .collect::<std::io::Result<_>>()?;
+                    set_aside.push(SetAside {
+                        tenant: tenant.clone(),
+                        segment,
+                        offset: consumed,
+                        cut_bytes,
+                        orphaned,
+                    });
                 }
                 last = Some(TenantLog {
                     dir: tenant_dir.clone(),
@@ -301,9 +363,17 @@ impl WriteAheadLog {
                     tenants,
                     record: Vec::new(),
                 }),
+                set_aside,
             },
             records,
         ))
+    }
+
+    /// What [`WriteAheadLog::open`] kept out of replay, one entry per
+    /// tenant whose replay stopped early, in tenant order. Empty after a
+    /// clean open.
+    pub fn set_aside(&self) -> &[SetAside] {
+        &self.set_aside
     }
 
     /// Where the log lives.
@@ -434,13 +504,17 @@ fn parse_segment_name(name: &str) -> Option<usize> {
 
 /// Renames segment `segment` to the first free `wal-NNNNN.seg.orphanK`,
 /// so no later recovery replays it and no later rotation overwrites it.
-fn orphan_segment(tenant_dir: &Path, segment: usize) -> std::io::Result<()> {
+/// Returns the new file name and the segment's size.
+fn orphan_segment(tenant_dir: &Path, segment: usize) -> std::io::Result<(String, u64)> {
     let name = segment_file_name(segment);
     let target = (0..)
-        .map(|k| tenant_dir.join(format!("{name}.orphan{k}")))
-        .find(|path| !path.exists())
+        .map(|k| format!("{name}.orphan{k}"))
+        .find(|target| !tenant_dir.join(target).exists())
         .expect("an unused orphan name");
-    std::fs::rename(tenant_dir.join(name), target)
+    let from = tenant_dir.join(name);
+    let bytes = std::fs::metadata(&from)?.len();
+    std::fs::rename(from, tenant_dir.join(&target))?;
+    Ok((target, bytes))
 }
 
 fn open_segment(tenant_dir: &Path, segment: usize) -> std::io::Result<File> {
@@ -538,7 +612,11 @@ mod tests {
             .count();
         assert!(segments > 1, "expected rotation, got {segments} segment(s)");
 
-        let (_, replayed) = WriteAheadLog::open(dir.path(), 128).unwrap();
+        let (wal, replayed) = WriteAheadLog::open(dir.path(), 128).unwrap();
+        assert!(
+            wal.set_aside().is_empty(),
+            "a clean open sets nothing aside"
+        );
         assert_eq!(replayed.len(), 10);
         for (seq, record) in replayed.iter().enumerate() {
             assert_eq!(record.tenant, "t/1");
@@ -569,6 +647,10 @@ mod tests {
         let (wal, replayed) = WriteAheadLog::open(dir.path(), 1 << 20).unwrap();
         assert_eq!(replayed.len(), 1, "torn record must be dropped");
         assert_eq!(replayed[0].seq, 0);
+        let torn = &wal.set_aside()[0];
+        assert_eq!((torn.segment, torn.offset), (0, bytes.len() as u64 / 2));
+        assert_eq!(torn.cut_bytes, bytes.len() as u64 / 2 - 7);
+        assert!(torn.orphaned.is_empty());
         // The torn bytes are truncated away, so a new append lands on a
         // clean boundary and the log reads back whole.
         wal.append("t", Strictness::Strict, "s", 1, &frame(1, b"b\n"))
@@ -666,11 +748,38 @@ mod tests {
 
         let (wal, recovered) = WriteAheadLog::open(dir.path(), 400).unwrap();
         assert_eq!(seqs(&recovered), (0..=11).collect::<Vec<_>>());
+        // Segment 2 holds seqs 10..=14, so replay stops after its second
+        // record: seqs 12..=14 are cut, and segments 3..=11 are set aside
+        // whole.
+        let record_len = 79;
+        let orphaned: Vec<_> = (3..=11)
+            .map(|segment| {
+                (
+                    format!("{}.orphan0", segment_file_name(segment)),
+                    5 * record_len,
+                )
+            })
+            .collect();
+        assert_eq!(
+            wal.set_aside(),
+            [SetAside {
+                tenant: "t".to_owned(),
+                segment: 2,
+                offset: 2 * record_len,
+                cut_bytes: 3 * record_len,
+                orphaned,
+            }]
+        );
+        assert_eq!(wal.set_aside()[0].bytes(), 48 * record_len);
         append(&wal, 12..=16);
         drop(wal);
         drop(recovered);
-        let (_, recovered) = WriteAheadLog::open(dir.path(), 400).unwrap();
+        let (wal, recovered) = WriteAheadLog::open(dir.path(), 400).unwrap();
         assert_eq!(seqs(&recovered), (0..=16).collect::<Vec<_>>());
+        assert!(
+            wal.set_aside().is_empty(),
+            "a clean open sets nothing aside"
+        );
         for record in &recovered {
             assert_eq!(*record.frame, frame(record.seq as u32, b"x\n"));
         }

@@ -2,16 +2,21 @@
 //!
 //! A small, offline stand-in for [loom](https://github.com/tokio-rs/loom)
 //! exposing a small API subset: [`sync::atomic::AtomicUsize`] (what the
-//! ssfa ordered worker pool's claims run on), [`sync::Mutex`], and
+//! ssfa ordered worker pool's claims run on), [`sync::Mutex`] and
+//! [`sync::Condvar`] (what its reorder buffer runs on), and
 //! [`thread::spawn`]/[`thread::JoinHandle::join`].
 //!
 //! ## How it works
 //!
 //! [`model`] (or [`Builder::check`]) runs the closure repeatedly, once per
 //! distinct *schedule*. Each virtual thread is backed by a real OS thread,
-//! but a token scheduler lets exactly one run at a time; every sync
-//! operation yields first, creating a *choice point* where any currently
-//! runnable virtual thread may be scheduled next. An execution records the
+//! but a token scheduler lets exactly one run at a time; every atomic
+//! operation, lock and join yields first, creating a *choice point* where
+//! any currently runnable virtual thread may be scheduled next. An unlock,
+//! a condition-variable wait and a notify are not choice points: an
+//! unlock is seen only by a later lock, which is one, and a wait or
+//! notify made with the mutex held, as it must be here, commutes with
+//! everything another thread can do meanwhile. An execution records the
 //! choice made at every point; the driver then backtracks depth-first —
 //! bump the deepest choice with unexplored alternatives, replay the prefix,
 //! continue — until the whole tree is exhausted or `max_schedules` is hit.
@@ -19,7 +24,9 @@
 //! Because user code must be deterministic apart from scheduling, this
 //! enumerates **every interleaving of sync operations** (under sequential
 //! consistency — a sound over-approximation for the invariants checked
-//! here: lost updates, duplicated claims, deadlocks).
+//! here: lost updates, duplicated claims, lost wake-ups, deadlocks). A
+//! schedule on which every unfinished virtual thread is blocked — on a
+//! mutex, a join or a condition variable — is a deadlock.
 //!
 //! ## Example
 //!
@@ -182,7 +189,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::sync::atomic::{AtomicUsize, Ordering};
-    use super::sync::Mutex;
+    use super::sync::{Condvar, Mutex};
     use super::{thread, Builder};
     use std::sync::Arc;
 
@@ -292,6 +299,52 @@ mod tests {
             let _ = h.join();
         });
         let failure = report.failure.expect("AB/BA lock order must deadlock");
+        assert!(
+            failure.message.contains("deadlock"),
+            "unexpected failure: {}",
+            failure.message
+        );
+    }
+
+    /// One thread sets a flag under the lock and notifies; the other
+    /// waits for it. `checked` waiters test the flag before parking.
+    fn handoff(checked: bool) -> super::Report {
+        Builder::default().check(move || {
+            let pair = Arc::new((Mutex::new(false), Condvar::new()));
+            let setter = Arc::clone(&pair);
+            let h = thread::spawn(move || {
+                *setter.0.lock().unwrap() = true;
+                setter.1.notify_all();
+            });
+            let mut set = pair.0.lock().unwrap();
+            if checked {
+                while !*set {
+                    set = pair.1.wait(set).unwrap();
+                }
+            } else {
+                set = pair.1.wait(set).unwrap();
+            }
+            assert!(*set);
+            drop(set);
+            h.join().unwrap();
+        })
+    }
+
+    #[test]
+    fn a_notified_waiter_sees_the_state_it_waited_for() {
+        let report = handoff(true);
+        assert!(report.failure.is_none(), "{:?}", report.failure);
+        assert!(report.complete);
+        assert!(report.schedules >= 2, "the setter may run first or second");
+    }
+
+    #[test]
+    fn a_wait_that_skips_its_check_loses_the_wake_up() {
+        // When the setter runs first, its notify finds no waiter, and the
+        // unchecked wait parks forever: every thread blocked.
+        let failure = handoff(false)
+            .failure
+            .expect("the lost wake-up must be found");
         assert!(
             failure.message.contains("deadlock"),
             "unexpected failure: {}",

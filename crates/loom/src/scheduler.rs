@@ -1,6 +1,6 @@
 //! The schedule explorer: real OS threads serialized down to one runnable
 //! virtual thread at a time by a token (mutex + condvar), with a *choice
-//! point* before every synchronization operation. One execution follows a
+//! point* before every atomic operation, lock and join. One execution follows a
 //! forced schedule prefix and records every choice it makes; the driver in
 //! `lib.rs` then backtracks depth-first by bumping the deepest choice that
 //! still has unexplored alternatives. Deterministic user code + deterministic
@@ -30,6 +30,8 @@ enum BlockOn {
     Mutex(usize),
     /// Waiting for this virtual thread to finish.
     Join(usize),
+    /// Parked on model condition variable with this id until notified.
+    Condvar(usize),
 }
 
 /// One recorded scheduling decision: which of the `alternatives` enabled
@@ -60,8 +62,28 @@ struct SchedState {
     abort: bool,
     /// Model mutex id -> owning tid.
     mutex_owner: Vec<Option<usize>>,
+    /// How many model condition variables were registered (their ids).
+    condvars: usize,
     /// Real handles of spawned vthreads, joined by the driver at the end.
     handles: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl SchedState {
+    /// Makes every vthread blocked on `on` runnable.
+    fn wake(&mut self, on: BlockOn) {
+        for t in 0..self.runs.len() {
+            if self.runs[t] == Run::Blocked && self.blocked_on[t] == Some(on) {
+                self.blocked_on[t] = None;
+                self.runs[t] = Run::Ready;
+            }
+        }
+    }
+
+    /// Frees model mutex `id` and wakes its waiters.
+    fn unlock(&mut self, id: usize) {
+        self.mutex_owner[id] = None;
+        self.wake(BlockOn::Mutex(id));
+    }
 }
 
 pub(crate) struct Explorer {
@@ -222,24 +244,55 @@ impl Explorer {
         });
     }
 
-    /// Releases model mutex `id`, waking every vthread blocked on it, then
-    /// yields. Safe to call during unwind (no parking, bookkeeping only).
+    /// Releases model mutex `id` if the calling vthread owns it, waking
+    /// every vthread blocked on it. Not a yield point: the release is
+    /// only visible to a thread that acquires, and every acquire is one.
+    /// Safe to call during unwind; a guard dropped while its owner was
+    /// parked on a condition variable owns nothing to release.
     pub(crate) fn release_mutex(id: usize) {
         Self::with_ctx(|exp, me| {
             let mut st = exp.state.lock().unwrap();
-            st.mutex_owner[id] = None;
-            for t in 0..st.runs.len() {
-                if st.runs[t] == Run::Blocked && st.blocked_on[t] == Some(BlockOn::Mutex(id)) {
-                    st.blocked_on[t] = None;
-                    st.runs[t] = Run::Ready;
-                }
+            if st.mutex_owner[id] == Some(me) {
+                st.unlock(id);
             }
-            if std::thread::panicking() || st.abort {
-                exp.notify_only(st);
-                return;
+            exp.notify_only(st);
+        });
+    }
+
+    /// Registers a new model condition variable, returning its id.
+    pub(crate) fn register_condvar() -> usize {
+        Self::with_ctx(|exp, _| {
+            let mut st = exp.state.lock().unwrap();
+            st.condvars += 1;
+            st.condvars - 1
+        })
+    }
+
+    /// Releases model mutex `mutex` and parks on condition variable `cv`
+    /// in one step, as `std`'s `Condvar::wait` does, then re-acquires the
+    /// mutex once notified. No spurious wake-ups are modelled.
+    pub(crate) fn wait_condvar(cv: usize, mutex: usize) {
+        Self::with_ctx(|exp, me| {
+            let mut st = exp.state.lock().unwrap();
+            if st.abort {
+                drop(st);
+                std::panic::panic_any(SchedAbort);
             }
+            st.unlock(mutex);
+            st.runs[me] = Run::Blocked;
+            st.blocked_on[me] = Some(BlockOn::Condvar(cv));
             let st = exp.pick_next(st);
             exp.wait_for_token(st, me);
+        });
+        Self::acquire_mutex(mutex);
+    }
+
+    /// Makes every vthread parked on condition variable `cv` runnable. Not
+    /// a yield point: the waiters only observe it at their next choice.
+    pub(crate) fn notify_condvar(cv: usize) {
+        Self::with_ctx(|exp, _| {
+            let mut st = exp.state.lock().unwrap();
+            st.wake(BlockOn::Condvar(cv));
         });
     }
 
@@ -302,21 +355,10 @@ impl Explorer {
         // already released; this is the belt-and-braces path.
         for id in 0..st.mutex_owner.len() {
             if st.mutex_owner[id] == Some(me) {
-                st.mutex_owner[id] = None;
-                for t in 0..st.runs.len() {
-                    if st.runs[t] == Run::Blocked && st.blocked_on[t] == Some(BlockOn::Mutex(id)) {
-                        st.blocked_on[t] = None;
-                        st.runs[t] = Run::Ready;
-                    }
-                }
+                st.unlock(id);
             }
         }
-        for t in 0..st.runs.len() {
-            if st.runs[t] == Run::Blocked && st.blocked_on[t] == Some(BlockOn::Join(me)) {
-                st.blocked_on[t] = None;
-                st.runs[t] = Run::Ready;
-            }
-        }
+        st.wake(BlockOn::Join(me));
         if let Some(msg) = failure {
             st.failure.get_or_insert(msg);
             st.abort = true;
@@ -375,6 +417,7 @@ where
             failure: None,
             abort: false,
             mutex_owner: Vec::new(),
+            condvars: 0,
             handles: Vec::new(),
         }),
         cv: Condvar::new(),

@@ -1,9 +1,14 @@
 //! Model-checked counterparts of a `std::sync` subset: the atomic the ssfa
-//! ordered worker pool's claims run on, and a mutex. Every operation is a
-//! scheduler yield point, so the explorer can interleave virtual threads
-//! before each atomic or lock effect. Memory-ordering arguments are accepted for API parity but the
-//! exploration is sequentially consistent — a sound over-approximation for
-//! catching lost updates and lock races at this queue's strength.
+//! ordered worker pool's claims run on, and the mutex and condition
+//! variable its reorder buffer runs on. Every atomic operation and every
+//! lock is a scheduler yield point, so the explorer can interleave
+//! virtual threads before each atomic or lock effect; an unlock, a wait
+//! and a notify are not (see the crate docs for why that is sound when
+//! waits and notifies hold the mutex).
+//! Memory-ordering arguments are accepted for API parity but the
+//! exploration is sequentially consistent — a sound over-approximation
+//! for catching lost updates, lost wake-ups and deadlocks at this pool's
+//! strength.
 
 use crate::scheduler::Explorer;
 use std::fmt;
@@ -95,20 +100,23 @@ impl<T> Mutex<T> {
         // model-level owner ever touches it, and the token serializes
         // virtual threads. `unwrap_or_else(into_inner)` keeps teardown of a
         // panicked execution from cascading poison panics.
-        let inner = self.data.lock().unwrap_or_else(|p| p.into_inner());
         Ok(MutexGuard {
-            id: self.id,
-            inner: Some(inner),
+            mutex: self,
+            inner: Some(self.data()),
         })
+    }
+
+    fn data(&self) -> std::sync::MutexGuard<'_, T> {
+        self.data.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
-/// RAII guard for [`Mutex`]; releasing is itself a yield point.
+/// RAII guard for [`Mutex`]; dropping it releases the lock.
 pub struct MutexGuard<'a, T> {
-    id: usize,
-    // Option so Drop can release the real guard BEFORE parking in the
-    // scheduler — otherwise a rescheduled virtual thread could block on
-    // the inner std mutex for real and wedge the explorer.
+    mutex: &'a Mutex<T>,
+    // Option so `Condvar::wait` can release the real guard BEFORE parking
+    // in the scheduler — otherwise a rescheduled virtual thread could
+    // block on the inner std mutex for real and wedge the explorer.
     inner: Option<std::sync::MutexGuard<'a, T>>,
 }
 
@@ -135,6 +143,50 @@ impl<T> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
         // Release the real lock first, then the model-level ownership.
         self.inner.take();
-        Explorer::release_mutex(self.id);
+        Explorer::release_mutex(self.mutex.id);
+    }
+}
+
+/// Model-checked condition variable. MUST be created inside the model
+/// closure (it registers itself with the running explorer). Waiting
+/// parks the virtual thread until a [`Condvar::notify_all`]; a schedule
+/// on which every unfinished virtual thread waits is reported as a
+/// deadlock.
+#[derive(Debug)]
+pub struct Condvar {
+    id: usize,
+}
+
+impl Condvar {
+    /// Creates a model condition variable registered with the current
+    /// exploration.
+    pub fn new() -> Condvar {
+        Condvar {
+            id: Explorer::register_condvar(),
+        }
+    }
+
+    /// Unlocks `guard`'s mutex and parks in one step, then locks it again
+    /// once notified, as `std::sync::Condvar::wait` does.
+    pub fn wait<'a, T>(
+        &self,
+        mut guard: MutexGuard<'a, T>,
+    ) -> Result<MutexGuard<'a, T>, PoisonError> {
+        // As in `MutexGuard::drop`: the real lock goes before parking.
+        guard.inner.take();
+        Explorer::wait_condvar(self.id, guard.mutex.id);
+        guard.inner = Some(guard.mutex.data());
+        Ok(guard)
+    }
+
+    /// Wakes every virtual thread parked on this condition variable.
+    pub fn notify_all(&self) {
+        Explorer::notify_condvar(self.id);
+    }
+}
+
+impl Default for Condvar {
+    fn default() -> Self {
+        Condvar::new()
     }
 }

@@ -47,7 +47,7 @@ pub use id::{DeviceAddr, DiskInstanceId, LoopId, RaidGroupId, ShelfId, SlotAddr,
 pub use layout::LayoutPolicy;
 pub use ordered::run_ordered;
 #[cfg(feature = "model-check")]
-pub use ordered::{deliver_in_order, Claims, Counter};
+pub use ordered::{Buffer, Claims, Counter, Monitor, Pool};
 pub use raid::RaidType;
 pub use shelf::{ShelfCatalog, ShelfModel, ShelfModelSpec};
 pub use time::{CivilDateTime, SimDuration, SimTime};

@@ -292,11 +292,12 @@ impl Pipeline {
     /// finished run's fold state and what a later resume decodes first.
     /// The checkpoint manifest is rewritten atomically (temp file + sync +
     /// rename) after every epoch frame, so each epoch is published
-    /// atomically and a crash leaves nothing torn. Epochs are written only
-    /// after classification: the engine joins every worker before it
-    /// folds, so a crash during classification writes no new epoch
-    /// (`ROADMAP.md` item 1). A failed chunk still lets every epoch
-    /// wholly before it be written before the error returns.
+    /// atomically and a crash leaves nothing torn. Epochs are written
+    /// while workers classify later chunks: the engine folds each chunk
+    /// as soon as it and every chunk before it are classified, so a crash
+    /// mid-run keeps every epoch already written. A failed chunk still
+    /// lets every epoch wholly before it be written before the error
+    /// returns.
     ///
     /// # Errors
     ///

@@ -18,10 +18,10 @@
 //! restores it with one decode, and the last epoch of any finished run is
 //! the finished fold.
 //!
-//! The engine folds only after every worker has joined, so all epochs
-//! are written after classification: a crash during classification
-//! writes no new epoch (folding while workers run is `ROADMAP.md` item
-//! 1).
+//! The engine hands over each chunk's partial as soon as it and every
+//! chunk before it are classified, so epochs are written while workers
+//! classify later chunks: a crash mid-run keeps every epoch already
+//! written.
 //!
 //! [`Pipeline::run_source_checkpointed`] runs cold while writing epochs;
 //! [`Pipeline::resume_from`] restores the newest epoch whose shard

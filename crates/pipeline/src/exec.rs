@@ -4,8 +4,12 @@
 //! Chunks run on [`ssfa_model::run_ordered`], the workspace's one
 //! model-checked batch pool: workers claim chunk indices from a shared
 //! counter (static splits strand workers behind uneven chunks), and the
-//! pool hands the outcomes back in chunk order, so scheduling cannot
-//! affect the result.
+//! pool hands each outcome back in chunk order as soon as it and every
+//! chunk before it are done, so scheduling cannot affect the result. The
+//! fold and the checkpoint sink run on the calling thread while workers
+//! classify later chunks, and workers run at most a fixed window of
+//! chunks ahead of the fold, so about that many partials are alive at
+//! once, not the whole run's.
 //!
 //! [`Engine::run_from`] is also the checkpoint seam: it starts the plan
 //! at an arbitrary chunk (everything before it is assumed already folded
@@ -46,11 +50,11 @@ impl Engine {
     /// Chunks before `first_chunk` are assumed already folded into `fold`
     /// (a checkpoint restore) and are neither loaded nor counted. Each
     /// chunk's partial (`None` for a quarantined chunk) goes, in chunk
-    /// order on the calling thread, to `absorb(chunk, partial, &mut
-    /// fold)`, which must fold it into `fold` by the time the last chunk
-    /// returns ([`push_partial`] does so at once). A failed chunk stops
-    /// the run after every chunk before it is absorbed; an `absorb` error
-    /// stops it at once.
+    /// order on the calling thread and while workers classify later
+    /// chunks, to `absorb(chunk, partial, &mut fold)`, which must fold it
+    /// into `fold` by the time the last chunk returns ([`push_partial`]
+    /// does so at once). A failed chunk stops the run after every chunk
+    /// before it is absorbed; an `absorb` error stops it at once.
     ///
     /// Stats and health cover only the chunks this call processed (the
     /// increment), so a fully-caught-up resume reports an empty, clean

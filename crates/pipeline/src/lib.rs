@@ -34,7 +34,9 @@
 //! classifier fed shard by shard (load → feed → drop, so
 //! peak corpus residency stays one shard), failures retry then
 //! quarantine under [`ssfa_logs::Strictness::Lenient`], and per-chunk
-//! partials fold in chunk order, so scheduling never changes the result.
+//! partials fold in chunk order as they land, while workers classify
+//! later chunks, so scheduling never changes the result and only about a
+//! fixed window of partials is alive at once.
 //!
 //! Downstream code normally uses the root `ssfa` facade, which re-exports
 //! everything here; depend on this crate directly only to implement a

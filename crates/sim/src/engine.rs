@@ -32,7 +32,7 @@ pub struct Simulator {
 const SYSTEMS_PER_CHUNK: usize = 64;
 
 /// High bit marking a chunk-local replacement-disk id before the
-/// deterministic global renumbering pass.
+/// deterministic global renumbering as chunks are appended in order.
 const LOCAL_REPLACEMENT_FLAG: u64 = 1 << 63;
 
 /// One chunk's simulation output, its systems in order, with chunk-local
@@ -90,12 +90,12 @@ impl Simulator {
     ///
     /// Workers claim chunks of 64 systems in fleet order through
     /// [`run_ordered`], so the large systems late in the fleet do not
-    /// strand one worker, and chunk results are concatenated in system
-    /// order; [`Simulator::run`] is the same path on one thread. Output is
-    /// bit-identical for any thread count: every system draws from RNG
-    /// streams derived only from `(seed, system index)`, and
-    /// replacement-disk instance ids are assigned by a deterministic
-    /// post-pass in system order.
+    /// strand one worker, and each chunk's results are appended, in system
+    /// order, as soon as the chunks before it are; [`Simulator::run`] is
+    /// the same path on one thread. Output is bit-identical for any thread
+    /// count: every system draws from RNG streams derived only from
+    /// `(seed, system index)`, and replacement-disk instance ids are
+    /// assigned as chunks are appended, in system order.
     ///
     /// # Panics
     ///
@@ -105,7 +105,11 @@ impl Simulator {
         let study_end = SimTime::study_end();
         let systems = fleet.systems();
         let n_chunks = systems.len().div_ceil(SYSTEMS_PER_CHUNK);
-        let mut chunks = Vec::with_capacity(n_chunks);
+        let mut occurrences = Vec::new();
+        let mut disks = Vec::new();
+        // Replacement ids continue past the fleet's disks, numbered by a
+        // prefix sum over the chunks' replacement counts in system order.
+        let mut base = fleet.disk_count() as u64;
         let Ok(()) = run_ordered(
             n_chunks,
             threads,
@@ -118,35 +122,26 @@ impl Simulator {
                 }
                 Ok::<_, Infallible>(result)
             },
-            |_, result| {
-                chunks.push(result);
+            |_, mut result| {
+                let remap = |id: DiskInstanceId| -> DiskInstanceId {
+                    if id.0 & LOCAL_REPLACEMENT_FLAG != 0 {
+                        DiskInstanceId(base + (id.0 & !LOCAL_REPLACEMENT_FLAG))
+                    } else {
+                        id
+                    }
+                };
+                for occ in &mut result.occurrences {
+                    occ.disk = remap(occ.disk);
+                }
+                for disk in &mut result.disks {
+                    disk.id = remap(disk.id);
+                }
+                base += result.replacements;
+                occurrences.append(&mut result.occurrences);
+                disks.append(&mut result.disks);
                 Ok(())
             },
         );
-
-        // Deterministic replacement-id assignment: prefix sums over the
-        // per-chunk replacement counts, in system order.
-        let mut occurrences = Vec::with_capacity(chunks.iter().map(|c| c.occurrences.len()).sum());
-        let mut disks = Vec::with_capacity(chunks.iter().map(|c| c.disks.len()).sum());
-        let mut base = fleet.disk_count() as u64;
-        for result in &mut chunks {
-            let remap = |id: DiskInstanceId| -> DiskInstanceId {
-                if id.0 & LOCAL_REPLACEMENT_FLAG != 0 {
-                    DiskInstanceId(base + (id.0 & !LOCAL_REPLACEMENT_FLAG))
-                } else {
-                    id
-                }
-            };
-            for occ in &mut result.occurrences {
-                occ.disk = remap(occ.disk);
-            }
-            for disk in &mut result.disks {
-                disk.id = remap(disk.id);
-            }
-            base += result.replacements;
-            occurrences.append(&mut result.occurrences);
-            disks.append(&mut result.disks);
-        }
         SimOutput::new(occurrences, disks)
     }
 
@@ -377,7 +372,7 @@ impl Simulator {
                 let id = if i == 0 {
                     slot.initial
                 } else {
-                    // Chunk-local replacement id; the run-level post-pass
+                    // Chunk-local replacement id; the in-order append
                     // rewrites it into the global instance-id space.
                     let id = DiskInstanceId(LOCAL_REPLACEMENT_FLAG | *next_local);
                     *next_local += 1;

@@ -138,6 +138,9 @@ fn serve(args: &[&str]) -> Result<(), CliError> {
     config.bus = bus;
 
     let server = Server::spawn(config).map_err(|e| CliError::Run(format!("bind: {e}")))?;
+    for cut in server.bus().wal().map_or(&[][..], |wal| wal.set_aside()) {
+        println!("WARNING: {cut}");
+    }
     println!("ssfad listening on {}", server.addr());
     println!("close stdin to drain and exit");
 

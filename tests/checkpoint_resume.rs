@@ -12,11 +12,14 @@
 //! exactly what an appending `CorpusWriter` run would have left behind.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use ssfa::core::StudyFold;
 use ssfa::logs::checkpoint::{CheckpointReader, CheckpointWriter};
-use ssfa::logs::{CascadeStyle, Manifest, HEADER_LEN, MANIFEST_NAME};
-use ssfa::{FileSource, MmapSource, Pipeline};
+use ssfa::logs::{CascadeStyle, ChunkPlan, Manifest, HEADER_LEN, MANIFEST_NAME};
+use ssfa::model::SystemId;
+use ssfa::pipeline::{ChunkPolicy, ShardData, Source};
+use ssfa::{FileSource, ManifestSource, MmapSource, Pipeline};
 
 const SCALE: f64 = 0.002;
 const SEED: u64 = 7;
@@ -294,6 +297,87 @@ fn a_strict_failure_keeps_the_epochs_before_it_durable() {
         source.shard_reads(),
         (total - k) as u64,
         "resume reads only the shards from the first missing epoch on"
+    );
+    assert!(health.is_clean(), "{health}");
+    assert_eq!(table1(&study), table1(&cold));
+}
+
+/// A [`FileSource`] whose load of shard `held` waits until the checkpoint
+/// in `ckpt` lists an epoch: it polls every 10 ms, and after 1,000 polls
+/// (10 s) records the timeout and loads anyway.
+struct HoldsShardForAnEpoch<'a> {
+    inner: FileSource,
+    held: usize,
+    ckpt: &'a Path,
+    timed_out: AtomicBool,
+}
+
+impl Source for HoldsShardForAnEpoch<'_> {
+    fn shard_count(&self) -> usize {
+        self.inner.shard_count()
+    }
+    fn plan_chunks(&self, policy: ChunkPolicy) -> ChunkPlan {
+        self.inner.plan_chunks(policy)
+    }
+    fn load(&self, shard: usize) -> ShardData<'_> {
+        if shard == self.held {
+            let epoch_listed =
+                || CheckpointReader::open(self.ckpt).is_ok_and(|reader| reader.epoch_count() > 0);
+            let mut polls = 0;
+            while !epoch_listed() {
+                if polls == 1_000 {
+                    self.timed_out.store(true, Ordering::SeqCst);
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                polls += 1;
+            }
+        }
+        self.inner.load(shard)
+    }
+    fn system_ids(&self, shard: usize) -> Vec<SystemId> {
+        self.inner.system_ids(shard)
+    }
+    fn count_lines(&self, shard: usize) -> u64 {
+        self.inner.count_lines(shard)
+    }
+}
+
+impl ManifestSource for HoldsShardForAnEpoch<'_> {
+    fn manifest(&self) -> &Manifest {
+        self.inner.manifest()
+    }
+}
+
+/// Epochs are written while workers classify: the last chunk's shard is
+/// not loaded until epoch 0 is durable, which a run that folds only
+/// after every chunk is classified never allows.
+#[test]
+fn an_epoch_is_durable_before_the_last_chunk_is_classified() {
+    let corpus = TempDir::new("streaming-corpus");
+    let ckpt = TempDir::new("streaming-store");
+    build_corpus(&corpus.0);
+    let pipeline = Pipeline::new()
+        .scale(SCALE)
+        .seed(SEED)
+        .threads(2)
+        .chunk_systems(1)
+        .epoch_chunks(1);
+    let (cold, _, _) = pipeline
+        .run_source(&FileSource::open(&corpus.0).expect("corpus opens"))
+        .expect("cold run succeeds");
+    let source = HoldsShardForAnEpoch {
+        inner: FileSource::open(&corpus.0).expect("corpus opens"),
+        held: shard_count(&corpus.0) - 1,
+        ckpt: &ckpt.0,
+        timed_out: AtomicBool::new(false),
+    };
+    let (study, _, health) = pipeline
+        .run_source_checkpointed(&source, &ckpt.0)
+        .expect("checkpointed run succeeds");
+    assert!(
+        !source.timed_out.load(Ordering::SeqCst),
+        "no epoch was durable 10 s into loading the last chunk's shard"
     );
     assert!(health.is_clean(), "{health}");
     assert_eq!(table1(&study), table1(&cold));

@@ -2,7 +2,8 @@
 //! commands, unknown flags, invalid values) print the usage text to
 //! **stderr** and exit **2** — never a panic, never exit 1, and never a
 //! word on stdout. Runtime failures (a missing corpus directory) exit 1
-//! without the usage dump.
+//! without the usage dump. A WAL that recovery had to cut is reported on
+//! stdout before `ssfad serve` starts listening.
 
 use std::process::{Command, Output};
 
@@ -185,5 +186,55 @@ fn runtime_failures_exit_1_without_usage_dump() {
     assert!(
         !stderr.contains("usage:"),
         "runtime errors must not dump usage: {stderr}"
+    );
+}
+
+#[test]
+fn serve_warns_before_listening_about_wal_records_it_set_aside() {
+    use ssfa::daemon::WriteAheadLog;
+    use ssfa::logs::Strictness;
+
+    let dir = std::env::temp_dir().join(format!("ssfa-cli-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Twenty records in 400-byte segments, then one byte flipped in the
+    // second segment: replay stops there and the later segments are set
+    // aside.
+    let (wal, _) = WriteAheadLog::open(&dir, 400).expect("wal opens");
+    for seq in 0..20u64 {
+        let mut frame = Vec::new();
+        ssfa::logs::frame::encode_frame(&mut frame, seq as u32, 1, b"x\n");
+        wal.append("t", Strictness::Lenient, "s", seq, &frame)
+            .expect("record appends");
+    }
+    drop(wal);
+    let segment = dir.join("t").join(ssfa::daemon::wal::segment_file_name(1));
+    let mut bytes = std::fs::read(&segment).expect("segment reads");
+    bytes[10] ^= 0x01;
+    std::fs::write(&segment, bytes).expect("segment writes");
+
+    let wal_dir = dir.to_str().expect("utf-8 temp path");
+    let out = ssfad(&["serve", "--addr", "127.0.0.1:0", "--wal", wal_dir]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    let warning = lines
+        .iter()
+        .position(|line| {
+            line.starts_with("WARNING: tenant t: WAL replay stopped at wal-00001.seg offset 0")
+        })
+        .unwrap_or_else(|| panic!("no WARNING line for tenant t: {stdout}"));
+    let listening = lines
+        .iter()
+        .position(|line| line.starts_with("ssfad listening on"))
+        .expect("a listening line");
+    assert!(warning < listening, "{stdout}");
+    assert_eq!(
+        lines
+            .iter()
+            .filter(|line| line.starts_with("WARNING:"))
+            .count(),
+        1,
+        "one line per affected tenant: {stdout}"
     );
 }
