@@ -311,7 +311,9 @@ where
     ///
     /// # Panics
     ///
-    /// Re-raises a panic from an item or from `consume`.
+    /// Re-raises a panic from an item that lands before it returns, or
+    /// from `consume`. An item panic that lands after it returned stays in
+    /// the buffer for [`Pool::take_panic`].
     pub fn consume(&self, mut consume: impl FnMut(usize, T) -> Result<(), E>) -> Result<(), E> {
         for i in 0..self.claims.n {
             let mut buffer = self.buffer.lock();
@@ -342,6 +344,13 @@ where
             }
         }
         Ok(())
+    }
+
+    /// The payload of an item panic that [`Pool::consume`] did not
+    /// re-raise: one in an item above the returned error that landed after
+    /// the consumer returned. Call it once the workers have joined.
+    pub fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
+        self.buffer.lock().panic.take()
     }
 
     /// Stops the pool after the consumer quit at item `i`: no item above
@@ -379,7 +388,9 @@ where
 /// # Panics
 ///
 /// Panics if `threads` is zero, and re-raises a panic from `f` or
-/// `consume`.
+/// `consume`. A panic in an item always reaches the caller, even in an
+/// item above the returned error, which a worker ran before the error
+/// stopped the pool.
 pub fn run_ordered<T, E, F>(
     n: usize,
     threads: usize,
@@ -398,12 +409,16 @@ where
         clippy::disallowed_methods,
         reason = "the ordered worker pool; items are claimed by index and consumed in index order"
     )]
-    std::thread::scope(|scope| {
+    let result = std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| pool.work(&f));
         }
         pool.consume(consume)
-    })
+    });
+    if let Some(payload) = pool.take_panic() {
+        resume_unwind(payload);
+    }
+    result
 }
 
 #[cfg(test)]
@@ -633,6 +648,38 @@ mod tests {
             assert_ne!(i, 7, "item 7");
             Ok::<_, ()>(())
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "item 1 after the consumer error")]
+    fn a_panic_above_a_consumer_error_still_reaches_the_caller() {
+        // The consumer fails at item 0 only once item 1 has started, and
+        // item 1 panics only once the consumer has failed, so the consumer
+        // never sees the payload: `run_ordered` must re-raise it after the
+        // join rather than return the error.
+        let (started, consumer_failed) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let wait_for = |flag: &AtomicUsize| {
+            while flag.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+        };
+        let _ = run_ordered(
+            2,
+            2,
+            |i| {
+                if i == 1 {
+                    started.store(1, Ordering::SeqCst);
+                    wait_for(&consumer_failed);
+                    panic!("item 1 after the consumer error");
+                }
+                Ok::<_, &str>(i)
+            },
+            |_, _| {
+                wait_for(&started);
+                consumer_failed.store(1, Ordering::SeqCst);
+                Err("consumer")
+            },
+        );
     }
 
     #[test]

@@ -28,11 +28,16 @@
 //!
 //! Three threads of 2 workers × 3 items make a tree too large to exhaust
 //! outright (one variant already runs past 300,000 schedules at four
-//! preemptions), so each tree is exhausted within [`PREEMPTIONS`]
+//! preemptions), so each pool tree is exhausted within [`PREEMPTIONS`]
 //! preemptive switches per schedule, the bound loom's own
 //! `LOOM_MAX_PREEMPTIONS` sets. Switches forced by a thread blocking on
 //! the mutex or parking on the condition variable are free, so every
 //! blocking order is explored.
+//!
+//! The claim protocol alone (`Claims::claim` and `Claims::fail`, the only
+//! code the workers race on outside the mutex) is small enough to exhaust
+//! outright: 2 workers × 3 items, clean and with item 1 failing, with no
+//! preemption bound, and 3 workers × 3 items within two preemptions.
 
 #![cfg(feature = "model-check")]
 
@@ -48,8 +53,8 @@ type LoomPool = Pool<(loom::sync::Mutex<Buffer<usize, usize>>, loom::sync::Condv
 /// `report.complete` prove the bound was never the reason a test passed.
 const SCHEDULE_BOUND: usize = 200_000;
 
-/// Preemptive switches per schedule: every tree below is exhausted at
-/// this bound (about 15,000–53,000 schedules each).
+/// Preemptive switches per schedule: every pool tree below is exhausted
+/// at this bound (about 15,000–53,000 schedules each).
 const PREEMPTIONS: usize = 3;
 
 const WORKERS: usize = 2;
@@ -135,20 +140,9 @@ fn exhaust(failing: Option<usize>, consumer_fails: Option<usize>, check: fn(&Out
         .check(move || {
             check(&run_pool(WORKERS, window, failing, consumer_fails));
         });
-        assert!(
-            report.failure.is_none(),
-            "window {window}: {:?}",
-            report.failure
-        );
-        assert!(
-            report.complete,
-            "window {window}: schedule bound hit before exhausting the tree ({} schedules)",
-            report.schedules
-        );
-        assert!(
-            report.schedules >= 2,
-            "window {window}: {WORKERS} workers x {ITEMS} items must branch, got {} schedule(s)",
-            report.schedules
+        assert_exhausted(
+            &report,
+            &format!("{WORKERS} workers x {ITEMS} items, window {window}"),
         );
     }
 }
@@ -229,30 +223,122 @@ fn a_window_that_parks_the_lowest_worker_is_a_deadlock() {
     );
 }
 
+/// Runs `workers` virtual threads that take indices from one
+/// `Claims` over `ITEMS` items through `claim` until it returns `None`,
+/// recording a failure at item `failing` as a pool worker does, and
+/// returns how often each index was claimed.
+fn run_claims(
+    workers: usize,
+    failing: Option<usize>,
+    claim: fn(&Claims<LoomAtomic>) -> Option<usize>,
+) -> Vec<u32> {
+    let claims = Arc::new(Claims::<LoomAtomic>::new(ITEMS));
+    let handles: Vec<_> = (0..workers)
+        .map(|_| {
+            let claims = Arc::clone(&claims);
+            loom::thread::spawn(move || {
+                std::iter::from_fn(|| {
+                    let i = claim(&claims)?;
+                    if Some(i) == failing {
+                        claims.fail(i);
+                    }
+                    Some(i)
+                })
+                .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let mut claimed = vec![0u32; ITEMS];
+    for h in handles {
+        for i in h.join().unwrap() {
+            claimed[i] += 1;
+        }
+    }
+    claimed
+}
+
+/// Asserts that `report` found no failure and exhausted its tree.
+fn assert_exhausted(report: &loom::Report, tree: &str) {
+    assert!(report.failure.is_none(), "{tree}: {:?}", report.failure);
+    assert!(
+        report.complete,
+        "{tree}: schedule bound hit before exhausting the tree ({} schedules)",
+        report.schedules
+    );
+    assert!(
+        report.schedules >= 2,
+        "{tree}: must branch, got {} schedule(s)",
+        report.schedules
+    );
+}
+
+#[test]
+fn every_index_claimed_exactly_once_across_all_schedules() {
+    // The claim protocol alone, with no preemption bound: whatever the
+    // interleaving of the two workers' claim atomics, each index goes to
+    // exactly one of them.
+    let report = builder().check(|| {
+        let claimed = run_claims(WORKERS, None, Claims::claim);
+        assert!(
+            claimed.iter().all(|&n| n == 1),
+            "lost or duplicated item: claimed={claimed:?}"
+        );
+    });
+    assert_exhausted(&report, "2 workers x 3 items, claims only");
+}
+
+#[test]
+fn a_failure_never_double_claims_and_every_index_up_to_it_is_claimed() {
+    // Item 1 fails, with no preemption bound: no index is claimed twice
+    // (so no item past the failure runs twice), and items 0 and 1 are
+    // each claimed exactly once, so the lowest failure is item 1 on every
+    // schedule. Item 2 is claimed at most once: a worker may take it
+    // before the failure is recorded.
+    let report = builder().check(|| {
+        let claimed = run_claims(WORKERS, Some(1), Claims::claim);
+        assert!(
+            claimed.iter().all(|&n| n <= 1),
+            "index claimed twice: {claimed:?}"
+        );
+        assert_eq!(
+            claimed[..=1],
+            [1, 1],
+            "every index up to the failure is claimed: {claimed:?}"
+        );
+    });
+    assert_exhausted(&report, "2 workers x 3 items, item 1 failing, claims only");
+}
+
+#[test]
+fn three_workers_bounded_preemption_no_loss() {
+    // Three workers over the claim protocol. The unbounded tree runs past
+    // 500,000 schedules, so this one is bounded at two preemptive switches
+    // per schedule: a race on the single `fetch_add` claim point needs
+    // only one.
+    let report = loom::Builder {
+        preemption_bound: Some(2),
+        ..builder()
+    }
+    .check(|| {
+        let claimed = run_claims(3, None, Claims::claim);
+        assert!(
+            claimed.iter().all(|&n| n == 1),
+            "lost or duplicated item: claimed={claimed:?}"
+        );
+    });
+    assert_exhausted(&report, "3 workers x 3 items, claims only");
+}
+
 #[test]
 fn injected_lost_update_bug_is_caught() {
     // The deliberately broken claim path (a read, then a separate bump,
     // in `claim_lost_update`) must be caught: some interleaving hands the
     // same item to both workers.
     let report = builder().check(|| {
-        let claims = Arc::new(Claims::<LoomAtomic>::new(ITEMS));
-        let handles: Vec<_> = (0..WORKERS)
-            .map(|_| {
-                let claims = Arc::clone(&claims);
-                loom::thread::spawn(move || {
-                    std::iter::from_fn(|| claims.claim_lost_update()).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut runs = vec![0u32; ITEMS];
-        for h in handles {
-            for i in h.join().unwrap() {
-                runs[i] += 1;
-            }
-        }
+        let claimed = run_claims(WORKERS, None, Claims::claim_lost_update);
         assert!(
-            runs.iter().all(|&n| n == 1),
-            "lost or duplicated item: runs={runs:?}"
+            claimed.iter().all(|&n| n == 1),
+            "lost or duplicated item: claimed={claimed:?}"
         );
     });
     let failure = report
